@@ -304,7 +304,3 @@ def dilatation_fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6) 
         raise ValueError("map is not orientation-preserving at sample point")
     return num / den
 
-
-def diff4(f: Callable[[float], float], x: float, h: float = 1e-3) -> float:
-    """Fourth-order centered first derivative."""
-    return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12.0 * h)

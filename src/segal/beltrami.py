@@ -33,6 +33,8 @@ FIELD_SCHEMA = "segal.field/1"
 
 def _require_in_disc(value: complex, name: str) -> complex:
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise OutOfDisc(f"{name} is not finite: {value!r}")
     if abs(value) >= 1.0 - DISC_EDGE:
         raise OutOfDisc(f"{name} has modulus {abs(value):.12g}, too close to 1")
     return value
@@ -301,6 +303,8 @@ class DilatationField:
 
     @classmethod
     def from_json(cls, d: dict) -> "DilatationField":
+        if not isinstance(d, dict):
+            raise GridMismatch(f"field must be a JSON object, not {type(d).__name__}")
         if d.get("schema", FIELD_SCHEMA) != FIELD_SCHEMA:
             raise GridMismatch(f"unsupported schema {d.get('schema')!r}")
         nx, ny = int(d["nx"]), int(d["ny"])

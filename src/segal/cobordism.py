@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
 
-from .errors import InternalInconsistency, SignatureMismatch
+from .errors import DomainError, InternalInconsistency, SignatureMismatch
 
 Label = str
 
@@ -612,6 +612,8 @@ def octype_to_json(t: OCType) -> dict:
 
 
 def octype_from_json(d: dict) -> OCType:
+    if not isinstance(d, dict):
+        raise DomainError(f"surface type must be a JSON object, not {type(d).__name__}")
     if d.get("schema", OCTYPE_SCHEMA) != OCTYPE_SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     comps = []

@@ -260,14 +260,6 @@ def random_composable_pair(seed: int) -> tuple[OCType, OCType]:
     return t1, t2
 
 
-def random_composable_triple(seed: int) -> tuple[OCType, OCType, OCType]:
-    rng = random.Random(seed)
-    t1 = random_octype(rng)
-    t2 = random_successor(rng, t1)
-    t3 = random_successor(rng, t2)
-    return t1, t2, t3
-
-
 # ---------------------------------------------------------------------------
 # bounded deterministic enumeration of small single-component types
 

@@ -6,7 +6,9 @@ complex structure on a boundary strip.  Applying the structure to the unit
 horizontal vector gives a field of the form (O(y^m), 1 + O(y^n)); each
 flattening step straightens the integral curves of that field to vertical
 lines, improving the pair (m, n).  The recursion on (m, n) is exact integer
-bookkeeping; the maps themselves are built numerically on a grid.
+bookkeeping; the maps themselves are built numerically on a grid.  scipy's
+ODE solver and splines are imported on the first flattening step, not with
+this module.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     CurveEscape,
@@ -83,16 +83,14 @@ def order_sequence(k: int) -> list[OrderPair]:
 class BoundaryGlueMap:
     """Increasing smooth reparametrization of the boundary line.
 
-    Derivative callables beyond the first are optional; they are needed only
-    by closed-form cross-checks, not by the numeric pipeline.  All callables
-    must accept numpy arrays.
+    The second derivative is optional; it is needed only by closed-form
+    cross-checks, not by the numeric pipeline.  All callables must accept
+    numpy arrays.
     """
 
     rho: Callable
     drho: Callable
     d2rho: Optional[Callable] = None
-    d3rho: Optional[Callable] = None
-    d4rho: Optional[Callable] = None
     x_lo: float = -1.5
     x_hi: float = 1.5
     y_max: float = 1.0
@@ -124,8 +122,6 @@ def glue_identity(**kw) -> BoundaryGlueMap:
         rho=lambda x: np.asarray(x, dtype=float) + 0.0,
         drho=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d2rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d3rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d4rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         **kw,
     )
 
@@ -137,8 +133,6 @@ def glue_linear(k: float, **kw) -> BoundaryGlueMap:
         rho=lambda x: k * np.asarray(x, dtype=float),
         drho=lambda x: np.full_like(np.asarray(x, dtype=float), k),
         d2rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d3rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d4rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         **kw,
     )
 
@@ -151,8 +145,6 @@ def glue_sine(amplitude: float = 0.1, **kw) -> BoundaryGlueMap:
         rho=lambda x: np.asarray(x, dtype=float) + a * np.sin(np.asarray(x, dtype=float)),
         drho=lambda x: 1.0 + a * np.cos(np.asarray(x, dtype=float)),
         d2rho=lambda x: -a * np.sin(np.asarray(x, dtype=float)),
-        d3rho=lambda x: -a * np.cos(np.asarray(x, dtype=float)),
-        d4rho=lambda x: a * np.sin(np.asarray(x, dtype=float)),
         **kw,
     )
 
@@ -367,6 +359,9 @@ def flatten_step(
     pushforward of the field to the vertical unit at interior nodes (up to
     grid-size differencing error).
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import RectBivariateSpline
+
     func = field.func if isinstance(field, StructureField) else field
     x_lo, x_hi = window
     xs = np.linspace(x_lo, x_hi, nx)

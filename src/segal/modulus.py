@@ -6,6 +6,8 @@ a position x with |x| > 1, possibly wrapped through infinity to the segment
 left of -1.  The module is the side-length ratio of the conformally mapped
 rectangle, computed from the two bounded period integrals of
 1/sqrt(s(s^2-1)(s-x)), which cover both position branches unchanged.
+scipy's adaptive quadrature is imported on the first module computation,
+not with this module.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-from scipy.integrate import quad
 
 from .errors import DegenerateQuad, DomainError, QuadratureFailure
 
@@ -102,6 +102,8 @@ def _side_integral(a: float, b: float, x: float) -> float:
     The substitution s = endpoint +- u^2 flattens the inverse-square-root
     singularities; each half is then smooth for adaptive quadrature.
     """
+    from scipy.integrate import quad
+
     m = 0.5 * (a + b)
     total = 0.0
     for g, top in (

@@ -139,6 +139,14 @@ def test_transform_outputs_stay_in_disc():
         assert abs(nu) < 1
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
+def test_non_finite_mu_rejected(bad):
+    with pytest.raises(OutOfDisc):
+        teichmuller_distance(bad, 0.1)
+    with pytest.raises(OutOfDisc):
+        dilatation_K(bad)
+
+
 def test_teichmuller_distance_values():
     assert teichmuller_distance(0.2 + 0.1j, 0.2 + 0.1j) == 0
     assert teichmuller_distance(0, 1 / 3) == pytest.approx(math.log(2), abs=1e-15)
@@ -282,6 +290,11 @@ def test_field_json_roundtrip():
     assert g.values.shape == f.values.shape
     assert np.array_equal(g.values, f.values)
     assert (g.x0, g.x1, g.y0, g.y1) == (f.x0, f.x1, f.y0, f.y1)
+
+
+def test_field_json_must_be_object():
+    with pytest.raises(GridMismatch):
+        DilatationField.from_json([1, 2])
 
 
 def test_field_csv_export():

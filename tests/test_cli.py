@@ -132,6 +132,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{p}:2:1:" in err
 
+    def test_list_json_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]", encoding="utf-8")
+        assert main(["types", "validate", str(p)]) == 2
+        assert main(["belt", "distance", str(p), str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("must be a JSON object") == 2
+
+    def test_nan_mu_is_input_error(self, capsys):
+        assert main(["belt", "distance", "--mu", "nan+0j", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mu1 is not finite: (nan+0j)\n"
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["types", "validate", str(tmp_path / "missing.json")]) == 2
 

@@ -16,7 +16,7 @@ from segal.cobordism import (
     octype_to_json,
     validate_type,
 )
-from segal.errors import SignatureMismatch
+from segal.errors import DomainError, SignatureMismatch
 
 
 def test_euler_characteristic_basics():
@@ -216,6 +216,11 @@ def test_json_roundtrip_random(seed):
     for x in (t, u, compose_types(t, u)):
         assert validate_type(x).ok, validate_type(x).violations
         assert octype_from_json(octype_to_json(x)) == x
+
+
+def test_json_top_level_must_be_object():
+    with pytest.raises(DomainError):
+        octype_from_json([1, 2])
 
 
 def test_json_schema_shape():
