@@ -52,7 +52,7 @@ class LinearMapZZbar:
     b: complex
 
     def __post_init__(self):
-        if abs(self.a) <= abs(self.b):
+        if not abs(self.a) > abs(self.b):
             raise NotOrientationPreserving(
                 f"|a|={abs(self.a):.6g} must exceed |b|={abs(self.b):.6g}"
             )
@@ -82,6 +82,8 @@ def dilatation_K(mu: complex) -> float:
 
 def abs_mu_from_K(K: float) -> float:
     """Inverse of dilatation_K on moduli: |mu| = (K-1)/(K+1)."""
+    if not math.isfinite(K):
+        raise OutOfDisc(f"distortion factor {K} is not finite")
     if K < 1.0:
         raise OutOfDisc(f"distortion factor {K} < 1")
     return (K - 1.0) / (K + 1.0)
@@ -103,7 +105,7 @@ def transform_mu(mu_gf: complex, mu_f: complex, fz: complex, fzbar: complex) -> 
     """
     mu_gf = _require_in_disc(mu_gf, "mu_gf")
     mu_f = _require_in_disc(mu_f, "mu_f")
-    if abs(fz) <= abs(fzbar):
+    if not abs(fz) > abs(fzbar):
         raise NotOrientationPreserving(
             f"|fz|={abs(fz):.6g} must exceed |fzbar|={abs(fzbar):.6g}"
         )
@@ -121,7 +123,7 @@ def pullback_mu(nu_Y: complex, mu_g: complex, u: complex) -> complex:
     nu_Y = _require_in_disc(nu_Y, "nu_Y")
     mu_g = _require_in_disc(mu_g, "mu_g")
     mod = abs(u)
-    if abs(mod - 1.0) > 1e-6:
+    if not abs(mod - 1.0) <= 1e-6:
         raise NotOrientationPreserving(f"|u|={mod:.6g} is not a unit phase")
     u = u / mod
     return complex(_pullback_kernel(nu_Y, mu_g, u))
@@ -149,6 +151,8 @@ class ACSMatrix:
     j22: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.j11, self.j12, self.j21, self.j22))):
+            raise InvalidACS("J has a non-finite entry")
         sq_diag = self.j11 * self.j11 + self.j12 * self.j21
         off1 = self.j12 * (self.j11 + self.j22)
         off2 = self.j21 * (self.j11 + self.j22)
@@ -173,6 +177,8 @@ def acs_from_frame(A: float, B: float) -> ACSMatrix:
     Solving the three constraints pins every entry: J = [[B, -A],
     [(1+B^2)/A, -B]].  Positive orientation forces A > 0.
     """
+    if not (math.isfinite(A) and math.isfinite(B)):
+        raise DegenerateFrame(f"frame vector ({A!r}, {B!r}) is not finite")
     if A == 0.0:
         raise DegenerateFrame("frame vector with vanishing first component")
     if A < 0.0:
@@ -222,10 +228,13 @@ class DilatationField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
-            raise GridMismatch("empty rectangle")
+        corners = (self.x0, self.x1, self.y0, self.y1)
+        if not (all(map(math.isfinite, corners)) and self.x0 < self.x1 and self.y0 < self.y1):
+            raise GridMismatch("rectangle is empty or not finite")
         if v.ndim != 2 or v.size == 0:
             raise GridMismatch("values must be a non-empty 2-d array")
+        if not np.isfinite(v).all():
+            raise OutOfDisc("samples are not finite")
         worst = float(np.abs(v).max())
         if worst >= 1.0 - DISC_EDGE:
             raise OutOfDisc(f"sample with modulus {worst:.12g}, too close to 1")
@@ -349,7 +358,7 @@ def transform_field(
 ) -> DilatationField:
     """transform_mu applied nodewise with constant chart data."""
     mu_f = _require_in_disc(mu_f, "mu_f")
-    if abs(fz) <= abs(fzbar):
+    if not abs(fz) > abs(fzbar):
         raise NotOrientationPreserving("|fz| must exceed |fzbar|")
     phase = fz / fz.conjugate()
     out = _transform_kernel(s.values, mu_f, phase)
@@ -360,7 +369,7 @@ def pullback_field(s: DilatationField, mu_g: complex, u: complex) -> DilatationF
     """pullback_mu applied nodewise with constant chart data."""
     mu_g = _require_in_disc(mu_g, "mu_g")
     mod = abs(u)
-    if abs(mod - 1.0) > 1e-6:
+    if not abs(mod - 1.0) <= 1e-6:
         raise NotOrientationPreserving(f"|u|={mod:.6g} is not a unit phase")
     out = _pullback_kernel(s.values, mu_g, u / mod)
     return DilatationField(s.x0, s.x1, s.y0, s.y1, out)

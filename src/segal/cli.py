@@ -5,28 +5,61 @@ the dispatch table records which operations each handler exercises and a
 test enforces the correspondence.  Reports are deterministic: identical
 inputs, seeds, and package version give byte-identical output.
 
-Exit codes: 0 success, 1 a check ran and failed, 2 unusable input.
+Exit codes: 0 success, 1 a check ran and failed, 2 unusable input.  Each
+handler returns a ``Report`` and ``main`` alone turns errors into exit
+codes: an error in ``INPUT_ERRORS`` (bad syntax, a missing file or corpus, a
+value outside the domain of the operation) exits 2 with ``error:``; every
+other ``SegalError`` means a computation ran and its check failed, and
+exits 1 with ``check failed:``.
 The environment variable SEGAL_TOLERANCE_SCALE multiplies every tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import __version__, acceptance, beltrami, cobordism, corpus, flattening, modulus, quasisym
 from . import chains as chainalg
-from .errors import SegalError
+from .errors import (
+    DegenerateFrame,
+    DegenerateQuad,
+    DomainError,
+    GridMismatch,
+    InvalidPhi,
+    NonMonotone,
+    NotOrientationPreserving,
+    OutOfDisc,
+    OutOfWindow,
+    SegalError,
+)
 
 
 class CliInputError(Exception):
     """Raised while reading or decoding inputs; maps to exit code 2."""
+
+
+# Errors meaning the input was unusable (exit 2); any other SegalError is a
+# check that ran and failed (exit 1).
+INPUT_ERRORS = (
+    CliInputError,
+    acceptance.CorpusError,
+    DomainError,
+    OutOfDisc,
+    NotOrientationPreserving,
+    NonMonotone,
+    DegenerateQuad,
+    DegenerateFrame,
+    InvalidPhi,
+    GridMismatch,
+    OutOfWindow,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +72,7 @@ def tolerance_scale() -> float:
         v = float(raw)
     except ValueError:
         raise CliInputError(f"SEGAL_TOLERANCE_SCALE={raw!r} is not a number")
-    if not v > 0 or math.isnan(v) or math.isinf(v):
+    if not 0 < v < math.inf:
         raise CliInputError(f"SEGAL_TOLERANCE_SCALE={raw!r} must be finite and positive")
     return v
 
@@ -156,7 +189,23 @@ def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
+
+
+@dataclasses.dataclass(frozen=True)
+class Report:
+    """What a handler hands back: its payload, text form and exit code.
+
+    A report with a ``schema`` gains ``schema`` and ``version`` keys; one
+    without (a type or field document) is printed and written as it is.
+    Without ``lines`` the text form is one ``key with spaces: value`` line
+    per payload field.
+    """
+
+    payload: dict
+    schema: Optional[str] = None
+    lines: Optional[list[str]] = None
+    code: int = 0
 
 
 def cfmt(z: complex) -> str:
@@ -164,25 +213,45 @@ def cfmt(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-def cjson(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def fmt(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, complex):
+        return cfmt(v)
+    return repr(v)
 
 
-def emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
-    if getattr(args, "format", "text") == "json":
+def jsonable(v):
+    """Payload value with every complex number as a [re, im] pair."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, dict):
+        return {k: jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    return v
+
+
+def emit(args: argparse.Namespace, report: Report) -> int:
+    payload = jsonable(report.payload)
+    if report.schema:
+        payload = {"schema": report.schema, "version": __version__, **payload}
+    if getattr(args, "output", None):
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
+        lines = report.lines
+        if lines is None:
+            lines = [f"{k.replace('_', ' ')}: {fmt(v)}" for k, v in report.payload.items()]
         for line in lines:
             print(line)
+    return report.code
 
 
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def octype_lines(t: cobordism.OCType) -> list[str]:
+def type_report(t: cobordism.OCType) -> Report:
     lines = [
         f"components: {len(t.components)}",
         f"in signature: {t.in_signature.describe()}",
@@ -193,390 +262,213 @@ def octype_lines(t: cobordism.OCType) -> list[str]:
             f"component {i}: genus={comp.genus} closed_in={len(comp.closed_in)} "
             f"closed_out={len(comp.closed_out)} cycles={len(comp.cycles)}"
         )
-    return lines
+    return Report(cobordism.octype_to_json(t), lines=lines)
 
 
-def field_lines(f: beltrami.DilatationField) -> list[str]:
-    return [
+def field_report(f: beltrami.DilatationField) -> Report:
+    lines = [
         f"grid: {f.ny}x{f.nx}",
         f"rectangle: [{f.x0!r}, {f.x1!r}] x [{f.y0!r}, {f.y1!r}]",
         f"sup |mu|: {f.sup_abs()!r}",
     ]
-
-
-def finish_type_output(args: argparse.Namespace, t: cobordism.OCType) -> None:
-    payload = cobordism.octype_to_json(t)
-    if getattr(args, "output", None):
-        write_json(args.output, payload)
-    emit(args, payload, octype_lines(t))
-
-
-def finish_field_output(args: argparse.Namespace, f: beltrami.DilatationField) -> None:
-    payload = f.to_json()
-    if getattr(args, "output", None):
-        write_json(args.output, payload)
-    emit(args, payload, field_lines(f))
+    return Report(f.to_json(), lines=lines)
 
 
 # ---------------------------------------------------------------------------
 # handlers: surface types
 
 
-def run_types_validate(args) -> int:
-    t = load_octype(args.file)
-    rep = cobordism.validate_type(t)
-    payload = {
-        "schema": "segal.report.validate/1",
-        "version": __version__,
-        "ok": rep.ok,
-        "violations": list(rep.violations),
-    }
-    lines = [f"ok: {str(rep.ok).lower()}"] + [f"violation: {v}" for v in rep.violations]
-    emit(args, payload, lines)
-    return 0 if rep.ok else 1
+def run_types_validate(args) -> Report:
+    rep = cobordism.validate_type(load_octype(args.file))
+    lines = [f"ok: {fmt(rep.ok)}"] + [f"violation: {v}" for v in rep.violations]
+    payload = {"ok": rep.ok, "violations": list(rep.violations)}
+    return Report(payload, "segal.report.validate/1", lines, 0 if rep.ok else 1)
 
 
-def run_types_compose(args) -> int:
+def run_types_compose(args) -> Report:
     t1, t2 = load_octype(args.first), load_octype(args.second)
-    out = cobordism.compose_types(t1, t2)
-    finish_type_output(args, out)
-    return 0
+    return type_report(cobordism.compose_types(t1, t2))
 
 
-def run_types_union(args) -> int:
+def run_types_union(args) -> Report:
     t1, t2 = load_octype(args.first), load_octype(args.second)
-    finish_type_output(args, cobordism.disjoint_union(t1, t2))
-    return 0
+    return type_report(cobordism.disjoint_union(t1, t2))
 
 
-def run_types_stability(args) -> int:
-    t = load_octype(args.file)
-    rep = cobordism.is_stable(t)
-    payload = {
-        "schema": "segal.report.stability/1",
-        "version": __version__,
-        "statuses": list(rep.statuses),
-        "all_stable": rep.all_stable,
-    }
+def run_types_stability(args) -> Report:
+    rep = cobordism.is_stable(load_octype(args.file))
     lines = [f"component {i}: {s}" for i, s in enumerate(rep.statuses)]
-    lines.append(f"all stable: {str(rep.all_stable).lower()}")
-    emit(args, payload, lines)
-    return 0 if rep.all_stable else 1
+    lines.append(f"all stable: {fmt(rep.all_stable)}")
+    payload = {"statuses": list(rep.statuses), "all_stable": rep.all_stable}
+    return Report(payload, "segal.report.stability/1", lines, 0 if rep.all_stable else 1)
 
 
-def run_types_random(args) -> int:
+def run_types_random(args) -> Report:
     rng = random.Random(args.seed)
     if args.successor:
-        base = load_octype(args.successor)
-        t = corpus.random_successor(rng, base)
-    else:
-        t = corpus.random_octype(rng)
-    finish_type_output(args, t)
-    return 0
+        return type_report(corpus.random_successor(rng, load_octype(args.successor)))
+    return type_report(corpus.random_octype(rng))
 
 
-def run_types_enumerate(args) -> int:
+def run_types_enumerate(args) -> Report:
     labels = tuple(args.labels.split(",")) if args.labels else ("a", "b")
     if not all(labels):
         raise CliInputError("labels must be non-empty strings")
-    ts = corpus.enumerate_small_types(labels)
-    payload = {
-        "schema": "segal.enumeration/1",
-        "version": __version__,
-        "labels": list(labels),
-        "count": len(ts),
-    }
-    emit(args, payload, [f"count: {len(ts)}"])
-    return 0
+    count = len(corpus.enumerate_small_types(labels))
+    payload = {"labels": list(labels), "count": count}
+    return Report(payload, "segal.enumeration/1", [f"count: {count}"])
 
 
 # ---------------------------------------------------------------------------
 # handlers: dilatation calculus
 
 
-def run_belt_distance(args) -> int:
+def run_belt_distance(args) -> Report:
     if args.mu:
         mu1, mu2 = (parse_complex(s) for s in args.mu)
-        try:
-            d = beltrami.teichmuller_distance(mu1, mu2)
-            ks = [beltrami.dilatation_K(mu1), beltrami.dilatation_K(mu2)]
-        except SegalError as e:
-            raise CliInputError(str(e))
-        payload = {
-            "schema": "segal.report.distance/1",
-            "version": __version__,
-            "kind": "scalar",
-            "distance": d,
-            "dilatations": ks,
-        }
+        d = beltrami.teichmuller_distance(mu1, mu2)
+        ks = [beltrami.dilatation_K(mu1), beltrami.dilatation_K(mu2)]
+        payload = {"kind": "scalar", "distance": d, "dilatations": ks}
         lines = [f"distance: {d!r}", f"K1: {ks[0]!r}", f"K2: {ks[1]!r}"]
     else:
         if not (args.first and args.second):
             raise CliInputError("provide two field files or --mu MU1 MU2")
-        f1, f2 = load_field(args.first), load_field(args.second)
-        d = beltrami.field_distance(f1, f2)
-        payload = {
-            "schema": "segal.report.distance/1",
-            "version": __version__,
-            "kind": "field",
-            "distance": d,
-        }
+        d = beltrami.field_distance(load_field(args.first), load_field(args.second))
+        payload = {"kind": "field", "distance": d}
         lines = [f"distance: {d!r}"]
-    emit(args, payload, lines)
-    return 0
+    return Report(payload, "segal.report.distance/1", lines)
 
 
-def _chart_triplet(args) -> tuple[complex, complex, complex]:
+def run_belt_transform(args) -> Report:
     mu_f = parse_complex(args.mu_f)
     fz = parse_complex(args.fz)
-    fzbar = parse_complex(args.fzbar) if args.fzbar else mu_f * parse_complex(args.fz)
-    return mu_f, fz, fzbar
-
-
-def run_belt_transform(args) -> int:
-    mu_f, fz, fzbar = _chart_triplet(args)
+    fzbar = parse_complex(args.fzbar) if args.fzbar else mu_f * fz
     if args.value:
-        mu = parse_complex(args.value)
-        out = beltrami.transform_mu(mu, mu_f, fz, fzbar)
-        payload = {
-            "schema": "segal.report.transform/1",
-            "version": __version__,
-            "value": cjson(out),
-        }
-        emit(args, payload, [f"value: {cfmt(out)}"])
-        return 0
+        out = beltrami.transform_mu(parse_complex(args.value), mu_f, fz, fzbar)
+        return Report({"value": out}, "segal.report.transform/1")
     if not args.field:
         raise CliInputError("provide a field file or --value MU")
-    f = load_field(args.field)
-    finish_field_output(args, beltrami.transform_field(f, mu_f, fz, fzbar))
-    return 0
+    return field_report(beltrami.transform_field(load_field(args.field), mu_f, fz, fzbar))
 
 
-def run_belt_pullback(args) -> int:
+def run_belt_pullback(args) -> Report:
     mu_g = parse_complex(args.mu_g)
     u = parse_complex(args.u)
     if args.value:
-        nu = parse_complex(args.value)
-        out = beltrami.pullback_mu(nu, mu_g, u)
-        payload = {
-            "schema": "segal.report.pullback/1",
-            "version": __version__,
-            "value": cjson(out),
-        }
-        emit(args, payload, [f"value: {cfmt(out)}"])
-        return 0
+        out = beltrami.pullback_mu(parse_complex(args.value), mu_g, u)
+        return Report({"value": out}, "segal.report.pullback/1")
     if not args.field:
         raise CliInputError("provide a field file or --value MU")
-    f = load_field(args.field)
-    finish_field_output(args, beltrami.pullback_field(f, mu_g, u))
-    return 0
+    return field_report(beltrami.pullback_field(load_field(args.field), mu_g, u))
 
 
-def run_belt_sew(args) -> int:
+def run_belt_sew(args) -> Report:
     f1, f2 = load_field(args.first), load_field(args.second)
-    finish_field_output(args, beltrami.sew_sections(f1, f2, args.seam))
-    return 0
+    return field_report(beltrami.sew_sections(f1, f2, args.seam))
 
 
-def run_belt_acs(args) -> int:
-    payload: dict = {"schema": "segal.report.acs/1", "version": __version__}
-    lines: list[str] = []
+def run_belt_acs(args) -> Report:
     if args.mu is not None:
         mu = parse_complex(args.mu)
-        try:
-            j = beltrami.acs_from_mu(mu)
-        except SegalError as e:
-            raise CliInputError(str(e))
-        back = beltrami.mu_from_acs(j)
-        k = beltrami.dilatation_K(mu)
-        payload.update(
-            matrix=[[j.j11, j.j12], [j.j21, j.j22]], mu=cjson(back), dilatation=k
-        )
-        lines = [
-            f"matrix: [[{j.j11!r}, {j.j12!r}], [{j.j21!r}, {j.j22!r}]]",
-            f"mu: {cfmt(back)}",
-            f"dilatation: {k!r}",
-        ]
+        j = beltrami.acs_from_mu(mu)
+        payload = {
+            "matrix": [[j.j11, j.j12], [j.j21, j.j22]],
+            "mu": beltrami.mu_from_acs(j),
+            "dilatation": beltrami.dilatation_K(mu),
+        }
     elif args.frame is not None:
-        a, b = (parse_float(s, "frame entry") for s in args.frame)
-        try:
-            j = beltrami.acs_from_frame(a, b)
-        except SegalError as e:
-            raise CliInputError(str(e))
-        mu = beltrami.mu_from_acs(j)
-        payload.update(matrix=[[j.j11, j.j12], [j.j21, j.j22]], mu=cjson(mu))
-        lines = [
-            f"matrix: [[{j.j11!r}, {j.j12!r}], [{j.j21!r}, {j.j22!r}]]",
-            f"mu: {cfmt(mu)}",
-        ]
+        j = beltrami.acs_from_frame(*(parse_float(s, "frame entry") for s in args.frame))
+        payload = {"matrix": [[j.j11, j.j12], [j.j21, j.j22]], "mu": beltrami.mu_from_acs(j)}
     elif args.K is not None:
-        k = parse_float(args.K, "dilatation")
-        try:
-            m = beltrami.abs_mu_from_K(k)
-        except SegalError as e:
-            raise CliInputError(str(e))
-        payload.update(abs_mu=m)
-        lines = [f"abs mu: {m!r}"]
+        payload = {"abs_mu": beltrami.abs_mu_from_K(parse_float(args.K, "dilatation"))}
     elif args.linear is not None:
         a, b = (parse_complex(s) for s in args.linear)
-        try:
-            mu = beltrami.mu_of_linear(beltrami.LinearMapZZbar(a, b))
-        except SegalError as e:
-            raise CliInputError(str(e))
-        payload.update(mu=cjson(mu), dilatation=beltrami.dilatation_K(mu))
-        lines = [f"mu: {cfmt(mu)}", f"dilatation: {beltrami.dilatation_K(mu)!r}"]
+        mu = beltrami.mu_of_linear(beltrami.LinearMapZZbar(a, b))
+        payload = {"mu": mu, "dilatation": beltrami.dilatation_K(mu)}
     else:
         raise CliInputError("provide one of --mu, --frame, --K, --linear")
-    emit(args, payload, lines)
-    return 0
+    return Report(payload, "segal.report.acs/1")
 
 
 # ---------------------------------------------------------------------------
 # handlers: quasisymmetry
 
 
-def run_qs_bound(args) -> int:
-    if args.file:
-        h = load_sampled_csv(args.file)
-    else:
-        h = parse_sampled(args.fn, args.n)
+def run_qs_bound(args) -> Report:
+    h = load_sampled_csv(args.file) if args.file else parse_sampled(args.fn, args.n)
     if args.inverted:
         h = h.inverted()
-    k = quasisym.qs_bound(h)
-    payload = {
-        "schema": "segal.report.qsbound/1",
-        "version": __version__,
-        "bound": k,
-        "samples": len(h.xs),
-    }
-    emit(args, payload, [f"bound: {k!r}", f"samples: {len(h.xs)}"])
-    return 0
+    return Report({"bound": quasisym.qs_bound(h), "samples": len(h.xs)}, "segal.report.qsbound/1")
 
 
-def run_qs_corner(args) -> int:
+def run_qs_corner(args) -> Report:
     phi = parse_profile(args.profile)
-    try:
-        k = quasisym.corner_dilatation(phi)
-    except SegalError as e:
-        raise CliInputError(f"profile unsuitable for a corner map: {e}")
+    k = quasisym.corner_dilatation(phi)
     lo, hi = phi.derivative_range()
     sigma = quasisym.corner_transform(phi)
     pts = [parse_complex(p) for p in args.points.split(";")] if args.points else []
     rim = [complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8)) for j in range(8)]
     images, _ = quasisym.corner_map(phi, rim)
     extra = [sigma(p) for p in pts]
-    payload = {
-        "schema": "segal.report.corner/1",
-        "version": __version__,
-        "dilatation": k,
-        "derivative_range": [lo, hi],
-        "rim_images": [cjson(z) for z in images],
-        "point_images": [cjson(z) for z in extra],
-    }
     lines = [f"dilatation: {k!r}", f"derivative range: [{lo!r}, {hi!r}]"]
     lines += [f"rim {j}: {cfmt(z)}" for j, z in enumerate(images)]
     lines += [f"point {j}: {cfmt(z)}" for j, z in enumerate(extra)]
-    emit(args, payload, lines)
-    return 0
-
-
-def run_qs_twist(args) -> int:
-    phi = parse_profile(args.profile)
-    _twist, rep = quasisym.smooth_twist(phi, args.r1, args.r2)
     payload = {
-        "schema": "segal.report.twist/1",
-        "version": __version__,
-        "inner_max_dev": rep.inner_max_dev,
-        "outer_max_dev": rep.outer_max_dev,
-        "min_jacobian": rep.min_jacobian,
-        "endpoint_flatness": rep.endpoint_flatness,
-        "rigid_rotation": rep.rigid_rotation,
-        "phase": rep.phase,
+        "dilatation": k,
+        "derivative_range": [lo, hi],
+        "rim_images": images,
+        "point_images": extra,
     }
-    lines = [
-        f"inner max dev: {rep.inner_max_dev!r}",
-        f"outer max dev: {rep.outer_max_dev!r}",
-        f"min jacobian: {rep.min_jacobian!r}",
-        f"endpoint flatness: {rep.endpoint_flatness!r}",
-        f"rigid rotation: {str(rep.rigid_rotation).lower()}",
-        f"phase: {rep.phase!r}",
-    ]
-    emit(args, payload, lines)
-    return 0
+    return Report(payload, "segal.report.corner/1", lines)
+
+
+def run_qs_twist(args) -> Report:
+    _twist, rep = quasisym.smooth_twist(parse_profile(args.profile), args.r1, args.r2)
+    return Report(dataclasses.asdict(rep), "segal.report.twist/1")
 
 
 # ---------------------------------------------------------------------------
 # handlers: conformal modules
 
 
-def run_module_compute(args) -> int:
-    try:
-        if args.quad:
-            q = modulus.QuadrilateralSpec(*(parse_float(s, "marked point") for s in args.quad))
-            x = modulus.normalize_quad(q)
-            m = modulus.module_of_quad(q)
-            cr = modulus.cross_ratio(*q.vertices)
-            payload = {
-                "schema": "segal.report.module/1",
-                "version": __version__,
-                "kind": "quad",
-                "position": x,
-                "module": m,
-                "cross_ratio": cr,
-            }
-            lines = [f"position: {x!r}", f"module: {m!r}", f"cross ratio: {cr!r}"]
-        elif args.rect:
-            a, b = (parse_float(s, "rectangle side") for s in args.rect)
-            m = modulus.module_rect(a, b)
-            payload = {
-                "schema": "segal.report.module/1",
-                "version": __version__,
-                "kind": "rect",
-                "module": m,
-            }
-            lines = [f"module: {m!r}"]
-        else:
-            if not args.positions:
-                raise CliInputError("provide positions, --quad, or --rect")
-            entries = []
-            lines = []
-            for s in args.positions:
-                x = parse_float(s, "position")
-                m = modulus.module_sc(x)
-                xr = modulus.rotated_position(x)
-                mr = modulus.module_sc(xr)
-                entries.append(
-                    {"position": x, "module": m, "rotated_position": xr, "product": m * mr}
-                )
-                lines.append(f"x={x!r}: module={m!r} rotated={mr!r} product={m * mr!r}")
-            payload = {
-                "schema": "segal.report.module/1",
-                "version": __version__,
-                "kind": "positions",
-                "entries": entries,
-            }
-    except SegalError as e:
-        raise CliInputError(str(e))
-    emit(args, payload, lines)
-    return 0
+def run_module_compute(args) -> Report:
+    if args.quad:
+        q = modulus.QuadrilateralSpec(*(parse_float(s, "marked point") for s in args.quad))
+        x = modulus.normalize_quad(q)
+        m = modulus.module_of_quad(q)
+        cr = modulus.cross_ratio(*q.vertices)
+        payload = {"kind": "quad", "position": x, "module": m, "cross_ratio": cr}
+        lines = [f"position: {x!r}", f"module: {m!r}", f"cross ratio: {cr!r}"]
+    elif args.rect:
+        a, b = (parse_float(s, "rectangle side") for s in args.rect)
+        m = modulus.module_rect(a, b)
+        payload = {"kind": "rect", "module": m}
+        lines = [f"module: {m!r}"]
+    else:
+        if not args.positions:
+            raise CliInputError("provide positions, --quad, or --rect")
+        entries = []
+        lines = []
+        for s in args.positions:
+            x = parse_float(s, "position")
+            m = modulus.module_sc(x)
+            xr = modulus.rotated_position(x)
+            mr = modulus.module_sc(xr)
+            entries.append({"position": x, "module": m, "rotated_position": xr, "product": m * mr})
+            lines.append(f"x={x!r}: module={m!r} rotated={mr!r} product={m * mr!r}")
+        payload = {"kind": "positions", "entries": entries}
+    return Report(payload, "segal.report.module/1", lines)
 
 
-def run_module_check_qc(args) -> int:
+def run_module_check_qc(args) -> Report:
     scale = tolerance_scale()
     if args.generate:
         quads = corpus.generate_quads(args.seed, args.count)
-    elif args.corpus:
-        quads = acceptance.load_corpus(args.corpus).quads
     else:
-        quads = acceptance.load_corpus().quads
-    try:
-        specs = [modulus.QuadrilateralSpec(*q) for q in quads]
-        report = modulus.check_geometric_qc(args.K, specs, slack=args.slack * scale)
-    except SegalError as e:
-        raise CliInputError(str(e))
+        quads = acceptance.load_corpus(args.corpus).quads
+    specs = [modulus.QuadrilateralSpec(*q) for q in quads]
+    report = modulus.check_geometric_qc(args.K, specs, slack=args.slack * scale)
     payload = {
-        "schema": "segal.report.qc/1",
-        "version": __version__,
         "K": report.K,
         "quad_count": len(report.quad_ratios),
         "min_ratio": report.min_ratio,
@@ -587,10 +479,9 @@ def run_module_check_qc(args) -> int:
         f"K: {report.K!r}",
         f"quads: {len(report.quad_ratios)}",
         f"ratio range: [{report.min_ratio!r}, {report.max_ratio!r}]",
-        f"within bounds: {str(report.within_bounds).lower()}",
+        f"within bounds: {fmt(report.within_bounds)}",
     ]
-    emit(args, payload, lines)
-    return 0 if report.within_bounds else 1
+    return Report(payload, "segal.report.qc/1", lines, 0 if report.within_bounds else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -607,41 +498,33 @@ def _simplex_str(s) -> str:
     return f"{_simplex_str(s.left)}*{_simplex_str(s.right)}@{word}"
 
 
-def _chain_entries(c: chainalg.Chain) -> list[tuple[str, str]]:
-    return [(_simplex_str(s), str(coef)) for s, coef in c.sorted_terms()]
-
-
-def run_chains_product(args) -> int:
+def run_chains_product(args) -> Report:
     if args.i < 0 or args.j < 0:
         raise CliInputError("degrees must be non-negative")
     if args.i + args.j > 8:
         raise CliInputError("total degree above 8 is too large to print")
     la, lb = args.labels.split(",") if "," in args.labels else (args.labels, args.labels)
-    prod = chainalg.shuffle_product(
+    shown = chainalg.shuffle_product(
         chainalg.generator(la, args.i), chainalg.generator(lb, args.j)
     )
-    shown = prod
     kind = "product"
     if args.boundary:
-        shown = chainalg.boundary(prod)
+        shown = chainalg.boundary(shown)
         kind = "boundary"
     elif args.swapped:
-        shown = chainalg.swap_factors(prod)
+        shown = chainalg.swap_factors(shown)
         kind = "swapped"
-    entries = _chain_entries(shown)
+    entries = [(_simplex_str(s), str(coef)) for s, coef in shown.sorted_terms()]
     payload = {
-        "schema": "segal.report.chain/1",
-        "version": __version__,
         "kind": kind,
         "terms": [{"simplex": s, "coefficient": c} for s, c in entries],
         "count": len(entries),
     }
     lines = [f"{c:>3s}  {s}" for s, c in entries] + [f"terms: {len(entries)}"]
-    emit(args, payload, lines)
-    return 0
+    return Report(payload, "segal.report.chain/1", lines)
 
 
-def run_chains_check(args) -> int:
+def run_chains_check(args) -> Report:
     deg = args.degree
     if not 1 <= deg <= 8:
         raise CliInputError("degree must be between 1 and 8")
@@ -665,8 +548,6 @@ def run_chains_check(args) -> int:
     )
     ok = chain_map_ok and assoc_ok and sym_ok and square_ok
     payload = {
-        "schema": "segal.report.chaincheck/1",
-        "version": __version__,
         "max_degree": deg,
         "chain_map": chain_map_ok,
         "associativity": assoc_ok,
@@ -675,13 +556,12 @@ def run_chains_check(args) -> int:
         "ok": ok,
     }
     lines = [
-        f"chain map: {str(chain_map_ok).lower()}",
-        f"associativity: {str(assoc_ok).lower()}",
-        f"symmetry: {str(sym_ok).lower()}",
-        f"d^2 = 0: {str(square_ok).lower()}",
+        f"chain map: {fmt(chain_map_ok)}",
+        f"associativity: {fmt(assoc_ok)}",
+        f"symmetry: {fmt(sym_ok)}",
+        f"d^2 = 0: {fmt(square_ok)}",
     ]
-    emit(args, payload, lines)
-    return 0 if ok else 1
+    return Report(payload, "segal.report.chaincheck/1", lines, 0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +576,11 @@ def _order_str(v) -> str:
     return str(v)
 
 
-def run_appb_orders(args) -> int:
+def _order_json(v):
+    return None if v == flattening.INFINITE else v
+
+
+def run_appb_orders(args) -> Report:
     if args.k < 0:
         raise CliInputError("step count must be non-negative")
     if args.k > 200:
@@ -708,39 +592,35 @@ def run_appb_orders(args) -> int:
         cur = flattening.order_step(cur)
         if cur != p:
             raise SegalError("order table disagrees with the one-step recursion")
-    payload = {
-        "schema": "segal.report.orders/1",
-        "version": __version__,
-        "steps": [
-            {"k": i, "m": None if p.m == flattening.INFINITE else p.m, "n": p.n}
-            for i, p in enumerate(seq)
-        ],
-    }
-    lines = [
-        f"{i}: m={_order_str(p.m)} n={_order_str(p.n)}" for i, p in enumerate(seq)
-    ]
-    emit(args, payload, lines)
-    return 0
+    steps = [{"k": i, "m": _order_json(p.m), "n": p.n} for i, p in enumerate(seq)]
+    lines = [f"{i}: m={_order_str(p.m)} n={_order_str(p.n)}" for i, p in enumerate(seq)]
+    return Report({"steps": steps}, "segal.report.orders/1", lines)
 
 
-def run_appb_flatten(args) -> int:
+def run_appb_flatten(args) -> Report:
     g = parse_glue(args.glue)
     if not 0 <= args.k <= 2:
         raise CliInputError("--k must be between 0 and 2")
     report = flattening.verify_orders(g, args.k)
-    rows = [
-        (
-            fit.k,
-            _order_str(fit.fitted_m),
-            _order_str(fit.fitted_n),
-            _order_str(fit.predicted.m),
-            _order_str(fit.predicted.n),
-            str(fit.ok).lower(),
-        )
-        for fit in report.fits
-    ]
-    chart_payload = None
-    chart_lines: list[str] = []
+    payload = {
+        "glue": args.glue,
+        "fits": [
+            {
+                "k": fit.k,
+                "fitted_m": _order_json(fit.fitted_m),
+                "fitted_n": _order_json(fit.fitted_n),
+                "predicted_m": _order_json(fit.predicted.m),
+                "predicted_n": fit.predicted.n,
+                "ok": fit.ok,
+            }
+            for fit in report.fits
+        ],
+        "all_ok": report.all_ok,
+    }
+    lines = ["k,fitted_m,fitted_n,predicted_m,predicted_n,ok"]
+    for fit in report.fits:
+        orders = (fit.fitted_m, fit.fitted_n, fit.predicted.m, fit.predicted.n)
+        lines.append(",".join([str(fit.k), *map(_order_str, orders), fmt(fit.ok)]))
     if args.chart:
         field = flattening.base_structure_field(g)
         for _ in range(args.depth):
@@ -749,15 +629,8 @@ def run_appb_flatten(args) -> int:
         rep = chart.report
         x_probe = 0.5 * (rep.x_valid[0] + rep.x_valid[1])
         tau = flattening.tau_minus1(g, [(x_probe, 0.0)])[0]
-        chart_payload = {
-            "boundary_max_dev": rep.boundary_max_dev,
-            "min_jacobian": rep.min_jacobian,
-            "pushforward_max_dev": rep.pushforward_max_dev,
-            "x_valid": list(rep.x_valid),
-            "y_valid": list(rep.y_valid),
-            "tau_probe": [x_probe, tau[0], tau[1]],
-        }
-        chart_lines = [
+        payload["chart"] = {**dataclasses.asdict(rep), "tau_probe": [x_probe, tau[0], tau[1]]}
+        lines += [
             "",
             f"chart depth: {args.depth}",
             f"boundary max dev: {rep.boundary_max_dev!r}",
@@ -767,39 +640,14 @@ def run_appb_flatten(args) -> int:
             f"certified y: [{rep.y_valid[0]!r}, {rep.y_valid[1]!r}]",
             f"tau({x_probe!r}, 0.0) = ({tau[0]!r}, {tau[1]!r})",
         ]
-    payload = {
-        "schema": "segal.report.orderfits/1",
-        "version": __version__,
-        "glue": args.glue,
-        "fits": [
-            {
-                "k": fit.k,
-                "fitted_m": None if fit.fitted_m == flattening.INFINITE else fit.fitted_m,
-                "fitted_n": None if fit.fitted_n == flattening.INFINITE else fit.fitted_n,
-                "predicted_m": None
-                if fit.predicted.m == flattening.INFINITE
-                else fit.predicted.m,
-                "predicted_n": fit.predicted.n,
-                "ok": fit.ok,
-            }
-            for fit in report.fits
-        ],
-        "all_ok": report.all_ok,
-    }
-    if chart_payload is not None:
-        payload["chart"] = chart_payload
-    lines = ["k,fitted_m,fitted_n,predicted_m,predicted_n,ok"]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    lines += chart_lines
-    emit(args, payload, lines)
-    return 0 if report.all_ok else 1
+    return Report(payload, "segal.report.orderfits/1", lines, 0 if report.all_ok else 1)
 
 
 # ---------------------------------------------------------------------------
 # handler: acceptance
 
 
-def run_accept(args) -> int:
+def run_accept(args) -> Report:
     scale = tolerance_scale()
     indices = None
     if args.only:
@@ -810,42 +658,28 @@ def run_accept(args) -> int:
         bad = [i for i in indices if not 1 <= i <= 12]
         if bad:
             raise CliInputError(f"criterion indices out of range: {bad}")
-    try:
-        results = acceptance.run_acceptance(args.corpus, scale, indices)
-    except acceptance.CorpusError as e:
-        raise CliInputError(str(e))
+    results = acceptance.run_acceptance(args.corpus, scale, indices)
+    passed = all(r.passed for r in results)
     payload = {
-        "schema": "segal.report.accept/1",
-        "version": __version__,
         "tolerance_scale": scale,
-        "results": [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
+        "results": [dataclasses.asdict(r) for r in results],
+        "all_passed": passed,
     }
-    emit(args, payload, [r.line() for r in results])
-    return 0 if all(r.passed for r in results) else 1
+    lines = [r.line() for r in results]
+    return Report(payload, "segal.report.accept/1", lines, 0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------
 # dispatch table
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Command:
     group: Optional[str]
     name: str
     help: str
     configure: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], Report]
     uses: tuple[str, ...]
 
 
@@ -1137,11 +971,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except CliInputError as e:
+        return emit(args, args.run(args))
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SegalError as e:

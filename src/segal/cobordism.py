@@ -573,7 +573,14 @@ def _sig_to_json(s: ObjectSignature) -> dict:
     }
 
 
+def _json_object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise DomainError(f"{what} must be a JSON object, not {type(v).__name__}")
+    return v
+
+
 def _sig_from_json(d: dict) -> ObjectSignature:
+    d = _json_object(d, "boundary signature")
     return ObjectSignature(d["C"], d["O"], tuple(d.get("s", [])), tuple(d.get("t", [])))
 
 
@@ -612,12 +619,12 @@ def octype_to_json(t: OCType) -> dict:
 
 
 def octype_from_json(d: dict) -> OCType:
-    if not isinstance(d, dict):
-        raise DomainError(f"surface type must be a JSON object, not {type(d).__name__}")
+    d = _json_object(d, "surface type")
     if d.get("schema", OCTYPE_SCHEMA) != OCTYPE_SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     comps = []
     for cd in d["components"]:
+        cd = _json_object(cd, "component")
         cycles = [
             BoundaryCycle(
                 tuple(CycleEntry(e[0], int(e[1])) for e in cyc["entries"]),

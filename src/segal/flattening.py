@@ -96,16 +96,16 @@ class BoundaryGlueMap:
     y_max: float = 1.0
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise DomainError("empty window")
-        if self.y_max <= 0:
-            raise DomainError("y_max must be positive")
+        if not -math.inf < self.x_lo < self.x_hi < math.inf:
+            raise DomainError("window is empty or not finite")
+        if not 0 < self.y_max < math.inf:
+            raise DomainError("y_max must be positive and finite")
         xs = np.linspace(self.x_lo, self.x_hi, 512)
         dv = np.asarray(self.drho(xs), dtype=float)
-        if dv.min() <= 1e-6:
+        if not 1e-6 < dv.min() <= dv.max() < math.inf:
             raise NonMonotone(f"derivative reaches {dv.min():.3g}")
         vals = np.asarray(self.rho(xs), dtype=float)
-        if np.any(np.diff(vals) <= 0):
+        if not np.all(np.diff(vals) > 0) or not np.isfinite(vals).all():
             raise NonMonotone("sampled values not strictly increasing")
 
     @property
@@ -127,7 +127,7 @@ def glue_identity(**kw) -> BoundaryGlueMap:
 
 
 def glue_linear(k: float, **kw) -> BoundaryGlueMap:
-    if k <= 0:
+    if not 0 < k < math.inf:
         raise NonMonotone("slope must be positive")
     return BoundaryGlueMap(
         rho=lambda x: k * np.asarray(x, dtype=float),

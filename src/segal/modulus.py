@@ -148,6 +148,8 @@ def rotated_position(x: float) -> float:
 
 def module_rect(a: float, b: float) -> float:
     """Module of the rectangle with marked corners (0, a, a+ib, ib)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"rectangle sides {a} and {b} must be finite")
     if a <= 0 or b <= 0:
         raise DomainError("rectangle sides must be positive")
     return a / b
@@ -197,6 +199,8 @@ def check_geometric_qc(
     their ratios sit at 1; rectangles realize the full factor K, which is
     where the two-sided bound becomes sharp.
     """
+    if not (math.isfinite(K) and math.isfinite(slack)):
+        raise DomainError(f"distortion factor {K} and slack {slack} must be finite")
     if K < 1.0:
         raise DomainError("distortion factor must be >= 1")
     quad_ratios = tuple(

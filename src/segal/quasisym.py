@@ -42,6 +42,8 @@ class SampledIncreasingFunction:
         for name, vals in (("xs", self.xs), ("ys", self.ys)):
             if any(not a < b for a, b in zip(vals, vals[1:])):
                 raise NonMonotone(f"{name} not strictly increasing")
+            if not math.isfinite(vals[-1] - vals[0]):
+                raise NonMonotone(f"{name} not finite")
 
     @classmethod
     def from_callable(
@@ -119,11 +121,11 @@ class CircleDiffeo:
 
     def __post_init__(self):
         winding = self.psi(TWO_PI) - self.psi(0.0)
-        if abs(winding - TWO_PI) > 1e-9:
+        if not abs(winding - TWO_PI) <= 1e-9:
             raise InvalidPhi(f"lift advances by {winding:.12g}, expected 2*pi")
         lo, hi = self.derivative_range()
-        if lo <= 0.0:
-            raise InvalidPhi(f"derivative reaches {lo:.6g} <= 0")
+        if not 0.0 < lo <= hi < math.inf:
+            raise InvalidPhi(f"derivative range [{lo:.6g}, {hi:.6g}] is not positive and finite")
 
     def derivative_range(self) -> tuple[float, float]:
         if self.deriv_min is not None and self.deriv_max is not None:
@@ -139,6 +141,8 @@ class CircleDiffeo:
 
     def __call__(self, w: complex) -> complex:
         r = abs(w)
+        if not math.isfinite(r):
+            raise DomainError(f"point {w!r} is not finite")
         if r == 0.0:
             raise DomainError("circle map undefined at 0")
         theta = cmath.phase(w) % TWO_PI
@@ -216,6 +220,8 @@ def corner_transform(phi: CircleDiffeo) -> Callable[[complex], complex]:
 
     def sigma(z: complex) -> complex:
         r = abs(z)
+        if not math.isfinite(r):
+            raise DomainError(f"point {z!r} is not finite")
         if r == 0.0:
             return 0.0
         theta = cmath.phase(z) % TWO_PI

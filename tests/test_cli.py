@@ -135,11 +135,16 @@ class TestExitCodes:
     def test_list_json_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "list.json"
         p.write_text("[1, 2]", encoding="utf-8")
+        nested = tmp_path / "nested.json"
+        sig = {"C": 0, "O": 0}
+        nested.write_text(json.dumps({"components": [1], "in": sig, "out": sig}), encoding="utf-8")
         assert main(["types", "validate", str(p)]) == 2
         assert main(["belt", "distance", str(p), str(p)]) == 2
+        assert main(["types", "validate", str(nested)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.count("must be a JSON object") == 2
+        assert err.count("must be a JSON object") == 3
+        assert "component must be a JSON object, not int" in err
 
     def test_nan_mu_is_input_error(self, capsys):
         assert main(["belt", "distance", "--mu", "nan+0j", "0.1"]) == 2

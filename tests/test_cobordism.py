@@ -223,6 +223,19 @@ def test_json_top_level_must_be_object():
         octype_from_json([1, 2])
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"components": [1], "in": {"C": 0, "O": 0}, "out": {"C": 0, "O": 0}},
+        {"components": [], "in": [0, 0], "out": {"C": 0, "O": 0}},
+    ],
+    ids=["component", "signature"],
+)
+def test_json_nested_objects_must_be_objects(doc):
+    with pytest.raises(DomainError, match="must be a JSON object"):
+        octype_from_json(doc)
+
+
 def test_json_schema_shape():
     d = octype_to_json(corpus.pants_split())
     assert d["schema"] == "segal.octype/1"

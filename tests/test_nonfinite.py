@@ -1,0 +1,52 @@
+"""Every public constructor, and every map applied to a point, rejects
+non-finite input with a typed error."""
+
+import math
+
+import numpy as np
+import pytest
+
+from segal import beltrami, flattening, modulus, quasisym
+from segal.errors import SegalError
+
+NAN, INF = math.nan, math.inf
+
+CASES = {
+    "field-value-nan": lambda: beltrami.DilatationField(0, 1, 0, 1, np.array([[NAN + 0j]])),
+    "field-value-inf": lambda: beltrami.DilatationField(0, 1, 0, 1, np.array([[complex(0, INF)]])),
+    "field-rect-nan": lambda: beltrami.DilatationField(0, NAN, 0, 1, np.zeros((2, 2))),
+    "field-rect-inf": lambda: beltrami.DilatationField(0, 1, -INF, 1, np.zeros((2, 2))),
+    "circle-winding-nan": lambda: quasisym.circle_rotation(NAN),
+    "circle-winding-inf": lambda: quasisym.circle_rotation(INF),
+    "circle-derivative-nan": lambda: quasisym.CircleDiffeo(lambda t: t, lambda t: NAN),
+    "circle-derivative-inf": lambda: quasisym.CircleDiffeo(lambda t: t, lambda t: 1.0, 1.0, INF),
+    "sampled-nan": lambda: quasisym.SampledIncreasingFunction((0, 1, NAN), (0, 1, 2)),
+    "sampled-inf": lambda: quasisym.SampledIncreasingFunction((0, 1, 2), (0, 1, INF)),
+    "glue-linear-nan": lambda: flattening.glue_linear(NAN),
+    "glue-linear-inf": lambda: flattening.glue_linear(INF),
+    "glue-sine-nan": lambda: flattening.glue_sine(NAN),
+    "glue-window-inf": lambda: flattening.glue_identity(x_hi=INF),
+    "glue-height-nan": lambda: flattening.glue_identity(y_max=NAN),
+    "linear-map-nan": lambda: beltrami.LinearMapZZbar(NAN, 0.0),
+    "transform-fz-nan": lambda: beltrami.transform_mu(0.1, 0.0, NAN, 0.0),
+    "pullback-u-nan": lambda: beltrami.pullback_mu(0.1, 0.0, complex(NAN, 0.0)),
+    "corner-point-nan": lambda: quasisym.corner_transform(quasisym.half_angle_piecewise())(NAN),
+    "circle-point-inf": lambda: quasisym.circle_identity()(complex(INF, 0.0)),
+    "acs-nan": lambda: beltrami.ACSMatrix(NAN, -1.0, 1.0, NAN),
+    "acs-inf": lambda: beltrami.ACSMatrix(0.0, -INF, INF, 0.0),
+    "acs-frame-nan": lambda: beltrami.acs_from_frame(NAN, 1.0),
+    "acs-frame-inf": lambda: beltrami.acs_from_frame(1.0, INF),
+    "abs-mu-nan": lambda: beltrami.abs_mu_from_K(NAN),
+    "abs-mu-inf": lambda: beltrami.abs_mu_from_K(INF),
+    "rect-nan": lambda: modulus.module_rect(NAN, 1.0),
+    "rect-inf": lambda: modulus.module_rect(1.0, INF),
+    "qc-K-nan": lambda: modulus.check_geometric_qc(NAN, []),
+    "qc-K-inf": lambda: modulus.check_geometric_qc(INF, []),
+    "qc-slack-nan": lambda: modulus.check_geometric_qc(2.0, [], slack=NAN),
+}
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_every_public_constructor_rejects_non_finite_input(build):
+    with pytest.raises(SegalError):
+        build()
