@@ -111,13 +111,6 @@ def corpus_integrity(c: AcceptanceCorpus) -> CriterionResult:
 # helpers
 
 
-def _boundary_items(t: cobordism.OCType) -> int:
-    return sum(
-        len(comp.closed_in) + len(comp.closed_out) + len(comp.cycles)
-        for comp in t.components
-    )
-
-
 def _capped_triple(seed: int) -> tuple[cobordism.OCType, ...]:
     rng = random.Random(seed)
     while True:
@@ -126,7 +119,7 @@ def _capped_triple(seed: int) -> tuple[cobordism.OCType, ...]:
         t3 = corpus.random_successor(rng, t2)
         triple = (t1, t2, t3)
         if all(len(t.components) <= 4 for t in triple) and all(
-            _boundary_items(t) <= 6 for t in triple
+            sum(c.derived_boundary_count for c in t.components) <= 6 for t in triple
         ):
             return triple
 
@@ -181,7 +174,7 @@ def criterion_2_compose_oracle(tol_scale: float = 1.0, n_random: int = 200) -> C
             checked += 1
     for seed in range(n_random):
         t1, t2 = corpus.random_composable_pair(seed)
-        if _boundary_items(t1) > 6 or _boundary_items(t2) > 6:
+        if any(sum(c.derived_boundary_count for c in t.components) > 6 for t in (t1, t2)):
             continue
         got = cobordism.compose_types(t1, t2)
         if octype_summary(got) != glued_summary(t1, t2):

@@ -82,7 +82,7 @@ class ProductSimplex:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        lv, rv = _vertex_list(self.left), _vertex_list(self.right)
+        lv, rv = self.left.vertices, self.right.vertices
         if not self.pairs:
             raise InternalInconsistency("empty vertex path")
         for (a0, b0), (a1, b1) in zip(self.pairs, self.pairs[1:]):
@@ -98,6 +98,10 @@ class ProductSimplex:
     @property
     def degree(self) -> int:
         return len(self.pairs) - 1
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(range(len(self.pairs)))
 
     def face(self, m: int) -> "ProductSimplex":
         pairs = self.pairs[:m] + self.pairs[m + 1 :]
@@ -116,12 +120,6 @@ class ProductSimplex:
 
     def key(self):
         return ("p", self.left.key(), self.right.key(), self.pairs)
-
-
-def _vertex_list(s: Simplex) -> tuple[int, ...]:
-    if isinstance(s, FormalSimplex):
-        return s.vertices
-    return tuple(range(s.degree + 1))
 
 
 def _lost_coordinate(old, new, side):
@@ -149,17 +147,22 @@ def _drop_factor_vertex(s: Simplex, v: int):
 
 
 class Chain:
-    """Finite formal sum of simplices with rational coefficients."""
+    """Finite formal sum of simplices with rational coefficients.
+
+    Built from a dict or from (simplex, coefficient) pairs; coefficients of
+    a repeated simplex are summed and zero terms dropped.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[dict, None] = None):
+    def __init__(self, terms: Union[dict, Iterable[tuple[Simplex, object]], None] = None):
+        if isinstance(terms, dict):
+            terms = terms.items()
         merged: dict = {}
-        if terms:
-            for s, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    merged[s] = merged.get(s, Fraction(0)) + c
+        for s, c in terms or ():
+            c = Fraction(c)
+            if c:
+                merged[s] = merged.get(s, Fraction(0)) + c
         self.terms = {s: c for s, c in merged.items() if c}
 
     @classmethod
@@ -171,17 +174,14 @@ class Chain:
         return cls()
 
     def __add__(self, other: "Chain") -> "Chain":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        return Chain(out)
+        return Chain(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Chain":
         k = Fraction(scalar)
-        return Chain({s: k * c for s, c in self.terms.items()})
+        return Chain((s, k * c) for s, c in self.terms.items())
 
     def __neg__(self) -> "Chain":
         return (-1) * self
@@ -216,80 +216,58 @@ def boundary(c: Union[Chain, Simplex]) -> Chain:
     """Alternating sum of faces, extended linearly."""
     if not isinstance(c, Chain):
         c = Chain.of(c)
-    out: dict = {}
-    for s, coeff in c.terms.items():
-        if s.degree == 0:
-            continue
-        for m in range(s.degree + 1):
-            f = s.face(m)
-            sign = -1 if m % 2 else 1
-            out[f] = out.get(f, Fraction(0)) + sign * coeff
-    return Chain(out)
-
-
-def _shuffle_paths(p: int, q: int) -> Iterable[tuple[tuple[int, ...], int]]:
-    """Unit-step monotone paths on a p-by-q grid with their parities.
-
-    Yields (step word, sign) in lexicographic step order, steps encoded
-    0 = advance left factor, 1 = advance right factor.  The sign is the
-    parity of the permutation sorting the step word, i.e. (-1)^inversions
-    with an inversion being a right-step before a left-step.
-    """
-    for word in itertools.product((0, 1), repeat=p + q):
-        if sum(word) != q:
-            continue
-        inversions = 0
-        seen_right = 0
-        for step in word:
-            if step == 1:
-                seen_right += 1
-            else:
-                inversions += seen_right
-        yield word, (-1 if inversions % 2 else 1)
+    return Chain(
+        (s.face(m), -coeff if m % 2 else coeff)
+        for s, coeff in c.terms.items()
+        if s.degree > 0
+        for m in range(s.degree + 1)
+    )
 
 
 def shuffle_product(a: Union[Chain, Simplex], b: Union[Chain, Simplex]) -> Chain:
     """Bilinear shuffle cross product.
 
     On a pair of simplices of degrees p and q it emits one product simplex
-    per monotone lattice path, binomial(p+q, p) in all, signed by shuffle
-    parity.
+    per monotone unit-step lattice path, binomial(p+q, p) in all: each path
+    is the choice of the q steps (out of p+q) that advance the right
+    factor.  The sign is the shuffle parity, (-1)^(sum over k of p - r_k + k)
+    for the k-th right step at position r_k, which comes before that many
+    left steps.
     """
     if not isinstance(a, Chain):
         a = Chain.of(a)
     if not isinstance(b, Chain):
         b = Chain.of(b)
-    out: dict = {}
+    terms = []
     for sa, ca in a.terms.items():
-        va = _vertex_list(sa)
+        va = sa.vertices
         for sb, cb in b.terms.items():
-            vb = _vertex_list(sb)
+            vb = sb.vertices
             p, q = sa.degree, sb.degree
-            for word, sign in _shuffle_paths(p, q):
+            for rights in itertools.combinations(range(p + q), q):
+                sign = -1 if sum(p - r + k for k, r in enumerate(rights)) % 2 else 1
                 i = j = 0
                 pairs = [(va[0], vb[0])]
-                for step in word:
-                    if step == 0:
-                        i += 1
-                    else:
+                for step in range(p + q):
+                    if j < q and rights[j] == step:
                         j += 1
+                    else:
+                        i += 1
                     pairs.append((va[i], vb[j]))
-                s = ProductSimplex(sa, sb, tuple(pairs))
-                out[s] = out.get(s, Fraction(0)) + sign * ca * cb
-    return Chain(out)
+                terms.append((ProductSimplex(sa, sb, tuple(pairs)), sign * ca * cb))
+    return Chain(terms)
 
 
 def swap_factors(c: Union[Chain, Simplex]) -> Chain:
     """The coordinate swap of product simplices, extended linearly."""
     if not isinstance(c, Chain):
         c = Chain.of(c)
-    out: dict = {}
-    for s, coeff in c.terms.items():
-        if not isinstance(s, ProductSimplex):
-            raise InternalInconsistency("swap applies to product simplices")
-        t = ProductSimplex(s.right, s.left, tuple((b, a) for a, b in s.pairs))
-        out[t] = out.get(t, Fraction(0)) + coeff
-    return Chain(out)
+    if not all(isinstance(s, ProductSimplex) for s in c.terms):
+        raise InternalInconsistency("swap applies to product simplices")
+    return Chain(
+        (ProductSimplex(s.right, s.left, tuple((b, a) for a, b in s.pairs)), coeff)
+        for s, coeff in c.terms.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +282,13 @@ def flatten_factors(s: Simplex) -> tuple[tuple, ...]:
     when these agree.
     """
     if isinstance(s, FormalSimplex):
-        return ((("f", s.label, s.dimension, tuple(sorted(s.omitted))), s.vertices),)
+        return ((s.key(), s.vertices),)
     left_words = flatten_factors(s.left)
     right_words = flatten_factors(s.right)
     lsel = tuple(a for a, _ in s.pairs)
     rsel = tuple(b for _, b in s.pairs)
-    lverts = _vertex_list(s.left)
-    rverts = _vertex_list(s.right)
-    lpos = {v: k for k, v in enumerate(lverts)}
-    rpos = {v: k for k, v in enumerate(rverts)}
+    lpos = {v: k for k, v in enumerate(s.left.vertices)}
+    rpos = {v: k for k, v in enumerate(s.right.vertices)}
     out = []
     for key, word in left_words:
         out.append((key, tuple(word[lpos[v]] for v in lsel)))
@@ -322,11 +298,8 @@ def flatten_factors(s: Simplex) -> tuple[tuple, ...]:
 
 
 def flattened(c: Chain) -> dict:
-    out: dict = {}
-    for s, coeff in c.terms.items():
-        k = flatten_factors(s)
-        out[k] = out.get(k, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
+    """Coefficients summed per flattened multi-simplex, zeros dropped."""
+    return Chain((flatten_factors(s), coeff) for s, coeff in c.terms.items()).terms
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,8 @@ def run_appb_flatten(args) -> Report:
     g = parse_glue(args.glue)
     if not 0 <= args.k <= 2:
         raise CliInputError("--k must be between 0 and 2")
+    if not 0 <= args.depth <= 2:
+        raise CliInputError("--depth must be between 0 and 2")
     report = flattening.verify_orders(g, args.k)
     payload = {
         "glue": args.glue,
@@ -622,9 +624,7 @@ def run_appb_flatten(args) -> Report:
         orders = (fit.fitted_m, fit.fitted_n, fit.predicted.m, fit.predicted.n)
         lines.append(",".join([str(fit.k), *map(_order_str, orders), fmt(fit.ok)]))
     if args.chart:
-        field = flattening.base_structure_field(g)
-        for _ in range(args.depth):
-            field = flattening.next_structure_field(field)
+        field = flattening.structure_field_chain(g, args.depth)[-1]
         chart = flattening.flatten_step(field, window=g.window, y_max=0.75 * g.y_max)
         rep = chart.report
         x_probe = 0.5 * (rep.x_valid[0] + rep.x_valid[1])

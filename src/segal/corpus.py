@@ -22,6 +22,7 @@ from .cobordism import (
     OCType,
     free_circle,
 )
+from .errors import DomainError
 
 # ---------------------------------------------------------------------------
 # standard types
@@ -348,6 +349,8 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
 
 def generate_quads(seed: int, count: int, span: float = 4.0, min_gap: float = 0.05) -> list[tuple[float, float, float, float]]:
     """Seeded corpus of marked quadruples on the real line, sorted ascending."""
+    if count < 1:
+        raise DomainError(f"quad count must be at least 1, got {count}")
     rng = random.Random(seed)
     quads = []
     while len(quads) < count:

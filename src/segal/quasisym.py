@@ -8,7 +8,6 @@ positive derivative.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -63,23 +62,26 @@ def qs_bound(h: SampledIncreasingFunction) -> float:
     sample grid and returns max(rho, 1/rho) over the ratios
     rho = (h(x+t) - h(x)) / (h(x) - h(x-t)).  A certified lower bound for
     the true distortion, which is a supremum over a continuum.
+
+    One vectorized pass per centre x = xs[i]: the targets x - t for every
+    sample x + t to its right are matched against the grid by a sorted
+    search, within 1e-9 of the span.  A target that resolves to the centre
+    itself (two samples closer than the tolerance) is not a triple.
     """
-    xs, ys = h.xs, h.ys
-    n = len(xs)
-    span = xs[-1] - xs[0]
-    tol = 1e-9 * span
+    xs, ys = np.asarray(h.xs), np.asarray(h.ys)
+    tol = 1e-9 * (xs[-1] - xs[0])
     k = 1.0
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            t = xs[j] - xs[i]
-            target = xs[i] - t
-            if target < xs[0] - tol:
-                break
-            m = bisect.bisect_left(xs, target - tol)
-            if m >= n or abs(xs[m] - target) > tol:
-                continue
-            rho = (ys[j] - ys[i]) / (ys[i] - ys[m])
-            k = max(k, rho, 1.0 / rho)
+    for i in range(1, len(xs) - 1):
+        targets = xs[i] - (xs[i + 1 :] - xs[i])
+        js = np.flatnonzero(targets >= xs[0] - tol)
+        targets = targets[js]
+        js += i + 1
+        m = np.searchsorted(xs, targets - tol)
+        # targets never exceed xs[i], so m <= i; m == i is the centre itself
+        hit = (m < i) & (np.abs(xs[m] - targets) <= tol)
+        if hit.any():
+            rho = (ys[js[hit]] - ys[i]) / (ys[i] - ys[m[hit]])
+            k = max(k, float(rho.max()), float((1.0 / rho).max()))
     return k
 
 

@@ -1,7 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal.chains import (
     Chain,
@@ -25,6 +28,30 @@ def multinomial(*parts: int) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
+
+
+def step_word_shuffle(a: FormalSimplex, b: FormalSimplex) -> Chain:
+    """Independent shuffle product of two generators: filter all 2^(p+q)
+    step words (0 = left step, 1 = right step) down to those with q right
+    steps, signed by (-1)^(right steps before left steps)."""
+    p, q = a.degree, b.degree
+    terms = {}
+    for word in itertools.product((0, 1), repeat=p + q):
+        if sum(word) != q:
+            continue
+        inversions = seen_right = 0
+        i = j = 0
+        pairs = [(0, 0)]
+        for step in word:
+            if step:
+                seen_right += 1
+                j += 1
+            else:
+                inversions += seen_right
+                i += 1
+            pairs.append((i, j))
+        terms[ProductSimplex(a, b, tuple(pairs))] = -1 if inversions % 2 else 1
+    return Chain(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +107,25 @@ class TestProductSimplex:
         assert f.pairs == ((0, 0), (1, 1))
         assert f.left == a and f.right == b
 
+    def test_vertices_are_path_positions(self):
+        a, b = generator("a", 2), generator("b", 1)
+        s = ProductSimplex(a.face(0), b, ((1, 0), (2, 0), (2, 1)))
+        assert s.vertices == (0, 1, 2)
+
+
+class TestChain:
+    def test_pairs_merge_like_dict(self):
+        a, b = generator("a", 1), generator("b", 1)
+        c = Chain([(a, 1), (b, Fraction(1, 2)), (a, 2), (b, Fraction(-1, 2))])
+        assert c == Chain({a: 3})
+        assert c.terms == {a: Fraction(3)}
+
+    def test_zero_terms_dropped(self):
+        a = generator("a", 1)
+        assert Chain([(a, 1), (a, -1)]).is_zero()
+        assert Chain({a: 0}).is_zero()
+        assert Chain().is_zero() and Chain(None).is_zero()
+
 
 # ---------------------------------------------------------------------------
 # shuffle product
@@ -124,6 +170,13 @@ class TestShuffleProduct:
         a, b = generator("a", 1), generator("b", 1)
         c = shuffle_product(Fraction(1, 3) * Chain.of(a), Chain.of(b))
         assert all(abs(v) == Fraction(1, 3) for v in c.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_matches_step_word_enumeration(self, pq):
+        p, q = pq[0], pq[1] - pq[0]
+        a, b = generator("a", p), generator("b", q)
+        assert shuffle_product(a, b) == step_word_shuffle(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         encoding="utf-8",
     )
     (tmp / "bad.csv").write_text("0,0\n1,not-a-number\n", encoding="utf-8")
+    # two samples closer than the 1e-9 * span match tolerance
+    (tmp / "close.csv").write_text("x,y\n0,0\n0.5,0.5\n0.5000000001,0.6\n1,1\n", encoding="utf-8")
     return {
         "tmp": str(tmp),
         "types": str(TYPES),
@@ -68,6 +70,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "broken_json": str(tmp / "broken.json"),
         "csv": str(tmp / "h.csv"),
         "bad_csv": str(tmp / "bad.csv"),
+        "close_csv": str(tmp / "close.csv"),
         "missing": str(tmp / "missing.json"),
         "nowhere": str(tmp / "nowhere"),
         "out": str(tmp / "out.json"),

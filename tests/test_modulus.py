@@ -151,6 +151,12 @@ def test_check_geometric_qc_stretch():
         assert r == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_generate_quads_rejects_empty_count(count):
+    with pytest.raises(DomainError):
+        corpus.generate_quads(seed=0, count=count)
+
+
 def test_random_corpus_modules_finite():
     quads = corpus.generate_quads(seed=5, count=30)
     wrapped = 0

@@ -1,7 +1,10 @@
+import bisect
 import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal._oracles import dilatation_fd
 from segal.errors import DomainError, InvalidPhi, NonMonotone
@@ -24,6 +27,28 @@ from segal.quasisym import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def pairwise_qs_bound(h: SampledIncreasingFunction) -> float:
+    """Independent scan of the symmetric triples: for each centre and each
+    right point, bisect for the left point.  A left point that resolves to
+    the centre itself is not a triple."""
+    xs, ys = h.xs, h.ys
+    n = len(xs)
+    tol = 1e-9 * (xs[-1] - xs[0])
+    k = 1.0
+    for i in range(1, n - 1):
+        for j in range(i + 1, n):
+            t = xs[j] - xs[i]
+            target = xs[i] - t
+            if target < xs[0] - tol:
+                break
+            m = bisect.bisect_left(xs, target - tol)
+            if m >= n or m == i or abs(xs[m] - target) > tol:
+                continue
+            rho = (ys[j] - ys[i]) / (ys[i] - ys[m])
+            k = max(k, rho, 1.0 / rho)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +110,43 @@ class TestQsBound:
     def test_at_least_one(self):
         h = SampledIncreasingFunction((0.0, 1.0, 3.0), (0.0, 1.0, 3.0))
         assert qs_bound(h) >= 1.0
+
+    def test_close_samples_are_not_a_triple(self):
+        # 0.5 and 0.5 + 1e-10 are closer than the 1e-9 * span tolerance, so
+        # the left point of (0.5 - t, 0.5, 0.5 + 1e-10) resolves to the
+        # centre itself; that match is skipped, not divided by zero.
+        h = SampledIncreasingFunction((0.0, 0.5, 0.5000000001, 1.0), (0.0, 0.5, 0.6, 1.0))
+        k = qs_bound(h)
+        assert math.isfinite(k)
+        # the largest distortion is at the triple (0, 0.5 + 1e-10, 1)
+        assert k == 1.0 / ((1.0 - 0.6) / (0.6 - 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-10.0, 10.0),
+        st.lists(
+            st.one_of(
+                st.integers(1, 4).map(lambda g: g / 4),
+                st.sampled_from([1e-10, 3e-11]),
+                st.floats(1e-3, 2.0),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.data(),
+    )
+    def test_matches_pairwise_scan(self, x0, gaps, data):
+        xs = [x0]
+        for g in gaps:
+            xs.append(xs[-1] + g)
+        dys = data.draw(st.lists(st.floats(1e-6, 5.0), min_size=len(xs) - 1, max_size=len(xs) - 1))
+        ys = [0.0]
+        for d in dys:
+            ys.append(ys[-1] + d)
+        h = SampledIncreasingFunction(tuple(xs), tuple(ys))
+        got = qs_bound(h)
+        assert type(got) is float
+        assert got == pairwise_qs_bound(h)
 
 
 # ---------------------------------------------------------------------------
