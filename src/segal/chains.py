@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -45,7 +46,7 @@ class FormalSimplex:
     def degree(self) -> int:
         return self.dimension - len(self.omitted)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.dimension + 1) if v not in self.omitted)
 

@@ -114,6 +114,15 @@ def load_octype(path: str) -> cobordism.OCType:
         raise CliInputError(f"{path}: not a valid surface-type file: {e}")
 
 
+def load_valid_octype(path: str) -> cobordism.OCType:
+    """A surface type that passes ``validate_type``; its first violation is an input error."""
+    t = load_octype(path)
+    violations = cobordism.validate_type(t).violations
+    if violations:
+        raise CliInputError(f"{path}: {violations[0]}")
+    return t
+
+
 def load_field(path: str) -> beltrami.DilatationField:
     d = load_json(path)
     try:
@@ -286,17 +295,17 @@ def run_types_validate(args) -> Report:
 
 
 def run_types_compose(args) -> Report:
-    t1, t2 = load_octype(args.first), load_octype(args.second)
+    t1, t2 = load_valid_octype(args.first), load_valid_octype(args.second)
     return type_report(cobordism.compose_types(t1, t2))
 
 
 def run_types_union(args) -> Report:
-    t1, t2 = load_octype(args.first), load_octype(args.second)
+    t1, t2 = load_valid_octype(args.first), load_valid_octype(args.second)
     return type_report(cobordism.disjoint_union(t1, t2))
 
 
 def run_types_stability(args) -> Report:
-    rep = cobordism.is_stable(load_octype(args.file))
+    rep = cobordism.is_stable(load_valid_octype(args.file))
     lines = [f"component {i}: {s}" for i, s in enumerate(rep.statuses)]
     lines.append(f"all stable: {fmt(rep.all_stable)}")
     payload = {"statuses": list(rep.statuses), "all_stable": rep.all_stable}
@@ -306,7 +315,7 @@ def run_types_stability(args) -> Report:
 def run_types_random(args) -> Report:
     rng = random.Random(args.seed)
     if args.successor:
-        return type_report(corpus.random_successor(rng, load_octype(args.successor)))
+        return type_report(corpus.random_successor(rng, load_valid_octype(args.successor)))
     return type_report(corpus.random_octype(rng))
 
 

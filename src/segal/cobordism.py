@@ -10,8 +10,8 @@ of the second and recovers genus from the Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Literal, Optional
 
 from .errors import DomainError, InternalInconsistency, SignatureMismatch
 
@@ -294,15 +294,6 @@ def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> Val
 # composition
 
 
-def _glued_partner(side: str, entry: CycleEntry) -> Optional[CycleEntry]:
-    """The entry on the other surface glued to this one, if any."""
-    if side == "A" and entry.direction == "out":
-        return CycleEntry("in", entry.index)
-    if side == "B" and entry.direction == "in":
-        return CycleEntry("out", entry.index)
-    return None
-
-
 class _UnionFind:
     def __init__(self, keys):
         self.parent = {k: k for k in keys}
@@ -319,155 +310,126 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+def _splice(walk: list[tuple[Label, Optional[CycleEntry]]]) -> BoundaryCycle:
+    """The boundary circle traced by one walk of the glued surface.
+
+    ``walk`` lists (arc label, entry after the arc) steps around the circle,
+    with ``None`` for an entry that was glued away.  The run of arcs between
+    two surviving entries becomes one free arc and must carry one label; a
+    walk with no surviving entry closes up into a free circle.
+    """
+    first = next((i for i, (_, e) in enumerate(walk) if e is not None), None)
+    if first is None:
+        labels = {lab for lab, _ in walk}
+        if len(labels) != 1:
+            raise InternalInconsistency(f"free circle with mixed labels {sorted(labels)}")
+        return free_circle(labels.pop())
+    prev = walk[first][1]
+    entries: list[CycleEntry] = []
+    arcs: list[Label] = []
+    run: list[Label] = []
+    for lab, e in walk[first + 1 :] + walk[: first + 1]:
+        run.append(lab)
+        if e is not None:
+            if len(set(run)) != 1:
+                raise InternalInconsistency(f"spliced arcs carry mixed labels {run}")
+            entries.append(prev)
+            arcs.append(lab)
+            prev, run = e, []
+    return BoundaryCycle(tuple(entries), tuple(arcs))
+
+
 def compose_types(t1: OCType, t2: OCType) -> OCType:
     """Glue t1's outgoing boundary to t2's incoming boundary (positionally).
 
-    Raises SignatureMismatch unless ``t1.out_signature == t2.in_signature``.
-    Component structure is recomputed by union-find, open boundary cycles are
-    spliced across the glued intervals, and the genus of each new component
-    is recovered from chi = 2 - 2g - n.
+    Raises SignatureMismatch unless ``t1.out_signature == t2.in_signature``
+    and DomainError when a glued circle or interval lies on no component.
+    Components are merged by union-find across the glued circles, then the
+    glued intervals.  Each orbit of free arcs is walked once, crossing every
+    glued interval to the arc after its partner, and ``_splice`` turns the
+    walk into one boundary circle.  The genus of each new component is read
+    off chi = 2 - 2g - n, where chi is the sum over its old components less
+    one per glued interval.  Components come out in union-find root order.
     """
     if t1.out_signature != t2.in_signature:
         raise SignatureMismatch(
             f"cannot compose: out {t1.out_signature.describe()} != in {t2.in_signature.describe()}"
         )
 
-    sides = {"A": t1, "B": t2}
-    uf = _UnionFind([(w, ci) for w, t in sides.items() for ci in range(len(t.components))])
+    sides = (t1, t2)
+    glued = ("out", "in")  # the boundary direction each side gives up
 
-    # Ownership maps.
-    circle_owner: dict[tuple[str, str, int], int] = {}
-    for w, t in sides.items():
+    # Each glued circle -> its owner (side, component); each glued interval
+    # -> its first entry (side, component, cycle, position).
+    where: dict[tuple[int, str, int], tuple[int, ...]] = {}
+    for w, t in enumerate(sides):
         for ci, comp in enumerate(t.components):
-            for ident in comp.closed_in:
-                circle_owner[(w, "in", ident)] = ci
-            for ident in comp.closed_out:
-                circle_owner[(w, "out", ident)] = ci
-    entry_pos: dict[tuple[str, str, int], tuple[int, int, int]] = {}
-    for w, t in sides.items():
-        for key, hits in _interval_occurrences(t).items():
-            entry_pos[(w, *key)] = hits[0]
+            for c in comp.closed_out if w == 0 else comp.closed_in:
+                where[(w, "circle", c)] = (w, ci)
+            for ki, cyc in enumerate(comp.cycles):
+                for pi, e in enumerate(cyc.entries):
+                    if e.direction == glued[w]:
+                        where.setdefault((w, "interval", e.index), (w, ci, ki, pi))
 
-    # Merge components across glued circles and intervals.
-    glued_interval_count: dict[tuple[str, int], int] = {}
+    def locate(w: int, kind: str, i: int) -> tuple[int, ...]:
+        try:
+            return where[(w, kind, i)]
+        except KeyError:
+            raise DomainError(
+                f"cannot compose: {glued[w]} {kind} {i} of the "
+                f"{('first', 'second')[w]} type lies on no component"
+            ) from None
+
+    uf = _UnionFind([(w, ci) for w, t in enumerate(sides) for ci in range(len(t.components))])
     for c in range(t1.out_signature.closed_count):
-        uf.union(("A", circle_owner[("A", "out", c)]), ("B", circle_owner[("B", "in", c)]))
-    pairs = []
+        uf.union(locate(0, "circle", c), locate(1, "circle", c))
     for o in range(t1.out_signature.open_count):
-        ca = entry_pos[("A", "out", o)][0]
-        cb = entry_pos[("B", "in", o)][0]
-        uf.union(("A", ca), ("B", cb))
-        pairs.append((ca, cb))
+        uf.union(locate(0, "interval", o)[:2], locate(1, "interval", o)[:2])
 
-    # Splice cycles.  Arc slots are (side, comp, cycle, position); traversal
-    # crossing a glued interval jumps to the arc after its partner.
-    def cycle_at(w: str, ci: int, ki: int) -> BoundaryCycle:
-        return sides[w].components[ci].cycles[ki]
-
-    all_arcs = [
-        (w, ci, ki, pi)
-        for w, t in sides.items()
-        for ci, comp in enumerate(t.components)
-        for ki, cyc in enumerate(comp.cycles)
-        for pi in range(len(cyc.free_arc_labels))
-    ]
-
-    def step(arc):
-        w, ci, ki, pi = arc
-        cyc = cycle_at(w, ci, ki)
-        m = len(cyc.entries)
-        nxt = cyc.entries[(pi + 1) % m]
-        partner = _glued_partner(w, nxt)
-        if partner is None:
-            return nxt, (w, ci, ki, (pi + 1) % m)
-        w2 = "B" if w == "A" else "A"
-        ci2, ki2, pi2 = entry_pos[(w2, partner.direction, partner.index)]
-        return None, (w2, ci2, ki2, pi2)
-
-    visited: set[tuple] = set()
-    new_cycles_per_class: dict[tuple, list[BoundaryCycle]] = {}
-    for start in all_arcs:
-        if start in visited:
-            continue
-        w0, ci0, ki0, _ = start
-        cls = uf.find((w0, ci0))
-        cyc0 = cycle_at(w0, ci0, ki0)
-        if not cyc0.entries:
-            # Fully free circle: no splicing can touch it.
-            visited.add(start)
-            new_cycles_per_class.setdefault(cls, []).append(cyc0)
-            continue
-        # Walk the orbit, recording (entry-or-None, arc) steps.
-        seq: list[tuple[Optional[CycleEntry], tuple]] = []
-        arc = start
-        while True:
-            visited.add(arc)
-            entry, nxt = step(arc)
-            seq.append((entry, arc))
-            arc = nxt
-            if arc == start:
-                break
-        entries_found = [i for i, (e, _) in enumerate(seq) if e is not None]
-        arc_label = lambda a: cycle_at(a[0], a[1], a[2]).free_arc_labels[a[3]]
-        if not entries_found:
-            labs = {arc_label(a) for _, a in seq}
-            if len(labs) != 1:
-                raise InternalInconsistency(f"free circle with mixed labels {sorted(labs)}")
-            new_cycles_per_class.setdefault(cls, []).append(free_circle(labs.pop()))
-            continue
-        # seq[i] = (entry emitted after arc_i, arc_i); a surviving entry's new
-        # free arc is the run of old arcs from position i+1 through the arc
-        # preceding the next surviving entry, and must be uniformly labelled.
-        new_entries: list[CycleEntry] = []
-        new_arcs: list[Label] = []
-        k = len(seq)
-        for j, i in enumerate(entries_found):
-            stop = entries_found[(j + 1) % len(entries_found)]
-            run = []
-            p = (i + 1) % k
-            while True:
-                run.append(arc_label(seq[p][1]))
-                if p == stop:
-                    break
-                p = (p + 1) % k
-            if len(set(run)) != 1:
-                raise InternalInconsistency(f"spliced arcs carry mixed labels {run}")
-            new_entries.append(seq[i][0])
-            new_arcs.append(run[0])
-        new_cycles_per_class.setdefault(cls, []).append(
-            BoundaryCycle(tuple(new_entries), tuple(new_arcs))
-        )
-
-    glued_per_class: dict[tuple, int] = {}
-    for ca, cb in pairs:
-        cls = uf.find(("A", ca))
-        glued_per_class[cls] = glued_per_class.get(cls, 0) + 1
-
-    members: dict[tuple, list[tuple[str, int]]] = {}
-    for w, t in sides.items():
-        for ci in range(len(t.components)):
-            members.setdefault(uf.find((w, ci)), []).append((w, ci))
+    # Per union-find class: chi, and the closed circles and cycles it keeps.
+    chi: dict[tuple[int, int], int] = {}
+    kept: dict[tuple[int, int], tuple[set[int], set[int], list[BoundaryCycle]]] = {}
+    seen: set[tuple[int, int, int, int]] = set()
+    for w, t in enumerate(sides):
+        for ci, comp in enumerate(t.components):
+            root = uf.find((w, ci))
+            chi[root] = chi.get(root, 0) + euler_characteristic(comp)
+            closed_in, closed_out, cycles = kept.setdefault(root, (set(), set(), []))
+            closed_in.update(comp.closed_in if w == 0 else ())
+            closed_out.update(comp.closed_out if w == 1 else ())
+            for ki, cyc in enumerate(comp.cycles):
+                if cyc.is_free_circle:
+                    cycles.append(cyc)
+                for pi in range(len(cyc.entries)):
+                    arc = (w, ci, ki, pi)
+                    walk: list[tuple[Label, Optional[CycleEntry]]] = []
+                    while arc not in seen:
+                        seen.add(arc)
+                        aw, aci, aki, api = arc
+                        here = sides[aw].components[aci].cycles[aki]
+                        nxt = (api + 1) % len(here.entries)
+                        e = here.entries[nxt]
+                        if e.direction == glued[aw]:
+                            e, arc = None, locate(1 - aw, "interval", e.index)
+                        else:
+                            arc = (aw, aci, aki, nxt)
+                        walk.append((here.free_arc_labels[api], e))
+                    if walk:
+                        cycles.append(_splice(walk))
+    for o in range(t1.out_signature.open_count):
+        chi[uf.find(locate(0, "interval", o)[:2])] -= 1
 
     new_components = []
-    for cls, mem in sorted(members.items()):
-        chi = sum(euler_characteristic(sides[w].components[ci]) for w, ci in mem)
-        chi -= glued_per_class.get(cls, 0)
-        closed_in = frozenset().union(
-            *[sides[w].components[ci].closed_in for w, ci in mem if w == "A"], frozenset()
-        )
-        closed_out = frozenset().union(
-            *[sides[w].components[ci].closed_out for w, ci in mem if w == "B"], frozenset()
-        )
-        cycles = tuple(new_cycles_per_class.get(cls, []))
+    for root in sorted(kept):
+        closed_in, closed_out, cycles = kept[root]
         n = len(closed_in) + len(closed_out) + len(cycles)
-        num = 2 - chi - n
+        num = 2 - chi[root] - n
         if num < 0 or num % 2:
             raise InternalInconsistency(
-                f"glued component has chi={chi}, n={n}: no admissible genus"
+                f"glued component has chi={chi[root]}, n={n}: no admissible genus"
             )
-        new_components.append(
-            ComponentData(genus=num // 2, closed_in=closed_in, closed_out=closed_out, cycles=cycles)
-        )
+        comp = ComponentData(num // 2, frozenset(closed_in), frozenset(closed_out), tuple(cycles))
+        new_components.append(comp)
 
     return OCType(tuple(new_components), t1.in_signature, t2.out_signature)
 
@@ -581,33 +543,29 @@ def _json_object(v, what: str) -> dict:
 
 def _sig_from_json(d: dict) -> ObjectSignature:
     d = _json_object(d, "boundary signature")
-    return ObjectSignature(d["C"], d["O"], tuple(d.get("s", [])), tuple(d.get("t", [])))
+    return ObjectSignature(int(d["C"]), int(d["O"]), tuple(d.get("s", [])), tuple(d.get("t", [])))
 
 
 def octype_to_json(t: OCType) -> dict:
-    """Canonical JSON form: components sorted, cycles rotated minimally."""
+    """Canonical JSON form, read off ``t.canonical()``: components sorted,
+    cycles rotated minimally, so equal types give identical documents."""
     comps = []
-    for comp in sorted(t.components, key=ComponentData.canonical_key):
-        cycles = []
-        frees = []
-        for cyc in sorted(comp.cycles, key=BoundaryCycle.canonical):
-            if cyc.is_free_circle:
-                frees.append(cyc.free_arc_labels[0])
-            else:
-                enc = cyc.canonical()
-                cycles.append(
+    for genus, _, closed_in, closed_out, encodings in t.canonical():
+        # a free circle encodes as (("free", label),), an entry as a triple
+        comps.append(
+            {
+                "genus": genus,
+                "closed_in": list(closed_in),
+                "closed_out": list(closed_out),
+                "cycles": [
                     {
                         "entries": [[d, i] for d, i, _ in enc],
                         "arcs": [lab for _, _, lab in enc],
                     }
-                )
-        comps.append(
-            {
-                "genus": comp.genus,
-                "closed_in": sorted(comp.closed_in),
-                "closed_out": sorted(comp.closed_out),
-                "cycles": cycles,
-                "free_circles": sorted(frees),
+                    for enc in encodings
+                    if len(enc[0]) == 3
+                ],
+                "free_circles": [enc[0][1] for enc in encodings if len(enc[0]) == 2],
             }
         )
     return {
@@ -636,8 +594,8 @@ def octype_from_json(d: dict) -> OCType:
         comps.append(
             ComponentData(
                 genus=int(cd["genus"]),
-                closed_in=frozenset(cd.get("closed_in", [])),
-                closed_out=frozenset(cd.get("closed_out", [])),
+                closed_in=frozenset(int(i) for i in cd.get("closed_in", [])),
+                closed_out=frozenset(int(i) for i in cd.get("closed_out", [])),
                 cycles=tuple(cycles),
                 boundary_circles=cd.get("boundary_circles"),
             )

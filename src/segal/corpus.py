@@ -115,6 +115,19 @@ def _chain_labels(rng: random.Random, n: int, first: Label, last: Label) -> list
     return [first, *mids, last]
 
 
+def _freeze(comps: list[dict]) -> tuple[ComponentData, ...]:
+    """The generators' working component records as ComponentData values."""
+    return tuple(
+        ComponentData(
+            genus=c["genus"],
+            closed_in=frozenset(c["cin"]),
+            closed_out=frozenset(c["cout"]),
+            cycles=tuple(c["cycles"]),
+        )
+        for c in comps
+    )
+
+
 def random_octype(
     rng: random.Random,
     max_components: int = 2,
@@ -179,16 +192,7 @@ def random_octype(
             tuple(tgt[(direction, i)] for i in range(n_open)),
         )
 
-    comps_final = tuple(
-        ComponentData(
-            genus=c["genus"],
-            closed_in=frozenset(c["cin"]),
-            closed_out=frozenset(c["cout"]),
-            cycles=tuple(c["cycles"]),
-        )
-        for c in comps
-    )
-    return OCType(comps_final, sig(n_cin, "in", n_in), sig(n_cout, "out", n_out))
+    return OCType(_freeze(comps), sig(n_cin, "in", n_in), sig(n_cout, "out", n_out))
 
 
 def random_successor(rng: random.Random, first: OCType, extra_out: int = 2) -> OCType:
@@ -241,17 +245,8 @@ def random_successor(rng: random.Random, first: OCType, extra_out: int = 2) -> O
         e = fresh_out(lab, lab)
         rng.choice(comps)["cycles"].append(BoundaryCycle((e,), (lab,)))
 
-    comps_final = tuple(
-        ComponentData(
-            genus=c["genus"],
-            closed_in=frozenset(c["cin"]),
-            closed_out=frozenset(c["cout"]),
-            cycles=tuple(c["cycles"]),
-        )
-        for c in comps
-    )
     out_sig = ObjectSignature(n_cout, len(out_src), tuple(out_src), tuple(out_tgt))
-    return OCType(comps_final, sig, out_sig)
+    return OCType(_freeze(comps), sig, out_sig)
 
 
 def random_composable_pair(seed: int) -> tuple[OCType, OCType]:

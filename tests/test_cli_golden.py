@@ -44,6 +44,15 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     nan_field["values"][0] = [math.nan, 0.0]
     nan_rect = _field(0.0, 4, 0.2 + 0.1j)
     nan_rect["x1"] = math.nan
+    # decodable types that break a structural invariant
+    lost_interval = corpus.load_bundled("types/free_disc.json")
+    lost_interval["out"] = {"C": 0, "O": 1, "s": ["a"], "t": ["a"]}
+    stray_circle = corpus.load_bundled("types/cylinder.json")
+    stray_circle["components"][0]["closed_out"] = [5]
+    negative_genus = corpus.load_bundled("types/cylinder.json")
+    negative_genus["components"][0]["genus"] = -1
+    named_circle = corpus.load_bundled("types/cylinder.json")
+    named_circle["components"][0]["closed_in"] = ["x", 0]
     (tmp / "broken.json").write_text('{"components": \n', encoding="utf-8")
     (tmp / "h.csv").write_text(
         "\n".join(["x,y"] + [f"{i / 8},{(i / 8) ** 3 + i / 8}" for i in range(-8, 9)]),
@@ -63,6 +72,10 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "field_nan": _write_json(tmp / "nan_field.json", nan_field),
         "field_nan_rect": _write_json(tmp / "nan_rect.json", nan_rect),
         "broken_type": _write_json(tmp / "broken_disc.json", broken_disc),
+        "lost_interval": _write_json(tmp / "lost_interval.json", lost_interval),
+        "stray_circle": _write_json(tmp / "stray_circle.json", stray_circle),
+        "negative_genus": _write_json(tmp / "negative_genus.json", negative_genus),
+        "named_circle": _write_json(tmp / "named_circle.json", named_circle),
         "unstable_type": _write_json(
             tmp / "torus.json", cobordism.octype_to_json(corpus.closed_surface(1))
         ),

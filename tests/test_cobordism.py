@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal import corpus
 from segal.cobordism import (
@@ -140,6 +144,48 @@ def test_compose_requires_matching_signature():
         compose_types(corpus.strip("a", "b"), corpus.strip("b", "a"))
 
 
+A_INTERVAL = ObjectSignature(0, 1, ("a",), ("a",))
+
+
+def _free_disc_with(in_sig: ObjectSignature, out_sig: ObjectSignature) -> OCType:
+    return OCType((ComponentData(0, cycles=(free_circle("a"),)),), in_sig, out_sig)
+
+
+def _cylinder_out(ident: int) -> OCType:
+    comp = ComponentData(0, closed_in=frozenset({0}), closed_out=frozenset({ident}))
+    return OCType((comp,), ObjectSignature(1, 0), ObjectSignature(1, 0))
+
+
+def _disc_out_twice() -> OCType:
+    """Outgoing interval 1 sits on a cycle but the signature has one interval."""
+    cyc = BoundaryCycle((CycleEntry("out", 0), CycleEntry("out", 1)), ("a", "a"))
+    return OCType((ComponentData(0, cycles=(cyc,)),), ObjectSignature(0, 0), A_INTERVAL)
+
+
+@pytest.mark.parametrize(
+    "t1,t2,match",
+    [
+        (
+            _free_disc_with(ObjectSignature(0, 0), A_INTERVAL),
+            corpus.disc_in("a"),
+            "out interval 0 of the first type lies on no component",
+        ),
+        (
+            corpus.disc_out("a"),
+            _free_disc_with(A_INTERVAL, ObjectSignature(0, 0)),
+            "in interval 0 of the second type lies on no component",
+        ),
+        (_cylinder_out(5), corpus.cylinder(), "out circle 0 of the first type"),
+        (_disc_out_twice(), corpus.disc_in("a"), "in interval 1 of the second type"),
+    ],
+    ids=["lost-out-interval", "lost-in-interval", "stray-circle", "unknown-interval"],
+)
+def test_compose_rejects_unowned_glued_boundary(t1, t2, match):
+    assert not validate_type(t1).ok or not validate_type(t2).ok
+    with pytest.raises(DomainError, match=match):
+        compose_types(t1, t2)
+
+
 def test_composition_euler_additivity():
     t1, t2 = corpus.pants_split(), corpus.pants_join()
     out = compose_types(t1, t2)
@@ -218,6 +264,26 @@ def test_json_roundtrip_random(seed):
         assert octype_from_json(octype_to_json(x)) == x
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.integers(0, 6),
+)
+def test_json_roundtrip_beyond_acceptance_cap(seed, components, genus, closed, open_):
+    rng = random.Random(seed)
+    t1 = corpus.random_octype(rng, components, genus, closed, open_)
+    t2 = corpus.random_successor(rng, t1)
+    t3 = corpus.random_successor(rng, t2)
+    for t in (t1, t2, t3, compose_types(t1, t2), compose_types(t2, t3)):
+        doc = octype_to_json(t)
+        back = octype_from_json(doc)
+        assert back == t
+        assert octype_to_json(back) == doc
+
+
 def test_json_top_level_must_be_object():
     with pytest.raises(DomainError):
         octype_from_json([1, 2])
@@ -233,6 +299,13 @@ def test_json_top_level_must_be_object():
 )
 def test_json_nested_objects_must_be_objects(doc):
     with pytest.raises(DomainError, match="must be a JSON object"):
+        octype_from_json(doc)
+
+
+def test_json_closed_identifiers_must_be_integers():
+    doc = octype_to_json(corpus.cylinder())
+    doc["components"][0]["closed_in"] = ["x", 0]
+    with pytest.raises(ValueError):
         octype_from_json(doc)
 
 

@@ -5,7 +5,11 @@ reads connectivity, Euler characteristic and boundary structure off the
 complex by counting.  It shares no code with compose_types.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal import corpus
 from segal._oracles import glued_summary, octype_summary, single_summary
@@ -66,3 +70,23 @@ def test_union_then_compose_matches_componentwise(seed):
     lhs = compose_types(disjoint_union(a1, b1), disjoint_union(a2, b2))
     rhs = disjoint_union(compose_types(a1, a2), compose_types(b1, b2))
     assert lhs == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.integers(0, 6),
+)
+def test_large_compositions_match_complex_and_associate(seed, components, genus, closed, open_):
+    """Beyond the acceptance cap: up to 4 components, genus 3, 4 closed, 6 open."""
+    rng = random.Random(seed)
+    t1 = corpus.random_octype(rng, components, genus, closed, open_)
+    t2 = corpus.random_successor(rng, t1)
+    t3 = corpus.random_successor(rng, t2)
+    t12, t23 = compose_types(t1, t2), compose_types(t2, t3)
+    assert octype_summary(t12) == glued_summary(t1, t2)
+    assert octype_summary(t23) == glued_summary(t2, t3)
+    assert compose_types(t12, t3) == compose_types(t1, t23)
