@@ -1,0 +1,66 @@
+"""The input boundary: every file segal reads is opened, decoded and read as
+numbers here, so a float, a bool or a numeric string is never truncated or
+coerced, and every failure is a ``DomainError`` naming the file."""
+
+from __future__ import annotations
+
+import json
+from typing import Callable, TypeVar
+
+from .errors import DomainError, SegalError
+
+T = TypeVar("T")
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise DomainError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DomainError(f"{path}: not UTF-8 text: {e.reason}") from None
+
+
+def read_json(path) -> object:
+    """The decoded contents of a JSON file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise DomainError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+
+
+def load_file(path, decode: Callable[[object], T], what: str) -> T:
+    """``decode`` applied to a JSON file; a decoding failure names the file."""
+    d = read_json(path)
+    try:
+        return decode(d)
+    except (SegalError, LookupError, OverflowError, TypeError, ValueError) as e:
+        raise DomainError(f"{path}: not a valid {what} file: {e}") from None
+
+
+def json_object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise DomainError(f"{what} must be a JSON object, not {type(v).__name__}")
+    return v
+
+
+def json_str(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise DomainError(f"{what} must be a string, not {v!r}")
+    return v
+
+
+def json_int(v, what: str) -> int:
+    """A JSON integer; bools, strings and floats (2.0 too) are rejected."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
+def json_number(v, what: str) -> float:
+    """A JSON number as a float; finiteness is left to the constructor."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DomainError(f"{what} must be a number, not {v!r}")
+    return float(v)

@@ -9,7 +9,6 @@ that are exact keep tolerance zero, which scaling leaves unchanged.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
+from ._input import json_number, json_object, load_file
 from ._oracles import (
     dilatation_fd,
     glued_summary,
@@ -26,7 +26,7 @@ from ._oracles import (
     octype_summary,
     wirtinger_fd,
 )
-from .errors import SegalError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -52,38 +52,25 @@ class AcceptanceCorpus:
     types: tuple[tuple[str, cobordism.OCType], ...]
 
 
-class CorpusError(SegalError):
-    """Missing or unreadable acceptance corpus."""
+def _quads_from_json(d) -> tuple[tuple[float, float, float, float], ...]:
+    quads = json_object(d, "quad corpus")["quads"]
+    if not all(isinstance(q, list) and len(q) == 4 for q in quads):
+        raise DomainError("each quad must be a list of four numbers")
+    return tuple(tuple(json_number(v, "quad entry") for v in q) for q in quads)
 
 
 def load_corpus(directory: Optional[str] = None) -> AcceptanceCorpus:
-    """Read the quad list and example types, bundled or from a directory."""
-    if directory is None:
-        data = corpus.load_bundled("quads.json")
-        quads = tuple(tuple(q) for q in data["quads"])
-        names = [
-            "disc_out", "disc_in", "free_disc", "strip_ab", "cylinder",
-            "pants_split", "pants_join", "torus", "free_annulus",
-        ]
-        types = tuple(
-            (n, cobordism.octype_from_json(corpus.load_bundled(f"types/{n}.json")))
-            for n in names
-        )
-        return AcceptanceCorpus(quads=quads, types=types)
-    root = Path(directory)
+    """Read the quad list and example types from a directory, by default the shipped one."""
+    root = Path(__file__).parent / "data" / "corpus" if directory is None else Path(directory)
     quad_path = root / "quads.json"
     if not quad_path.is_file():
-        raise CorpusError(f"missing corpus file {quad_path}")
-    with open(quad_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    quads = tuple(tuple(q) for q in data["quads"])
-    types = []
-    tdir = root / "types"
-    if tdir.is_dir():
-        for p in sorted(tdir.glob("*.json")):
-            with open(p, "r", encoding="utf-8") as fh:
-                types.append((p.stem, cobordism.octype_from_json(json.load(fh))))
-    return AcceptanceCorpus(quads=quads, types=tuple(types))
+        raise DomainError(f"missing corpus file {quad_path}")
+    quads = load_file(quad_path, _quads_from_json, "quad-corpus")
+    types = tuple(
+        (p.stem, load_file(p, cobordism.octype_from_json, "surface-type"))
+        for p in sorted((root / "types").glob("*.json"))
+    )
+    return AcceptanceCorpus(quads, types)
 
 
 def corpus_integrity(c: AcceptanceCorpus) -> CriterionResult:

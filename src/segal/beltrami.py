@@ -16,6 +16,7 @@ from typing import Callable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
+from ._input import json_int, json_number
 from .errors import (
     DegenerateFrame,
     GridMismatch,
@@ -316,12 +317,13 @@ class DilatationField:
             raise GridMismatch(f"field must be a JSON object, not {type(d).__name__}")
         if d.get("schema", FIELD_SCHEMA) != FIELD_SCHEMA:
             raise GridMismatch(f"unsupported schema {d.get('schema')!r}")
-        nx, ny = int(d["nx"]), int(d["ny"])
+        nx, ny = json_int(d["nx"], "nx"), json_int(d["ny"], "ny")
         flat = d["values"]
         if len(flat) != nx * ny:
             raise GridMismatch(f"expected {nx * ny} samples, found {len(flat)}")
-        vals = np.array([complex(re, im) for re, im in flat]).reshape(ny, nx)
-        return cls(float(d["x0"]), float(d["x1"]), float(d["y0"]), float(d["y1"]), vals)
+        vals = [complex(json_number(re, "sample"), json_number(im, "sample")) for re, im in flat]
+        corners = (json_number(d[k], k) for k in ("x0", "x1", "y0", "y1"))
+        return cls(*corners, np.array(vals).reshape(ny, nx))
 
     def to_csv(self, stream: TextIO) -> None:
         xs, ys = self.cell_centers()

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__, acceptance, beltrami, cobordism, corpus, flattening, modulus, quasisym
 from . import chains as chainalg
+from ._input import load_file, read_text
 from .errors import (
     DegenerateFrame,
     DegenerateQuad,
@@ -49,7 +50,6 @@ class CliInputError(Exception):
 # check that ran and failed (exit 1).
 INPUT_ERRORS = (
     CliInputError,
-    acceptance.CorpusError,
     DomainError,
     OutOfDisc,
     NotOrientationPreserving,
@@ -96,22 +96,8 @@ def parse_float(s: str, what: str) -> float:
         raise CliInputError(f"cannot parse {what} from {s!r}")
 
 
-def load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise CliInputError(f"{path}: {e.strerror or e}")
-    except json.JSONDecodeError as e:
-        raise CliInputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-
-
 def load_octype(path: str) -> cobordism.OCType:
-    d = load_json(path)
-    try:
-        return cobordism.octype_from_json(d)
-    except (SegalError, KeyError, TypeError, ValueError) as e:
-        raise CliInputError(f"{path}: not a valid surface-type file: {e}")
+    return load_file(path, cobordism.octype_from_json, "surface-type")
 
 
 def load_valid_octype(path: str) -> cobordism.OCType:
@@ -124,23 +110,14 @@ def load_valid_octype(path: str) -> cobordism.OCType:
 
 
 def load_field(path: str) -> beltrami.DilatationField:
-    d = load_json(path)
-    try:
-        return beltrami.DilatationField.from_json(d)
-    except (SegalError, KeyError, TypeError, ValueError) as e:
-        raise CliInputError(f"{path}: not a valid dilatation-field file: {e}")
+    return load_file(path, beltrami.DilatationField.from_json, "dilatation-field")
 
 
 def load_sampled_csv(path: str) -> quasisym.SampledIncreasingFunction:
     """Two-column x,y file; a non-numeric first line is treated as a header."""
     xs: list[float] = []
     ys: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise CliInputError(f"{path}: {e.strerror or e}")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(",")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
+from ._input import json_int, json_object, json_str
 from .errors import DomainError, InternalInconsistency, SignatureMismatch
 
 Label = str
@@ -269,7 +270,8 @@ def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> Val
                     v.append(f"component {ci} cycle {ki} entry {pi}: bad direction {e.direction!r}")
                     continue
                 sig = t.out_signature if e.direction == "out" else t.in_signature
-                if not 0 <= e.index < sig.open_count:
+                # a short label list is reported with the signature above
+                if not 0 <= e.index < min(sig.open_count, len(sig.source_labels), len(sig.target_labels)):
                     if e.index < 0:
                         v.append(f"component {ci} cycle {ki} entry {pi}: negative interval index")
                     continue
@@ -535,15 +537,14 @@ def _sig_to_json(s: ObjectSignature) -> dict:
     }
 
 
-def _json_object(v, what: str) -> dict:
-    if not isinstance(v, dict):
-        raise DomainError(f"{what} must be a JSON object, not {type(v).__name__}")
-    return v
+def _labels_from_json(v) -> tuple[Label, ...]:
+    return tuple(json_str(lab, "label") for lab in v)
 
 
 def _sig_from_json(d: dict) -> ObjectSignature:
-    d = _json_object(d, "boundary signature")
-    return ObjectSignature(int(d["C"]), int(d["O"]), tuple(d.get("s", [])), tuple(d.get("t", [])))
+    d = json_object(d, "boundary signature")
+    closed, open_ = (json_int(d[k], f"signature count {k}") for k in "CO")
+    return ObjectSignature(closed, open_, *(_labels_from_json(d.get(k, [])) for k in "st"))
 
 
 def octype_to_json(t: OCType) -> dict:
@@ -577,27 +578,31 @@ def octype_to_json(t: OCType) -> dict:
 
 
 def octype_from_json(d: dict) -> OCType:
-    d = _json_object(d, "surface type")
+    d = json_object(d, "surface type")
     if d.get("schema", OCTYPE_SCHEMA) != OCTYPE_SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     comps = []
     for cd in d["components"]:
-        cd = _json_object(cd, "component")
+        cd = json_object(cd, "component")
         cycles = [
             BoundaryCycle(
-                tuple(CycleEntry(e[0], int(e[1])) for e in cyc["entries"]),
-                tuple(cyc["arcs"]),
+                tuple(
+                    CycleEntry(json_str(e[0], "interval direction"), json_int(e[1], "interval index"))
+                    for e in cyc["entries"]
+                ),
+                _labels_from_json(cyc["arcs"]),
             )
             for cyc in cd.get("cycles", [])
         ]
-        cycles += [free_circle(lab) for lab in cd.get("free_circles", [])]
+        cycles += [free_circle(lab) for lab in _labels_from_json(cd.get("free_circles", []))]
+        n = cd.get("boundary_circles")
         comps.append(
             ComponentData(
-                genus=int(cd["genus"]),
-                closed_in=frozenset(int(i) for i in cd.get("closed_in", [])),
-                closed_out=frozenset(int(i) for i in cd.get("closed_out", [])),
+                genus=json_int(cd["genus"], "genus"),
+                closed_in=frozenset(json_int(i, "closed circle") for i in cd.get("closed_in", [])),
+                closed_out=frozenset(json_int(i, "closed circle") for i in cd.get("closed_out", [])),
                 cycles=tuple(cycles),
-                boundary_circles=cd.get("boundary_circles"),
+                boundary_circles=None if n is None else json_int(n, "boundary circle count"),
             )
         )
     return OCType(tuple(comps), _sig_from_json(d["in"]), _sig_from_json(d["out"]))

@@ -8,9 +8,7 @@ for composable pairs.
 
 from __future__ import annotations
 
-import json
 import random
-from importlib import resources
 from typing import Optional, Sequence
 
 from .cobordism import (
@@ -195,7 +193,7 @@ def random_octype(
     return OCType(_freeze(comps), sig(n_cin, "in", n_in), sig(n_cout, "out", n_out))
 
 
-def random_successor(rng: random.Random, first: OCType, extra_out: int = 2) -> OCType:
+def random_successor(rng: random.Random, first: OCType) -> OCType:
     """A random type whose incoming signature matches ``first``'s outgoing one.
 
     Every required incoming interval is separated from its cyclic neighbour
@@ -240,7 +238,7 @@ def random_successor(rng: random.Random, first: OCType, extra_out: int = 2) -> O
     for i in range(n_cout):
         rng.choice(comps)["cout"].add(i)
     # A spare purely outgoing cycle now and then.
-    if extra_out and rng.random() < 0.5:
+    if rng.random() < 0.5:
         lab = rng.choice(_LABELS)
         e = fresh_out(lab, lab)
         rng.choice(comps)["cycles"].append(BoundaryCycle((e,), (lab,)))
@@ -342,22 +340,15 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
 # quadrilateral corpus
 
 
-def generate_quads(seed: int, count: int, span: float = 4.0, min_gap: float = 0.05) -> list[tuple[float, float, float, float]]:
-    """Seeded corpus of marked quadruples on the real line, sorted ascending."""
+def generate_quads(seed: int, count: int) -> list[tuple[float, float, float, float]]:
+    """Seeded marked quadruples in [-4, 4], sorted ascending, at least 0.05 apart."""
     if count < 1:
         raise DomainError(f"quad count must be at least 1, got {count}")
     rng = random.Random(seed)
     quads = []
     while len(quads) < count:
-        pts = sorted(rng.uniform(-span, span) for _ in range(4))
-        if min(b - a for a, b in zip(pts, pts[1:])) < min_gap:
+        pts = sorted(rng.uniform(-4.0, 4.0) for _ in range(4))
+        if min(b - a for a, b in zip(pts, pts[1:])) < 0.05:
             continue
         quads.append(tuple(pts))
     return quads
-
-
-def load_bundled(name: str) -> dict:
-    """Read one of the JSON files shipped under segal/data/corpus."""
-    path = resources.files("segal").joinpath("data", "corpus", name)
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -225,11 +225,10 @@ def _rk4_flow(
 
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _FD_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+_FD_H = 2e-3
 
 
-def next_structure_field(
-    prev: StructureField, n_steps: int = 1024, fd_h: float = 2e-3
-) -> StructureField:
+def next_structure_field(prev: StructureField, n_steps: int = 1024) -> StructureField:
     """Transport the structure through one flattening step.
 
     At (x, y): flow boundary starts near x for time y along the previous
@@ -243,7 +242,7 @@ def next_structure_field(
         pts = np.asarray(pts, dtype=float)
         x, y = pts[:, 0], pts[:, 1]
         n = len(pts)
-        x0 = (x[:, None] + fd_h * _STENCIL[None, :]).ravel()
+        x0 = (x[:, None] + _FD_H * _STENCIL[None, :]).ravel()
         tt = np.repeat(y, 5)
         if prev.exact_flow is not None:
             phi = prev.exact_flow(x0, tt)
@@ -251,7 +250,7 @@ def next_structure_field(
             starts = np.column_stack([x0, np.zeros_like(x0)])
             phi = _rk4_flow(prev.func, starts, tt, n_steps)
         phi = phi.reshape(n, 5, 2)
-        dphi_dx = np.tensordot(phi, _FD_WEIGHTS, axes=([1], [0])) / (12.0 * fd_h)
+        dphi_dx = np.tensordot(phi, _FD_WEIGHTS, axes=([1], [0])) / (12.0 * _FD_H)
         center = phi[:, 2, :]
         v = prev.func(center)
         p1, q1 = dphi_dx[:, 0], dphi_dx[:, 1]
@@ -344,17 +343,14 @@ def flatten_step(
     y_max: float = 1.0,
     nx: int = 97,
     ny: int = 97,
-    y_cap_factor: float = 2.0,
-    x_pad_factor: float = 0.1,
-    local_error: float = 1e-10,
 ) -> FlattenedChart:
     """Integrate the curve grid of a structure field and invert it.
 
     Curves start at boundary samples and run for times up to y_max with
-    adaptive step control at the requested local error.  Curves may bulge
-    past the launch span by x_pad_factor times its width before counting
-    as escaped; the certified rectangle reflects actual curve extents, so
-    the allowance never inflates it.  The report checks the defining
+    adaptive step control at local error 1e-10.  Curves may bulge past the
+    launch span by a tenth of its width, and rise to twice y_max, before
+    counting as escaped; the certified rectangle reflects actual curve
+    extents, so the allowance never inflates it.  The report checks the defining
     properties: identity on the boundary row, positive grid Jacobian, and
     pushforward of the field to the vertical unit at interior nodes (up to
     grid-size differencing error).
@@ -366,7 +362,7 @@ def flatten_step(
     x_lo, x_hi = window
     xs = np.linspace(x_lo, x_hi, nx)
     ts = np.linspace(0.0, y_max, ny)
-    y_cap = y_cap_factor * y_max
+    y_cap = 2.0 * y_max
 
     probe = func(np.column_stack([xs, np.zeros_like(xs)]))
     if probe[:, 1].min() <= 1e-3:
@@ -382,14 +378,14 @@ def flatten_step(
         state0,
         method="DOP853",
         t_eval=ts,
-        rtol=local_error,
-        atol=local_error,
+        rtol=1e-10,
+        atol=1e-10,
     )
     if not sol.success:
         raise CurveEscape(f"integration failed: {sol.message}")
     grid = sol.y.reshape(nx, 2, ny).transpose(2, 0, 1)
 
-    x_pad = x_pad_factor * (x_hi - x_lo)
+    x_pad = 0.1 * (x_hi - x_lo)
     if grid[:, :, 0].min() < x_lo - x_pad - 1e-9 or grid[:, :, 0].max() > x_hi + x_pad + 1e-9:
         raise CurveEscape("an integral curve left the window horizontally")
     if grid[:, :, 1].min() < -1e-9 or grid[:, :, 1].max() > y_cap + 1e-9:
@@ -463,9 +459,7 @@ def _fit_order(ys: np.ndarray, cs: np.ndarray) -> float:
     return float(slope)
 
 
-def verify_orders(
-    g: BoundaryGlueMap, k_max: int, probe_fraction: float = 0.77
-) -> OrdersReport:
+def verify_orders(g: BoundaryGlueMap, k_max: int) -> OrdersReport:
     """Fit vanishing orders of the first structure fields against prediction.
 
     For each k up to k_max the field components are sampled on a dyadic
@@ -481,7 +475,7 @@ def verify_orders(
     # ladder times are at most 1/16 so short runs lose no accuracy there
     steps = {2: 128, 3: 128} if k_max == 2 else {2: 512}
     fields = structure_field_chain(g, k_max + 1, n_steps_by_level=steps)
-    x0 = g.x_lo + probe_fraction * (g.x_hi - g.x_lo)
+    x0 = g.x_lo + 0.77 * (g.x_hi - g.x_lo)
 
     fits = []
     for k in range(k_max + 1):

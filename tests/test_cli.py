@@ -1,12 +1,16 @@
 """Command-line contract: exit codes, determinism, and operation coverage."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 import segal
 from segal import cli
 from segal.cli import COMMANDS, main
+
+BUNDLED = Path(segal.__file__).resolve().parent / "data" / "corpus"
 
 # Operations that must stay reachable from the command line.  One entry per
 # public callable; a command lists what it exercises in its `uses` field.
@@ -159,13 +163,10 @@ class TestExitCodes:
         assert "quads.json" in capsys.readouterr().err
 
     def test_broken_corpus_type_is_named_failure(self, tmp_path, capsys):
-        from segal import corpus as corpus_mod
-
         tdir = tmp_path / "types"
         tdir.mkdir()
-        quads = corpus_mod.load_bundled("quads.json")
-        (tmp_path / "quads.json").write_text(json.dumps(quads), encoding="utf-8")
-        d = corpus_mod.load_bundled("types/disc_out.json")
+        shutil.copy(BUNDLED / "quads.json", tmp_path)
+        d = json.loads((BUNDLED / "types" / "disc_out.json").read_text(encoding="utf-8"))
         d["out"]["C"] = 2
         (tdir / "broken_disc.json").write_text(json.dumps(d), encoding="utf-8")
         assert main(["accept", "--corpus", str(tmp_path), "--only", "9"]) == 1

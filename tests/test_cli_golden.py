@@ -13,7 +13,9 @@ every number is masked and only the labels, keys and verdicts must match.
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -32,26 +34,73 @@ def _write_json(path: Path, payload) -> str:
     return str(path)
 
 
+def _bundled_type(name: str) -> dict:
+    return json.loads((TYPES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _edited(doc: dict, value, *keys) -> dict:
+    """``doc`` with the entry at ``keys`` replaced by ``value``."""
+    inner = doc
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return doc
+
+
+def _corpus(root: Path, quads: str, bad_type: Optional[str] = None) -> str:
+    """An acceptance corpus directory with the given quads.json text."""
+    (root / "types").mkdir(parents=True)
+    (root / "quads.json").write_text(quads, encoding="utf-8")
+    if bad_type is not None:
+        (root / "types" / "bad.json").write_text(bad_type, encoding="utf-8")
+    return str(root)
+
+
 def _field(x0: float, nx: int, mu: complex) -> dict:
     return beltrami.DilatationField.constant(mu, x0, x0 + 1.0, 0.0, 1.0, nx, 3).to_json()
 
 
+# Files that differ from a bundled type or a field in one entry:
+# name -> (base document, new value, key path to the entry).
+EDITED = {
+    # numbers that are not JSON integers, or not JSON numbers
+    "float_genus": (partial(_bundled_type, "cylinder"), 1.5, ("components", 0, "genus")),
+    "bool_genus": (partial(_bundled_type, "cylinder"), True, ("components", 0, "genus")),
+    "string_count": (partial(_bundled_type, "cylinder"), "1", ("in", "C")),
+    "string_circles": (partial(_bundled_type, "cylinder"), "0", ("components", 0, "closed_in")),
+    "float_nx": (partial(_field, 0.0, 2, 0.2j), 2.7, ("nx",)),
+    "string_x1": (partial(_field, 0.0, 4, 0.2j), "1.0", ("x1",)),
+    "huge_x0": (partial(_field, 0.0, 4, 0.2j), 10**400, ("x0",)),
+    # shapes that raised a traceback before the decoder checked them
+    "short_labels": (partial(_bundled_type, "strip_ab"), [], ("out", "s")),
+    "short_entry": (
+        partial(_bundled_type, "strip_ab"), ["in"], ("components", 0, "cycles", 0, "entries", 0)
+    ),
+    "list_direction": (
+        partial(_bundled_type, "strip_ab"), ["in"], ("components", 0, "cycles", 0, "entries", 0, 0)
+    ),
+    "int_label": (
+        partial(_bundled_type, "free_annulus"), [1, "a"], ("components", 0, "free_circles")
+    ),
+}
+
+
 def write_inputs(tmp: Path) -> dict[str, str]:
     """Input files for the golden cases, keyed by placeholder name."""
-    broken_disc = corpus.load_bundled("types/disc_out.json")
+    broken_disc = _bundled_type("disc_out")
     broken_disc["out"]["C"] = 2
     nan_field = _field(0.0, 4, 0.2 + 0.1j)
     nan_field["values"][0] = [math.nan, 0.0]
     nan_rect = _field(0.0, 4, 0.2 + 0.1j)
     nan_rect["x1"] = math.nan
     # decodable types that break a structural invariant
-    lost_interval = corpus.load_bundled("types/free_disc.json")
+    lost_interval = _bundled_type("free_disc")
     lost_interval["out"] = {"C": 0, "O": 1, "s": ["a"], "t": ["a"]}
-    stray_circle = corpus.load_bundled("types/cylinder.json")
+    stray_circle = _bundled_type("cylinder")
     stray_circle["components"][0]["closed_out"] = [5]
-    negative_genus = corpus.load_bundled("types/cylinder.json")
+    negative_genus = _bundled_type("cylinder")
     negative_genus["components"][0]["genus"] = -1
-    named_circle = corpus.load_bundled("types/cylinder.json")
+    named_circle = _bundled_type("cylinder")
     named_circle["components"][0]["closed_in"] = ["x", 0]
     (tmp / "broken.json").write_text('{"components": \n', encoding="utf-8")
     (tmp / "h.csv").write_text(
@@ -59,6 +108,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         encoding="utf-8",
     )
     (tmp / "bad.csv").write_text("0,0\n1,not-a-number\n", encoding="utf-8")
+    (tmp / "latin1.csv").write_bytes(b"x,y\n0,0\n\xff,1\n")
     # two samples closer than the 1e-9 * span match tolerance
     (tmp / "close.csv").write_text("x,y\n0,0\n0.5,0.5\n0.5000000001,0.6\n1,1\n", encoding="utf-8")
     return {
@@ -84,9 +134,25 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "csv": str(tmp / "h.csv"),
         "bad_csv": str(tmp / "bad.csv"),
         "close_csv": str(tmp / "close.csv"),
+        "latin1": str(tmp / "latin1.csv"),
         "missing": str(tmp / "missing.json"),
         "nowhere": str(tmp / "nowhere"),
         "out": str(tmp / "out.json"),
+        **{
+            name: _write_json(tmp / f"{name}.json", _edited(base(), value, *keys))
+            for name, (base, value, keys) in EDITED.items()
+        },
+        # acceptance corpora that cannot be read
+        "corpus_broken_quads": _corpus(tmp / "broken_quads", '{"quads": [\n'),
+        "corpus_broken_type": _corpus(
+            tmp / "broken_type",
+            (TYPES.parent / "quads.json").read_text(encoding="utf-8"),
+            '{"components": \n',
+        ),
+        "corpus_string_quads": _corpus(
+            tmp / "string_quads", json.dumps({"quads": [["0", "1", "2", "3"]]})
+        ),
+        "corpus_list": _corpus(tmp / "list_corpus", json.dumps([[0.0, 1.0, 2.0, 3.0]])),
     }
 
 

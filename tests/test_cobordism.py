@@ -305,7 +305,7 @@ def test_json_nested_objects_must_be_objects(doc):
 def test_json_closed_identifiers_must_be_integers():
     doc = octype_to_json(corpus.cylinder())
     doc["components"][0]["closed_in"] = ["x", 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         octype_from_json(doc)
 
 

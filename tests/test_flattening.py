@@ -239,7 +239,7 @@ class TestFlattenStep:
             [np.zeros(len(pts)), np.full(len(pts), 3.0)]
         )
         with pytest.raises(CurveEscape):
-            flatten_step(fast, nx=9, ny=9, y_cap_factor=2.0)
+            flatten_step(fast, nx=9, ny=9)
 
     def test_degenerate_second_component(self):
         bad = lambda pts: np.column_stack([np.zeros(len(pts)), pts[:, 0]])
