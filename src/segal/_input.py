@@ -46,6 +46,12 @@ def json_object(v, what: str) -> dict:
     return v
 
 
+def json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise DomainError(f"{what} must be a JSON list, not {type(v).__name__}")
+    return v
+
+
 def json_str(v, what: str) -> str:
     if not isinstance(v, str):
         raise DomainError(f"{what} must be a string, not {v!r}")

@@ -16,9 +16,10 @@ from typing import Callable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
-from ._input import json_int, json_number
+from ._input import json_int, json_list, json_number
 from .errors import (
     DegenerateFrame,
+    DomainError,
     GridMismatch,
     InvalidACS,
     NotOrientationPreserving,
@@ -90,6 +91,14 @@ def abs_mu_from_K(K: float) -> float:
     return (K - 1.0) / (K + 1.0)
 
 
+def _chart_phase(fz: complex, fzbar: complex) -> complex:
+    """The unit phase fz/conj(fz) of chart data already known to preserve
+    orientation; an infinite fz passes that test, so finiteness is checked here."""
+    if not (cmath.isfinite(fz) and cmath.isfinite(fzbar)):
+        raise DomainError(f"chart derivatives must be finite, got fz={fz!r}, fzbar={fzbar!r}")
+    return fz / fz.conjugate()
+
+
 def _transform_kernel(mu_gf, mu_f, phase):
     return phase * (mu_gf - mu_f) / (1.0 - np.conjugate(mu_f) * mu_gf)
 
@@ -110,8 +119,7 @@ def transform_mu(mu_gf: complex, mu_f: complex, fz: complex, fzbar: complex) -> 
         raise NotOrientationPreserving(
             f"|fz|={abs(fz):.6g} must exceed |fzbar|={abs(fzbar):.6g}"
         )
-    phase = fz / fz.conjugate()
-    return complex(_transform_kernel(mu_gf, mu_f, phase))
+    return complex(_transform_kernel(mu_gf, mu_f, _chart_phase(fz, fzbar)))
 
 
 def pullback_mu(nu_Y: complex, mu_g: complex, u: complex) -> complex:
@@ -213,6 +221,11 @@ def acs_from_mu(mu: complex) -> ACSMatrix:
 # sampled fields
 
 
+def _require_rectangle(x0: float, x1: float, y0: float, y1: float) -> None:
+    if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x0 < x1 and y0 < y1):
+        raise GridMismatch("rectangle is empty or not finite")
+
+
 @dataclass(frozen=True)
 class DilatationField:
     """Cell-centered complex samples on an axis-aligned rectangle.
@@ -229,9 +242,7 @@ class DilatationField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
-        corners = (self.x0, self.x1, self.y0, self.y1)
-        if not (all(map(math.isfinite, corners)) and self.x0 < self.x1 and self.y0 < self.y1):
-            raise GridMismatch("rectangle is empty or not finite")
+        _require_rectangle(self.x0, self.x1, self.y0, self.y1)
         if v.ndim != 2 or v.size == 0:
             raise GridMismatch("values must be a non-empty 2-d array")
         if not np.isfinite(v).all():
@@ -318,10 +329,11 @@ class DilatationField:
         if d.get("schema", FIELD_SCHEMA) != FIELD_SCHEMA:
             raise GridMismatch(f"unsupported schema {d.get('schema')!r}")
         nx, ny = json_int(d["nx"], "nx"), json_int(d["ny"], "ny")
-        flat = d["values"]
+        flat = json_list(d["values"], "values")
         if len(flat) != nx * ny:
             raise GridMismatch(f"expected {nx * ny} samples, found {len(flat)}")
-        vals = [complex(json_number(re, "sample"), json_number(im, "sample")) for re, im in flat]
+        pairs = (json_list(pair, "sample pair") for pair in flat)
+        vals = [complex(json_number(re, "sample"), json_number(im, "sample")) for re, im in pairs]
         corners = (json_number(d[k], k) for k in ("x0", "x1", "y0", "y1"))
         return cls(*corners, np.array(vals).reshape(ny, nx))
 
@@ -362,8 +374,7 @@ def transform_field(
     mu_f = _require_in_disc(mu_f, "mu_f")
     if not abs(fz) > abs(fzbar):
         raise NotOrientationPreserving("|fz| must exceed |fzbar|")
-    phase = fz / fz.conjugate()
-    out = _transform_kernel(s.values, mu_f, phase)
+    out = _transform_kernel(s.values, mu_f, _chart_phase(fz, fzbar))
     return DilatationField(s.x0, s.x1, s.y0, s.y1, out)
 
 
@@ -430,10 +441,13 @@ class SampledChartMap:
     fzbar: np.ndarray
 
     def __post_init__(self):
+        _require_rectangle(self.x0, self.x1, self.y0, self.y1)
         for name in ("image", "fz", "fzbar"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         if not (self.image.shape == self.fz.shape == self.fzbar.shape):
             raise GridMismatch("image and derivative grids must share a shape")
+        if not all(np.isfinite(a).all() for a in (self.image, self.fz, self.fzbar)):
+            raise GridMismatch("image and derivative samples must be finite")
         jac = np.abs(self.fz) ** 2 - np.abs(self.fzbar) ** 2
         if jac.min() <= 0.0:
             raise NotOrientationPreserving(

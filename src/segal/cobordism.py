@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from ._input import json_int, json_object, json_str
+from ._input import json_int, json_list, json_object, json_str
 from .errors import DomainError, InternalInconsistency, SignatureMismatch
 
 Label = str
@@ -180,6 +180,35 @@ class ValidationReport:
         return not self.violations
 
 
+def _traverse(direction: str, first: Label, second: Label) -> tuple[Label, Label]:
+    """The D-brane rule: outgoing intervals are traversed source->target,
+    incoming ones target->source (their parametrisation reverses the boundary
+    orientation).  The swap is its own inverse, so it takes the arcs before
+    and after an entry to the interval's (source, target) labels, and those
+    labels back to the arcs the entry wants."""
+    return (first, second) if direction == "out" else (second, first)
+
+
+def cycle_signatures(
+    components: Iterable[ComponentData], closed_in: int, closed_out: int
+) -> tuple[ObjectSignature, ObjectSignature]:
+    """The incoming and outgoing signatures whose interval labels are read
+    off the arcs around each cycle entry, with the given closed counts."""
+    read: dict[str, dict[int, tuple[Label, Label]]] = {"in": {}, "out": {}}
+    for comp in components:
+        for cyc in comp.cycles:
+            arcs = cyc.free_arc_labels
+            for pos, e in enumerate(cyc.entries):
+                read[e.direction][e.index] = _traverse(e.direction, arcs[pos - 1], arcs[pos])
+    ins, outs = ([ends[i] for i in sorted(ends)] for ends in read.values())
+    # zip splits the (source, target) pairs; with no interval it gives no
+    # label lists and the signature keeps its empty defaults
+    return (
+        ObjectSignature(closed_in, len(ins), *zip(*ins)),
+        ObjectSignature(closed_out, len(outs), *zip(*outs)),
+    )
+
+
 def _interval_occurrences(t: OCType) -> dict[tuple[str, int], list[tuple[int, int, int]]]:
     """Map (direction, index) -> list of (component, cycle, position)."""
     occ: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
@@ -275,14 +304,10 @@ def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> Val
                     if e.index < 0:
                         v.append(f"component {ci} cycle {ki} entry {pi}: negative interval index")
                     continue
-                pred = cyc.free_arc_labels[(pi - 1) % m]
-                succ = cyc.free_arc_labels[pi]
-                s_lab = sig.source_labels[e.index]
-                t_lab = sig.target_labels[e.index]
-                # Outgoing intervals are traversed source->target, incoming
-                # ones target->source (their parametrisation reverses the
-                # boundary orientation).
-                want_pred, want_succ = (s_lab, t_lab) if e.direction == "out" else (t_lab, s_lab)
+                pred, succ = cyc.free_arc_labels[pi - 1], cyc.free_arc_labels[pi]
+                want_pred, want_succ = _traverse(
+                    e.direction, sig.source_labels[e.index], sig.target_labels[e.index]
+                )
                 if pred != want_pred or succ != want_succ:
                     v.append(
                         f"component {ci} cycle {ki} entry {pi}: D-brane mismatch "
@@ -538,7 +563,12 @@ def _sig_to_json(s: ObjectSignature) -> dict:
 
 
 def _labels_from_json(v) -> tuple[Label, ...]:
-    return tuple(json_str(lab, "label") for lab in v)
+    return tuple(json_str(lab, "label") for lab in json_list(v, "label list"))
+
+
+def _entry_from_json(e) -> CycleEntry:
+    e = json_list(e, "cycle entry")
+    return CycleEntry(json_str(e[0], "interval direction"), json_int(e[1], "interval index"))
 
 
 def _sig_from_json(d: dict) -> ObjectSignature:
@@ -582,25 +612,23 @@ def octype_from_json(d: dict) -> OCType:
     if d.get("schema", OCTYPE_SCHEMA) != OCTYPE_SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     comps = []
-    for cd in d["components"]:
+    for cd in json_list(d["components"], "components"):
         cd = json_object(cd, "component")
         cycles = [
             BoundaryCycle(
-                tuple(
-                    CycleEntry(json_str(e[0], "interval direction"), json_int(e[1], "interval index"))
-                    for e in cyc["entries"]
-                ),
+                tuple(_entry_from_json(e) for e in json_list(cyc["entries"], "entries")),
                 _labels_from_json(cyc["arcs"]),
             )
-            for cyc in cd.get("cycles", [])
+            for cyc in json_list(cd.get("cycles", []), "cycles")
         ]
         cycles += [free_circle(lab) for lab in _labels_from_json(cd.get("free_circles", []))]
+        closed = {k: json_list(cd.get(k, []), k) for k in ("closed_in", "closed_out")}
         n = cd.get("boundary_circles")
         comps.append(
             ComponentData(
                 genus=json_int(cd["genus"], "genus"),
-                closed_in=frozenset(json_int(i, "closed circle") for i in cd.get("closed_in", [])),
-                closed_out=frozenset(json_int(i, "closed circle") for i in cd.get("closed_out", [])),
+                closed_in=frozenset(json_int(i, "closed circle") for i in closed["closed_in"]),
+                closed_out=frozenset(json_int(i, "closed circle") for i in closed["closed_out"]),
                 cycles=tuple(cycles),
                 boundary_circles=None if n is None else json_int(n, "boundary circle count"),
             )

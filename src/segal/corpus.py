@@ -3,13 +3,16 @@
 Builders return small standard surface types (discs, strips, cylinders, pants).
 The random generators are deterministic in the seed and construct values that
 satisfy every structural invariant by construction, including matched labels
-for composable pairs.
+for composable pairs: they only draw or list boundary cycles, and read both
+signatures off those cycles through ``cobordism.cycle_signatures``, which
+applies the one D-brane orientation rule that ``validate_type`` checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cobordism import (
     BoundaryCycle,
@@ -18,6 +21,7 @@ from .cobordism import (
     Label,
     ObjectSignature,
     OCType,
+    cycle_signatures,
     free_circle,
 )
 from .errors import DomainError
@@ -107,23 +111,9 @@ def free_annulus(label: Label = "a") -> OCType:
 _LABELS: tuple[Label, ...] = ("a", "b", "c")
 
 
-def _chain_labels(rng: random.Random, n: int, first: Label, last: Label) -> list[Label]:
-    """n+1 labels starting at first and ending at last."""
-    mids = [rng.choice(_LABELS) for _ in range(max(0, n - 1))]
-    return [first, *mids, last]
-
-
 def _freeze(comps: list[dict]) -> tuple[ComponentData, ...]:
     """The generators' working component records as ComponentData values."""
-    return tuple(
-        ComponentData(
-            genus=c["genus"],
-            closed_in=frozenset(c["cin"]),
-            closed_out=frozenset(c["cout"]),
-            cycles=tuple(c["cycles"]),
-        )
-        for c in comps
-    )
+    return tuple([ComponentData(c["genus"], c["cin"], c["cout"], c["cycles"]) for c in comps])
 
 
 def random_octype(
@@ -152,45 +142,22 @@ def random_octype(
 
     n_in = rng.randint(0, max_open)
     n_out = rng.randint(0, max_open)
-    src: dict[tuple[str, int], Label] = {}
-    tgt: dict[tuple[str, int], Label] = {}
     pending = [("in", i) for i in range(n_in)] + [("out", i) for i in range(n_out)]
     rng.shuffle(pending)
     while pending:
         take = rng.randint(1, len(pending))
         batch, pending = pending[:take], pending[take:]
         comp = rng.choice(comps)
-        entries = []
-        arcs = []
-        prev_label = rng.choice(_LABELS)
-        first_label = prev_label
-        for pos, (direction, idx) in enumerate(batch):
-            is_last = pos == len(batch) - 1
-            nxt = first_label if is_last else rng.choice(_LABELS)
-            # Free arc before this entry is prev_label, after it is nxt.
-            if direction == "out":
-                src[("out", idx)] = prev_label
-                tgt[("out", idx)] = nxt
-            else:
-                tgt[("in", idx)] = prev_label
-                src[("in", idx)] = nxt
-            entries.append(CycleEntry(direction, idx))
-            arcs.append(nxt)
-            prev_label = nxt
-        comp["cycles"].append(BoundaryCycle(tuple(entries), tuple(arcs)))
+        # the arc after each entry; the last one closes the cycle on the first
+        first = rng.choice(_LABELS)
+        arcs = [rng.choice(_LABELS) for _ in batch[1:]] + [first]
+        comp["cycles"].append(BoundaryCycle(tuple(CycleEntry(*e) for e in batch), tuple(arcs)))
     for comp in comps:
         for _ in range(rng.randint(0, 1)):
             comp["cycles"].append(free_circle(rng.choice(_LABELS)))
 
-    def sig(count_closed: int, direction: str, n_open: int) -> ObjectSignature:
-        return ObjectSignature(
-            count_closed,
-            n_open,
-            tuple(src[(direction, i)] for i in range(n_open)),
-            tuple(tgt[(direction, i)] for i in range(n_open)),
-        )
-
-    return OCType(_freeze(comps), sig(n_cin, "in", n_in), sig(n_cout, "out", n_out))
+    frozen = _freeze(comps)
+    return OCType(frozen, *cycle_signatures(frozen, n_cin, n_cout))
 
 
 def random_successor(rng: random.Random, first: OCType) -> OCType:
@@ -208,14 +175,7 @@ def random_successor(rng: random.Random, first: OCType) -> OCType:
     for i in range(sig.closed_count):
         rng.choice(comps)["cin"].add(i)
 
-    out_src: list[Label] = []
-    out_tgt: list[Label] = []
-
-    def fresh_out(s: Label, t: Label) -> CycleEntry:
-        out_src.append(s)
-        out_tgt.append(t)
-        return CycleEntry("out", len(out_src) - 1)
-
+    fresh_out = itertools.count()
     required = list(range(sig.open_count))
     rng.shuffle(required)
     while required:
@@ -227,11 +187,8 @@ def random_successor(rng: random.Random, first: OCType) -> OCType:
         # target-label, interval, source-label.  A fresh outgoing interval
         # bridges each consecutive pair.
         for pos, idx in enumerate(batch):
-            nxt_idx = batch[(pos + 1) % len(batch)]
-            entries.append(CycleEntry("in", idx))
-            arcs.append(sig.source_labels[idx])
-            entries.append(fresh_out(sig.source_labels[idx], sig.target_labels[nxt_idx]))
-            arcs.append(sig.target_labels[nxt_idx])
+            entries += [CycleEntry("in", idx), CycleEntry("out", next(fresh_out))]
+            arcs += [sig.source_labels[idx], sig.target_labels[batch[(pos + 1) % len(batch)]]]
         rng.choice(comps)["cycles"].append(BoundaryCycle(tuple(entries), tuple(arcs)))
 
     n_cout = rng.randint(0, 2)
@@ -240,11 +197,11 @@ def random_successor(rng: random.Random, first: OCType) -> OCType:
     # A spare purely outgoing cycle now and then.
     if rng.random() < 0.5:
         lab = rng.choice(_LABELS)
-        e = fresh_out(lab, lab)
+        e = CycleEntry("out", next(fresh_out))
         rng.choice(comps)["cycles"].append(BoundaryCycle((e,), (lab,)))
 
-    out_sig = ObjectSignature(n_cout, len(out_src), tuple(out_src), tuple(out_tgt))
-    return OCType(_freeze(comps), sig, out_sig)
+    frozen = _freeze(comps)
+    return OCType(frozen, *cycle_signatures(frozen, sig.closed_count, n_cout))
 
 
 def random_composable_pair(seed: int) -> tuple[OCType, OCType]:
@@ -258,27 +215,6 @@ def random_composable_pair(seed: int) -> tuple[OCType, OCType]:
 # bounded deterministic enumeration of small single-component types
 
 
-def _two_entry_cycle(d1: str, d2: str, l1: Label, l2: Label) -> BoundaryCycle:
-    i2 = 1 if d1 == d2 else 0
-    return BoundaryCycle(
-        (CycleEntry(d1, 0), CycleEntry(d2, i2)), (l1, l2)
-    )
-
-
-def _cycle_interval_labels(cycle: BoundaryCycle) -> dict:
-    """source/target labels of each interval, read off the cycle."""
-    out: dict[tuple[str, int], tuple[Label, Label]] = {}
-    k = len(cycle.entries)
-    for pos, entry in enumerate(cycle.entries):
-        succ = cycle.free_arc_labels[pos]
-        pred = cycle.free_arc_labels[(pos - 1) % k]
-        if entry.direction == "out":
-            out[(entry.direction, entry.index)] = (pred, succ)
-        else:
-            out[(entry.direction, entry.index)] = (succ, pred)
-    return out
-
-
 def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
     """Every single-component type from a bounded grammar, deterministically.
 
@@ -286,53 +222,26 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
     circle, and at most one open boundary cycle with at most two intervals
     over the given labels.  Rotation-equal cycles appear once.
     """
-    cycles: list[Optional[BoundaryCycle]] = [None]
+    cycles: list[tuple[BoundaryCycle, ...]] = [()]
     for l in labels:
-        cycles.append(free_circle(l))
+        cycles.append((free_circle(l),))
     for d in ("in", "out"):
         for l in labels:
-            cycles.append(BoundaryCycle((CycleEntry(d, 0),), (l,)))
+            cycles.append((BoundaryCycle((CycleEntry(d, 0),), (l,)),))
     seen = set()
     for d1, d2 in (("in", "in"), ("out", "out"), ("in", "out")):
         for l1 in labels:
             for l2 in labels:
-                c = _two_entry_cycle(d1, d2, l1, l2)
+                c = BoundaryCycle((CycleEntry(d1, 0), CycleEntry(d2, int(d1 == d2))), (l1, l2))
                 if c.canonical() not in seen:
                     seen.add(c.canonical())
-                    cycles.append(c)
+                    cycles.append((c,))
 
     out: list[OCType] = []
-    for genus in (0, 1):
-        for n_cin in (0, 1):
-            for n_cout in (0, 1):
-                for cyc in cycles:
-                    interval_labels: dict = {}
-                    comp_cycles: tuple[BoundaryCycle, ...] = ()
-                    if cyc is not None:
-                        comp_cycles = (cyc,)
-                        if not cyc.is_free_circle:
-                            interval_labels = _cycle_interval_labels(cyc)
-                    comp = ComponentData(
-                        genus=genus,
-                        closed_in=frozenset(range(n_cin)),
-                        closed_out=frozenset(range(n_cout)),
-                        cycles=comp_cycles,
-                    )
-
-                    def sig(direction: str, n_closed: int) -> ObjectSignature:
-                        keys = sorted(
-                            k for k in interval_labels if k[0] == direction
-                        )
-                        return ObjectSignature(
-                            n_closed,
-                            len(keys),
-                            tuple(interval_labels[k][0] for k in keys),
-                            tuple(interval_labels[k][1] for k in keys),
-                        )
-
-                    out.append(
-                        OCType((comp,), sig("in", n_cin), sig("out", n_cout))
-                    )
+    for genus, n_cin, n_cout in itertools.product((0, 1), repeat=3):
+        for cyc in cycles:
+            comp = ComponentData(genus, frozenset(range(n_cin)), frozenset(range(n_cout)), cyc)
+            out.append(OCType((comp,), *cycle_signatures((comp,), n_cin, n_cout)))
     return out
 
 

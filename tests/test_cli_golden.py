@@ -82,6 +82,10 @@ EDITED = {
     "int_label": (
         partial(_bundled_type, "free_annulus"), [1, "a"], ("components", 0, "free_circles")
     ),
+    # an object or a string where a JSON list belongs
+    "object_circles": (partial(_bundled_type, "free_annulus"), {}, ("components", 0, "closed_in")),
+    "string_cycles": (partial(_bundled_type, "free_annulus"), "", ("components", 0, "cycles")),
+    "string_pair": (partial(_field, 0.0, 4, 0.2j), "ab", ("values", 0)),
 }
 
 
@@ -153,6 +157,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
             tmp / "string_quads", json.dumps({"quads": [["0", "1", "2", "3"]]})
         ),
         "corpus_list": _corpus(tmp / "list_corpus", json.dumps([[0.0, 1.0, 2.0, 3.0]])),
+        "corpus_object_quads": _corpus(tmp / "object_quads", json.dumps({"quads": {}})),
     }
 
 

@@ -11,6 +11,13 @@ from segal.errors import SegalError
 
 NAN, INF = math.nan, math.inf
 
+
+def _chart(x0=0.0, x1=1.0, image=0.5, fz=1.0):
+    """A constant 2x2 sampled chart map with one argument replaced."""
+    image, fz, fzbar = (np.full((2, 2), complex(v)) for v in (image, fz, 0.0))
+    return beltrami.SampledChartMap(x0, x1, 0.0, 1.0, image, fz, fzbar)
+
+
 CASES = {
     "field-value-nan": lambda: beltrami.DilatationField(0, 1, 0, 1, np.array([[NAN + 0j]])),
     "field-value-inf": lambda: beltrami.DilatationField(0, 1, 0, 1, np.array([[complex(0, INF)]])),
@@ -29,6 +36,15 @@ CASES = {
     "glue-height-nan": lambda: flattening.glue_identity(y_max=NAN),
     "linear-map-nan": lambda: beltrami.LinearMapZZbar(NAN, 0.0),
     "transform-fz-nan": lambda: beltrami.transform_mu(0.1, 0.0, NAN, 0.0),
+    "transform-fz-inf": lambda: beltrami.transform_mu(0.1, 0.2, complex(INF, 0.0), 0.0),
+    "transform-field-fz-inf": lambda: beltrami.transform_field(
+        beltrami.DilatationField.constant(0.1, 0, 1, 0, 1, 2, 2), 0.2, complex(INF, 0.0), 0.0
+    ),
+    "chart-image-nan": lambda: _chart(image=NAN),
+    "chart-fz-nan": lambda: _chart(fz=NAN),
+    "chart-fz-inf": lambda: _chart(fz=INF),
+    "chart-rect-nan": lambda: _chart(x1=NAN),
+    "chart-rect-reversed": lambda: _chart(x0=1.0, x1=0.0),
     "pullback-u-nan": lambda: beltrami.pullback_mu(0.1, 0.0, complex(NAN, 0.0)),
     "corner-point-nan": lambda: quasisym.corner_transform(quasisym.half_angle_piecewise())(NAN),
     "circle-point-inf": lambda: quasisym.circle_identity()(complex(INF, 0.0)),
