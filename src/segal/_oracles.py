@@ -10,8 +10,7 @@ the acceptance runner, which replays every check at run time.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Callable, Iterable
+from typing import Callable
 
 from .cobordism import OCType
 
@@ -23,79 +22,71 @@ from .cobordism import OCType
 # by slit . content . slit^-1 with a fresh slit edge.  Content is a loop
 # edge for a parametrised circle, an alternating interval/arc sequence for
 # a mixed boundary circle, and a single arc edge for a free circle.  Gluing
-# two surfaces makes the matched interval and circle edges shared names with
-# opposite traversal signs; Euler characteristic, connectivity and boundary
-# structure then come from plain counting on the complex.
+# two surfaces makes each matched interval and circle one edge, used twice
+# with opposite traversal signs; Euler characteristic, connectivity and
+# boundary structure then come from plain counting on the complex.
+#
+# The complex is integer-coded.  Edge e indexes one descriptor list (None
+# for genus, slit and sphere edges, else ("circ", direction, ident),
+# ("iv", direction, index) or ("arc", label)); its tail is vertex 2e and its
+# head vertex 2e+1.  A word lists occurrence codes: 2e runs along e, 2e+1
+# against it, so occurrence o runs from vertex o to vertex o ^ 1.
 
-_Word = list[tuple[tuple, int, tuple | None]]
 
+def _polygon_words(
+    t: OCType, side: str, glued: str | None, descs: list, shared: dict
+) -> list[list[int]]:
+    """One word per component of t, appending each new edge to ``descs``.
 
-def _slit_block(side, ci: int, bi: int, content: _Word) -> _Word:
-    s = ("slit", side, ci, bi)
-    return [(s, 1, None)] + content + [(s, -1, None)]
+    ``glued`` is the interval and circle direction this side gives up.  A
+    glued circle or interval is keyed in ``shared`` without side and
+    direction, so it meets its partner on the other surface; every other one
+    is keyed by side and direction, so a repeat on the same side reuses it.
+    """
 
+    def fresh(desc=None) -> int:
+        descs.append(desc)
+        return 2 * len(descs) - 2
 
-def _polygon_words(t: OCType, side, glue_out: bool, glue_in: bool) -> list[_Word]:
-    words: list[_Word] = []
-    for ci, comp in enumerate(t.components):
-        word: _Word = []
-        for i in range(comp.genus):
-            a = ("h", side, ci, i, "a")
-            b = ("h", side, ci, i, "b")
-            word += [(a, 1, None), (b, 1, None), (a, -1, None), (b, -1, None)]
-        bi = 0
-        for ident in sorted(comp.closed_in):
-            name = ("gc", ident) if glue_in else ("cin", side, ident)
-            word += _slit_block(side, ci, bi, [(name, -1, ("circ", "in", ident))])
-            bi += 1
-        for ident in sorted(comp.closed_out):
-            name = ("gc", ident) if glue_out else ("cout", side, ident)
-            word += _slit_block(side, ci, bi, [(name, 1, ("circ", "out", ident))])
-            bi += 1
-        for ki, cyc in enumerate(comp.cycles):
-            content: _Word = []
+    def edge(kind: str, direction: str, ident) -> int:
+        key = (kind, ident) if direction == glued else (side, kind, direction, ident)
+        e = shared.get(key)
+        if e is None:
+            e = shared[key] = len(descs)
+            descs.append((kind, direction, ident))
+        return 2 * e + (direction != "out")
+
+    words: list[list[int]] = []
+    for comp in t.components:
+        word: list[int] = []
+        for _ in range(comp.genus):
+            a, b = fresh(), fresh()
+            word += (a, b, a + 1, b + 1)
+        for direction, idents in (("in", comp.closed_in), ("out", comp.closed_out)):
+            for ident in sorted(idents):
+                s = fresh()
+                word += (s, edge("circ", direction, ident), s + 1)
+        for cyc in comp.cycles:
+            s = fresh()
+            word.append(s)
+            arcs = cyc.free_arc_labels
             if cyc.is_free_circle:
-                content.append((("arc", side, ci, ki, 0), 1, ("arc", cyc.free_arc_labels[0])))
-            else:
-                for pi, e in enumerate(cyc.entries):
-                    glued = (e.direction == "out" and glue_out) or (
-                        e.direction == "in" and glue_in
-                    )
-                    name = ("gi", e.index) if glued else ("iv", side, e.direction, e.index)
-                    sign = 1 if e.direction == "out" else -1
-                    content.append((name, sign, ("iv", e.direction, e.index)))
-                    content.append(
-                        (("arc", side, ci, ki, pi), 1, ("arc", cyc.free_arc_labels[pi]))
-                    )
-            word += _slit_block(side, ci, bi, content)
-            bi += 1
+                word.append(fresh(("arc", arcs[0])))
+            for pi, e in enumerate(cyc.entries):
+                word += (edge("iv", e.direction, e.index), fresh(("arc", arcs[pi])))
+            word.append(s + 1)
         if not word:
             # Closed genus-0 component: the sphere word a a^-1.
-            e = ("sphere", side, ci)
-            word = [(e, 1, None), (e, -1, None)]
+            a = fresh()
+            word = [a, a + 1]
         words.append(word)
     return words
 
 
-class _UF:
-    def __init__(self):
-        self.p: dict = {}
-
-    def add(self, k):
-        self.p.setdefault(k, k)
-
-    def find(self, k):
-        while self.p[k] != k:
-            self.p[k] = self.p[self.p[k]]
-            k = self.p[k]
-        return k
-
-    def union(self, a, b):
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[ra] = rb
+def _find(parent: list[int], k: int) -> int:
+    while parent[k] != k:
+        parent[k] = k = parent[parent[k]]
+    return k
 
 
 def _min_rotation(seq: tuple) -> tuple:
@@ -104,134 +95,129 @@ def _min_rotation(seq: tuple) -> tuple:
     return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
 
 
-def complex_summary(words: list[_Word]) -> tuple:
+def complex_summary(words: list[list[int]], descs: list) -> tuple:
     """Canonical per-component summary of a glued polygon complex.
 
-    Returns a sorted tuple of
+    ``words`` holds one list of occurrence codes per face, ``descs`` one
+    descriptor per edge.  Returns a sorted tuple of
     (genus, closed-in idents, closed-out idents, open boundary encodings)
     where open encodings match ``BoundaryCycle.canonical``.
     """
-    occ: dict[tuple, list[tuple[int, int, int]]] = defaultdict(list)
+    n_edges = len(descs)
+    uses = [0] * n_edges
+    first = [0] * n_edges  # each edge's first occurrence code
+    face = [0] * n_edges  # and its face
+    repeats: list[tuple[int, int]] = []  # (code, face) of every later one
+    vpar = list(range(2 * n_edges))
     for f, w in enumerate(words):
-        for p, (name, sign, _) in enumerate(w):
-            occ[name].append((f, p, sign))
-    for name, os in occ.items():
-        if len(os) > 2:
-            raise ValueError(f"edge {name} has {len(os)} occurrences")
-        if len(os) == 2 and os[0][2] == os[1][2]:
-            raise ValueError(f"edge {name} glued without reversing orientation")
+        end = w[-1] ^ 1
+        for o in w:
+            # the corner where the previous occurrence ends and o starts
+            a, b = _find(vpar, end), _find(vpar, o)
+            if a != b:
+                vpar[a] = b
+            end = o ^ 1
+            e = o >> 1
+            if uses[e]:
+                repeats.append((o, f))
+            else:
+                first[e], face[e] = o, f
+            uses[e] += 1
+    bad = [o >> 1 for o, _ in repeats if uses[o >> 1] > 2 or first[o >> 1] == o]
+    if bad:
+        e = min(bad)  # the first edge of the words to go wrong
+        if uses[e] > 2:
+            raise ValueError(f"edge {descs[e]} has {uses[e]} occurrences")
+        raise ValueError(f"edge {descs[e]} glued without reversing orientation")
+    fpar = list(range(len(words)))
+    for o, f in repeats:
+        a, b = _find(fpar, face[o >> 1]), _find(fpar, f)
+        if a != b:
+            fpar[a] = b
+    comp = [_find(fpar, f) for f in range(len(words))]
 
-    vuf = _UF()
-    for name in occ:
-        vuf.add((name, "t"))
-        vuf.add((name, "h"))
-    for w in words:
-        L = len(w)
-        for p in range(L):
-            n1, s1, _ = w[p]
-            n2, s2, _ = w[(p + 1) % L]
-            vuf.union((n1, "h" if s1 > 0 else "t"), (n2, "t" if s2 > 0 else "h"))
-
-    fuf = _UF()
-    for f in range(len(words)):
-        fuf.add(f)
-    for name, os in occ.items():
-        if len(os) == 2:
-            fuf.union(os[0][0], os[1][0])
+    # chi = V - E + F per component, in one pass over the edges: each edge
+    # counts -1, and +1 for each of its two ends that is its vertex's root.
+    chi = dict.fromkeys(comp, 0)
+    for r in comp:
+        chi[r] += 1
+    for e in range(n_edges):
+        chi[comp[face[e]]] += (vpar[2 * e] == 2 * e) + (vpar[2 * e + 1] == 2 * e + 1) - 1
 
     # Boundary = edges with a single occurrence, traced as directed cycles.
-    bocc = {name: os[0] for name, os in occ.items() if len(os) == 1}
-    start_of: dict = {}
-    end_of: dict = {}
-    for name, (f, p, s) in bocc.items():
-        sv = vuf.find((name, "t" if s > 0 else "h"))
-        ev = vuf.find((name, "h" if s > 0 else "t"))
+    boundary = [e for e in range(n_edges) if uses[e] == 1]
+    start_of: dict[int, int] = {}
+    end_of: dict[int, int] = {}
+    for e in boundary:
+        sv = _find(vpar, first[e])
         if sv in start_of:
             raise ValueError("boundary is not a directed 1-manifold")
-        start_of[sv] = name
-        end_of[name] = ev
+        start_of[sv] = e
+        end_of[e] = _find(vpar, first[e] ^ 1)
 
-    cycles: list[list[tuple]] = []
-    seen: set = set()
-    for name0 in sorted(bocc):
-        if name0 in seen:
+    data = {r: (set(), set(), []) for r in chi}
+    for e0 in boundary:
+        if e0 not in end_of:  # already traced: popping marks an edge done
             continue
         cyc = []
-        name = name0
+        e = e0
         while True:
-            seen.add(name)
-            f, p, _ = bocc[name]
-            cyc.append((name, words[f][p][2], f))
-            name = start_of[end_of[name]]
-            if name == name0:
+            cyc.append(descs[e])
+            nxt = start_of[end_of.pop(e)]
+            if nxt == e0:
                 break
-        cycles.append(cyc)
-
-    comp_data: dict = defaultdict(lambda: {"faces": set(), "cin": set(), "cout": set(), "open": []})
-    for f in range(len(words)):
-        comp_data[fuf.find(f)]["faces"].add(f)
-
-    for cyc in cycles:
-        cls = fuf.find(cyc[0][2])
-        descs = [d for _, d, _ in cyc]
-        kinds = {d[0] for d in descs}
+            e = nxt
+        cin, cout, opens = data[comp[face[e0]]]
+        kinds = {d[0] for d in cyc}
         if kinds == {"circ"}:
-            if len(descs) != 1:
+            if len(cyc) != 1:
                 raise ValueError("parametrised circle traced with extra edges")
-            _, direction, ident = descs[0]
-            comp_data[cls]["cin" if direction == "in" else "cout"].add(ident)
+            _, direction, ident = cyc[0]
+            (cin if direction == "in" else cout).add(ident)
         elif kinds == {"arc"}:
-            labels = {d[1] for d in descs}
+            labels = {d[1] for d in cyc}
             if len(labels) != 1:
                 raise ValueError(f"free circle with mixed labels {sorted(labels)}")
-            comp_data[cls]["open"].append((("free", labels.pop()),))
+            opens.append((("free", labels.pop()),))
         else:
-            iv_at = [i for i, d in enumerate(descs) if d[0] == "iv"]
+            iv_at = [i for i, d in enumerate(cyc) if d[0] == "iv"]
             enc = []
-            k = len(descs)
+            k = len(cyc)
             for j, i in enumerate(iv_at):
                 stop = iv_at[(j + 1) % len(iv_at)]
                 labels = set()
                 p = (i + 1) % k
                 while p != stop:
-                    labels.add(descs[p][1])
+                    labels.add(cyc[p][1])
                     p = (p + 1) % k
                 if len(labels) != 1:
                     raise ValueError(f"arc run with mixed labels {sorted(labels)}")
-                enc.append((descs[i][1], descs[i][2], labels.pop()))
-            comp_data[cls]["open"].append(_min_rotation(tuple(enc)))
+                enc.append((cyc[i][1], cyc[i][2], labels.pop()))
+            opens.append(_min_rotation(tuple(enc)))
 
     summary = []
-    for cls, data in comp_data.items():
-        faces = data["faces"]
-        names = {name for name, os in occ.items() if os[0][0] in faces}
-        verts = {vuf.find((n, e)) for n in names for e in ("t", "h")}
-        chi = len(verts) - len(names) + len(faces)
-        n = len(data["cin"]) + len(data["cout"]) + len(data["open"])
-        num = 2 - chi - n
+    for r, (cin, cout, opens) in data.items():
+        n = len(cin) + len(cout) + len(opens)
+        num = 2 - chi[r] - n
         if num < 0 or num % 2:
-            raise ValueError(f"component with chi={chi}, n={n} admits no genus")
-        summary.append(
-            (
-                num // 2,
-                tuple(sorted(data["cin"])),
-                tuple(sorted(data["cout"])),
-                tuple(sorted(data["open"])),
-            )
-        )
+            raise ValueError(f"component with chi={chi[r]}, n={n} admits no genus")
+        summary.append((num // 2, tuple(sorted(cin)), tuple(sorted(cout)), tuple(sorted(opens))))
     return tuple(sorted(summary))
 
 
 def glued_summary(t1: OCType, t2: OCType) -> tuple:
     """Summary of t1 glued to t2, computed on the cell complex."""
-    words = _polygon_words(t1, "A", glue_out=True, glue_in=False)
-    words += _polygon_words(t2, "B", glue_out=False, glue_in=True)
-    return complex_summary(words)
+    descs: list = []
+    shared: dict = {}
+    words = _polygon_words(t1, "A", "out", descs, shared)
+    words += _polygon_words(t2, "B", "in", descs, shared)
+    return complex_summary(words, descs)
 
 
 def single_summary(t: OCType) -> tuple:
     """Summary of one surface type on its own complex (nothing glued)."""
-    return complex_summary(_polygon_words(t, "A", glue_out=False, glue_in=False))
+    descs: list = []
+    return complex_summary(_polygon_words(t, "A", None, descs, {}), descs)
 
 
 def octype_summary(t: OCType) -> tuple:

@@ -164,7 +164,10 @@ def criterion_1_associativity(tol_scale: float, data: AcceptanceCorpus) -> Verdi
 
 def criterion_2_compose_oracle(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
     small = corpus.enumerate_small_types()
-    pairs = [(t1, t2) for t1 in small for t2 in small if t1.out_signature == t2.in_signature]
+    by_in: dict[cobordism.ObjectSignature, list[cobordism.OCType]] = {}
+    for t in small:
+        by_in.setdefault(t.in_signature, []).append(t)
+    pairs = [(t1, t2) for t1 in small for t2 in by_in.get(t1.out_signature, ())]
     seeded = (corpus.random_composable_pair(seed) for seed in range(_PAIRS))
     pairs += [(t1, t2) for t1, t2 in seeded if _small(t1) and _small(t2)]
     mismatches = sum(

@@ -226,6 +226,17 @@ def _require_rectangle(x0: float, x1: float, y0: float, y1: float) -> None:
         raise GridMismatch("rectangle is empty or not finite")
 
 
+def _cell_centers(
+    x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of the nx-by-ny cells of the rectangle: x values, y values."""
+    if nx < 1 or ny < 1:
+        raise GridMismatch(f"a {nx}x{ny} grid has no cells")
+    xs = x0 + (np.arange(nx) + 0.5) * ((x1 - x0) / nx)
+    ys = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class DilatationField:
     """Cell-centered complex samples on an axis-aligned rectangle.
@@ -268,9 +279,7 @@ class DilatationField:
         return (self.y1 - self.y0) / self.ny
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = self.x0 + (np.arange(self.nx) + 0.5) * self.dx
-        ys = self.y0 + (np.arange(self.ny) + 0.5) * self.dy
-        return xs, ys
+        return _cell_centers(self.x0, self.x1, self.y0, self.y1, self.nx, self.ny)
 
     @classmethod
     def constant(
@@ -289,10 +298,7 @@ class DilatationField:
         nx: int,
         ny: int,
     ) -> "DilatationField":
-        dx = (x1 - x0) / nx
-        dy = (y1 - y0) / ny
-        xs = x0 + (np.arange(nx) + 0.5) * dx
-        ys = y0 + (np.arange(ny) + 0.5) * dy
+        xs, ys = _cell_centers(x0, x1, y0, y1, nx, ny)
         vals = np.array([[complex(f(complex(x, y))) for x in xs] for y in ys])
         return cls(x0, x1, y0, y1, vals)
 
@@ -446,6 +452,8 @@ class SampledChartMap:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         if not (self.image.shape == self.fz.shape == self.fzbar.shape):
             raise GridMismatch("image and derivative grids must share a shape")
+        if self.image.ndim != 2 or self.image.size == 0:
+            raise GridMismatch("image and derivative grids must be non-empty 2-d arrays")
         if not all(np.isfinite(a).all() for a in (self.image, self.fz, self.fzbar)):
             raise GridMismatch("image and derivative samples must be finite")
         jac = np.abs(self.fz) ** 2 - np.abs(self.fzbar) ** 2
@@ -467,10 +475,7 @@ class SampledChartMap:
         derivatives: Optional[Callable[[complex], tuple[complex, complex]]] = None,
         h: float = 1e-6,
     ) -> "SampledChartMap":
-        dx = (x1 - x0) / nx
-        dy = (y1 - y0) / ny
-        xs = x0 + (np.arange(nx) + 0.5) * dx
-        ys = y0 + (np.arange(ny) + 0.5) * dy
+        xs, ys = _cell_centers(x0, x1, y0, y1, nx, ny)
         image = np.empty((ny, nx), dtype=complex)
         fz = np.empty_like(image)
         fzbar = np.empty_like(image)

@@ -219,6 +219,27 @@ def _interval_occurrences(t: OCType) -> dict[tuple[str, int], list[tuple[int, in
     return occ
 
 
+_LISTED = 10  # missing identifiers a violation names one by one
+
+
+def _in_range(ident, count: int) -> bool:
+    return isinstance(ident, int) and 0 <= ident < count
+
+
+def _absent(present: Iterable, count: int) -> tuple[list[int], int]:
+    """The first ``_LISTED`` identifiers of 0..count-1 not in ``present``,
+    and how many are not; the cost follows ``present``, not ``count``."""
+    inside = {i for i in present if _in_range(i, count)}
+    n_missing = max(count, 0) - len(inside)
+    missing: list[int] = []
+    i = 0
+    while len(missing) < min(n_missing, _LISTED):
+        if i not in inside:
+            missing.append(i)
+        i += 1
+    return missing, n_missing
+
+
 def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> ValidationReport:
     """Check every structural invariant; collect human-readable violations.
 
@@ -249,25 +270,33 @@ def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> Val
                 if ident in seen:
                     v.append(f"closed {side} circle {ident} assigned to two components")
                 seen[ident] = ci
-        expected = set(range(count))
-        missing = expected - set(seen)
-        extra = set(seen) - expected
-        if missing:
-            v.append(f"unassigned closed {side} circles: {sorted(missing)}")
+        missing, n_missing = _absent(seen, count)
+        extra = sorted(ident for ident in seen if not _in_range(ident, count))
+        if n_missing:
+            more = f", {n_missing} in all" if n_missing > len(missing) else ""
+            v.append(f"unassigned closed {side} circles: {missing}{more}")
         if extra:
-            v.append(f"unknown closed {side} circle identifiers: {sorted(extra)}")
+            v.append(f"unknown closed {side} circle identifiers: {extra}")
 
     # Interval ownership across all cycles.
     occ = _interval_occurrences(t)
     for direction, count in (("in", t.in_signature.open_count), ("out", t.out_signature.open_count)):
-        for idx in range(count):
-            hits = occ.get((direction, idx), [])
-            if not hits:
-                v.append(f"open {direction} interval {idx} appears in no cycle")
-            elif len(hits) > 1:
-                v.append(f"open {direction} interval {idx} appears in {len(hits)} cycles")
-        for (d, idx), hits in occ.items():
-            if d == direction and idx >= count:
+        hits = {idx: len(h) for (d, idx), h in occ.items() if d == direction}
+        missing, n_missing = _absent(hits, count)
+        lines = [(idx, f"open {direction} interval {idx} appears in no cycle") for idx in missing]
+        lines += [
+            (idx, f"open {direction} interval {idx} appears in {n} cycles")
+            for idx, n in hits.items()
+            if n > 1 and _in_range(idx, count)
+        ]
+        v += [line for _, line in sorted(lines)]
+        if n_missing > len(missing):
+            v.append(
+                f"open {direction} intervals in no cycle: {n_missing} in all, "
+                f"the first {len(missing)} listed"
+            )
+        for idx in hits:
+            if idx >= count:
                 v.append(f"unknown open {direction} interval identifier {idx}")
 
     for ci, comp in enumerate(t.components):

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import segal
-from segal import cli
 from segal.cli import COMMANDS, main
 
 BUNDLED = Path(segal.__file__).resolve().parent / "data" / "corpus"
@@ -116,16 +115,6 @@ class TestDispatchTable:
                 mod_name, fn_name = u.split(".")
                 mod = getattr(segal, mod_name)
                 assert callable(getattr(mod, fn_name)), u
-
-    def test_uses_appear_in_cli_source(self):
-        import inspect
-
-        src = inspect.getsource(cli)
-        # the chain-algebra module is imported under an alias
-        for c in COMMANDS:
-            for u in c.uses:
-                text = u.replace("chains.", "chainalg.")
-                assert text in src, f"{u} listed but never referenced"
 
 
 class TestExitCodes:

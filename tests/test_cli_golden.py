@@ -13,6 +13,7 @@ every number is masked and only the labels, keys and verdicts must match.
 import json
 import math
 import re
+import sys
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -86,6 +87,9 @@ EDITED = {
     "object_circles": (partial(_bundled_type, "free_annulus"), {}, ("components", 0, "closed_in")),
     "string_cycles": (partial(_bundled_type, "free_annulus"), "", ("components", 0, "cycles")),
     "string_pair": (partial(_field, 0.0, 4, 0.2j), "ab", ("values", 0)),
+    # signature counts far beyond what the file assigns
+    "million_closed": (partial(_bundled_type, "cylinder"), 1_000_000, ("in", "C")),
+    "million_open": (partial(_bundled_type, "cylinder"), 1_000_000, ("in", "O")),
 }
 
 
@@ -205,3 +209,41 @@ def test_golden_covers_every_subcommand_in_both_formats():
 def test_golden_ids_unique():
     ids = [_case_id(c) for c in GOLDEN]
     assert len(ids) == len(set(ids))
+
+
+def _record_calls(patch: pytest.MonkeyPatch, uses: tuple[str, ...]) -> set[str]:
+    """Wrap each ``module.function`` in ``uses`` wherever a segal module holds
+    it; the returned set collects the names of those that get called."""
+    called: set[str] = set()
+    for use in uses:
+        mod_name, fn_name = use.split(".")
+        original = getattr(getattr(segal, mod_name), fn_name)
+
+        def wrapper(*args, _use=use, _original=original, **kwargs):
+            called.add(_use)
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "segal" or name.startswith("segal."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        patch.setattr(module, attr, wrapper)
+    return called
+
+
+def test_every_use_is_called_by_its_command(tmp_path, capsys, monkeypatch):
+    """Each function a command lists in ``uses`` runs in one of its golden
+    cases, so the table cannot name a function the command never reaches."""
+    monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
+    inputs = write_inputs(tmp_path)
+    never = {}
+    for cmd in cli.COMMANDS:
+        key = (cmd.group, cmd.name) if cmd.group else (cmd.name,)
+        with monkeypatch.context() as patch:
+            called = _record_calls(patch, cmd.uses)
+            for case in GOLDEN:
+                if _command(case["argv"]) == key and called != set(cmd.uses):
+                    invoke(case["argv"], inputs, capsys)
+        if called != set(cmd.uses):
+            never[key] = sorted(set(cmd.uses) - called)
+    assert not never, f"commands that never call a function in their uses: {never}"

@@ -89,6 +89,30 @@ def test_validate_flags_lost_and_duplicated_intervals():
     assert any("interval 1 appears in no cycle" in v for v in report.violations)
 
 
+def test_validate_costs_what_the_type_holds_not_its_counts():
+    """Counts of 10**12 name the first ten missing identifiers and a total."""
+    big = ObjectSignature(10**12, 10**12, ("a",), ("a",))
+    report = validate_type(OCType(corpus.cylinder().components, big, ObjectSignature(1, 0)))
+    first = list(range(1, 11))
+    assert report.violations == (
+        "in signature: label list length != open_count",
+        f"unassigned closed in circles: {first}, {10**12 - 1} in all",
+        *(f"open in interval {i} appears in no cycle" for i in range(10)),
+        f"open in intervals in no cycle: {10**12} in all, the first 10 listed",
+    )
+
+
+def test_validate_lists_up_to_ten_missing_in_order_with_repeats():
+    cyc = BoundaryCycle((CycleEntry("out", 4),), ("a",))
+    comp = ComponentData(genus=0, cycles=(cyc, cyc))
+    t = OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 11, ("a",) * 11, ("a",) * 11))
+    lines = [v for v in validate_type(t).violations if v.startswith("open out interval")]
+    assert lines == [
+        f"open out interval {i} " + ("appears in 2 cycles" if i == 4 else "appears in no cycle")
+        for i in range(11)
+    ]
+
+
 def test_validate_flags_duplicate_closed_circle():
     c1 = ComponentData(genus=0, closed_in=frozenset({0}), cycles=(free_circle(),))
     c2 = ComponentData(genus=0, closed_in=frozenset({0}), cycles=(free_circle(),))

@@ -1,5 +1,5 @@
 """Every public constructor, and every map applied to a point, rejects
-non-finite input with a typed error."""
+non-finite input, and a grid with no cells, with a typed error."""
 
 import math
 
@@ -59,6 +59,14 @@ CASES = {
     "qc-K-nan": lambda: modulus.check_geometric_qc(NAN, []),
     "qc-K-inf": lambda: modulus.check_geometric_qc(INF, []),
     "qc-slack-nan": lambda: modulus.check_geometric_qc(2.0, [], slack=NAN),
+    # grids with no cells
+    "chart-empty-grid": lambda: beltrami.SampledChartMap(0, 1, 0, 1, *(np.zeros((0, 2)),) * 3),
+    "chart-callable-no-columns": lambda: beltrami.SampledChartMap.from_callable(
+        lambda z: z, 0, 1, 0, 1, 0, 2
+    ),
+    "field-function-no-columns": lambda: beltrami.DilatationField.from_function(
+        lambda z: 0j, 0, 1, 0, 1, 0, 2
+    ),
 }
 
 
