@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence, TextIO
 
@@ -226,12 +227,22 @@ def _require_rectangle(x0: float, x1: float, y0: float, y1: float) -> None:
         raise GridMismatch("rectangle is empty or not finite")
 
 
+def _grid_counts(nx: int, ny: int) -> tuple[int, int]:
+    """The column and row counts as integers; a grid needs one cell or more."""
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise GridMismatch(f"grid counts {nx!r}x{ny!r} are not integers") from None
+    if nx < 1 or ny < 1:
+        raise GridMismatch(f"a {nx}x{ny} grid has no cells")
+    return nx, ny
+
+
 def _cell_centers(
     x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the nx-by-ny cells of the rectangle: x values, y values."""
-    if nx < 1 or ny < 1:
-        raise GridMismatch(f"a {nx}x{ny} grid has no cells")
+    nx, ny = _grid_counts(nx, ny)
     xs = x0 + (np.arange(nx) + 0.5) * ((x1 - x0) / nx)
     ys = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
     return xs, ys
@@ -285,6 +296,7 @@ class DilatationField:
     def constant(
         cls, value: complex, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
     ) -> "DilatationField":
+        nx, ny = _grid_counts(nx, ny)
         return cls(x0, x1, y0, y1, np.full((ny, nx), complex(value)))
 
     @classmethod

@@ -187,10 +187,16 @@ def _command(argv: list[str]) -> tuple[str, ...]:
     return (argv[0],) if argv[0] == "accept" else tuple(argv[:2])
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, str]:
+    """One set of input files for every case; no case writes a file another reads."""
+    return write_inputs(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
-def test_golden(case, tmp_path, capsys, monkeypatch):
+def test_golden(case, inputs, capsys, monkeypatch):
     monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
-    got = invoke(case["argv"], write_inputs(tmp_path), capsys)
+    got = invoke(case["argv"], inputs, capsys)
     assert (got["code"], got["stderr"]) == (case["code"], case["stderr"])
     if _command(case["argv"]) in SCIPY_BACKED:
         json_mode = "json" in case["argv"]
@@ -231,11 +237,10 @@ def _record_calls(patch: pytest.MonkeyPatch, uses: tuple[str, ...]) -> set[str]:
     return called
 
 
-def test_every_use_is_called_by_its_command(tmp_path, capsys, monkeypatch):
+def test_every_use_is_called_by_its_command(inputs, capsys, monkeypatch):
     """Each function a command lists in ``uses`` runs in one of its golden
     cases, so the table cannot name a function the command never reaches."""
     monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
-    inputs = write_inputs(tmp_path)
     never = {}
     for cmd in cli.COMMANDS:
         key = (cmd.group, cmd.name) if cmd.group else (cmd.name,)

@@ -1,5 +1,6 @@
 """Every public constructor, and every map applied to a point, rejects
-non-finite input, and a grid with no cells, with a typed error."""
+non-finite input, and a grid with no cells or a fractional cell count, with a
+typed error."""
 
 import math
 
@@ -66,6 +67,16 @@ CASES = {
     ),
     "field-function-no-columns": lambda: beltrami.DilatationField.from_function(
         lambda z: 0j, 0, 1, 0, 1, 0, 2
+    ),
+    # grid counts that are not integers
+    "field-function-fractional-columns": lambda: beltrami.DilatationField.from_function(
+        lambda z: 0j, 0, 1, 0, 1, 2.5, 2
+    ),
+    "field-constant-fractional-columns": lambda: beltrami.DilatationField.constant(
+        0.1, 0, 1, 0, 1, 2.5, 2
+    ),
+    "chart-callable-fractional-columns": lambda: beltrami.SampledChartMap.from_callable(
+        lambda z: z, 0, 1, 0, 1, 2.5, 2
     ),
 }
 
