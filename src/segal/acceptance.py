@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
 from ._input import json_list, json_number, json_object, load_file
 from ._oracles import (
@@ -136,6 +134,8 @@ def _sample_mu(rng: random.Random, r_max: float = 0.95) -> complex:
 def _random_field(
     rng: random.Random, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> beltrami.DilatationField:
+    import numpy as np  # here, so loading a corpus loads no numpy
+
     vals = np.array(
         [[_sample_mu(rng, 0.9) for _ in range(nx)] for _ in range(ny)]
     )

@@ -6,13 +6,14 @@ a position x with |x| > 1, possibly wrapped through infinity to the segment
 left of -1.  The module is the side-length ratio of the conformally mapped
 rectangle, computed from the two bounded period integrals of
 1/sqrt(s(s^2-1)(s-x)), which cover both position branches unchanged.
-scipy's adaptive quadrature is imported on the first module computation,
-not with this module.
+The integrals use QUADPACK's adaptive 21-point Gauss-Kronrod scheme,
+written here in plain Python, so this module needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -91,26 +92,119 @@ def cross_ratio(z0: float, z1: float, z2: float, z3: float) -> float:
     return ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2))
 
 
-def _integrand(s: float, x: float) -> float:
-    p = abs(s * (s - 1.0) * (s + 1.0) * (s - x))
-    return 1.0 / math.sqrt(p)
+# Targets of the period quadrature: absolute and relative error, and the
+# most pieces the adaptive bisection may split one half-integral into.
+QUAD_EPSABS = 1e-14
+QUAD_EPSREL = 1e-11
+QUAD_LIMIT = 200
+
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al. 1983,
+# routine qk21): the ten positive Kronrod abscissae, outermost first, and
+# their weights.  The odd-indexed abscissae are the 10-point Gauss nodes,
+# with weights _WG.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980528854, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# All 21 nodes (centre, then the negative and the positive abscissae) with
+# their Kronrod weights and their Gauss weights (0 off the Gauss nodes).
+_NODES = (0.0,) + tuple(-t for t in _XGK) + _XGK
+_KRONROD = (0.149445554002916905664936468389821,) + _WGK + _WGK
+_GAUSS = (0.0,) + 2 * tuple(w for g in _WG for w in (0.0, g))
+_EPS = 2.0 ** -52
+
+
+def _kronrod21(f, lo: float, hi: float) -> tuple[float, float]:
+    """21-point Kronrod value of a positive f on [lo < hi], and its error.
+
+    f maps a list of points to the list of its values there.  The error
+    estimate is qk21's: the Gauss-Kronrod difference, scaled against the
+    spread of f about its mean and floored at 50 ulp of the value (of the
+    integral of |f| in qk21, the same thing for a positive f).
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = f([centre + half * t for t in _NODES])
+    kronrod = math.fsum(map(operator.mul, _KRONROD, values))
+    gauss = math.fsum(map(operator.mul, _GAUSS, values))
+    mean = 0.5 * kronrod
+    spread = half * math.fsum(map(operator.mul, _KRONROD, [abs(v - mean) for v in values]))
+    value = kronrod * half
+    err = abs(kronrod - gauss) * half
+    if spread != 0.0 and err != 0.0:
+        t = 200.0 * err / spread
+        err = spread * min(1.0, t * math.sqrt(t))
+    return value, max(50.0 * _EPS * value, err)
+
+
+def _adaptive_kronrod(f, points: Sequence[float]) -> tuple[float, float]:
+    """Integral of f from points[0] to points[-1] and its error estimate.
+
+    QUADPACK's global adaptive scheme (qag): apply the 21-point rule to each
+    piece between consecutive breakpoints, then bisect the piece with the
+    largest error estimate until the summed estimate meets
+    max(QUAD_EPSABS, QUAD_EPSREL * |value|) or QUAD_LIMIT pieces exist.
+    """
+    pieces = [(lo, hi, *_kronrod21(f, lo, hi)) for lo, hi in zip(points, points[1:])]
+    while True:
+        value = math.fsum(p[2] for p in pieces)
+        err = math.fsum(p[3] for p in pieces)
+        if err <= max(QUAD_EPSABS, QUAD_EPSREL * abs(value)) or len(pieces) >= QUAD_LIMIT:
+            return value, err
+        worst = max(pieces, key=lambda p: p[3])
+        pieces.remove(worst)
+        lo, hi = worst[:2]
+        mid = 0.5 * (lo + hi)
+        pieces += [(lo, mid, *_kronrod21(f, lo, mid)), (mid, hi, *_kronrod21(f, mid, hi))]
 
 
 def _side_integral(a: float, b: float, x: float) -> float:
-    """Integral of the period integrand over [a, b], both endpoints roots.
+    """Integral of 1/sqrt|s(s^2-1)(s-x)| over [a, b], both endpoints roots.
 
-    The substitution s = endpoint +- u^2 flattens the inverse-square-root
-    singularities; each half is then smooth for adaptive quadrature.
+    Each half is written in u with s = e + sign*u^2 for its endpoint e, so
+    that the factor s - e is exactly sign*u^2 and cancels against
+    ds = 2u du: the half-integrand is 2/sqrt|prod (e - r + sign*u^2)| over
+    the three other roots r.  No factor is a difference that can round to
+    zero, and only +, -, *, /, sqrt and fsum are used, so the digits do not
+    depend on the platform's libm.  The x factor has its own sqrt, so the
+    product cannot overflow for any finite x.  Next to x the integrand peaks
+    over a width sqrt(d), d = |e - x|, so that half is split at sqrt(d) * 2^j.
     """
-    from scipy.integrate import quad
-
-    m = 0.5 * (a + b)
+    top = math.sqrt(0.5 * (b - a))
     total = 0.0
-    for g, top in (
-        (lambda u: 2.0 * u * _integrand(a + u * u, x), math.sqrt(m - a)),
-        (lambda u: 2.0 * u * _integrand(b - u * u, x), math.sqrt(b - m)),
-    ):
-        val, err = quad(g, 0.0, top, epsabs=1e-14, epsrel=1e-11, limit=200)
+    for e, sign in ((a, 1.0), (b, -1.0)):
+        c1, c2 = (e - r for r in (-1.0, 0.0, 1.0) if r != e)
+        cx = e - x
+
+        def g(us, c1=c1, c2=c2, cx=cx, sign=sign):
+            vs = [sign * (u * u) for u in us]
+            return [
+                2.0 / (math.sqrt(abs((c1 + v) * (c2 + v))) * math.sqrt(abs(cx + v)))
+                for v in vs
+            ]
+
+        points = [0.0]
+        split = math.sqrt(abs(cx))
+        while split < top:
+            points.append(split)
+            split *= 2.0
+        points.append(top)
+        val, err = _adaptive_kronrod(g, points)
         if err > 1e-8 * max(abs(val), 1e-6):
             raise QuadratureFailure(
                 f"period integral on [{a}, {b}] converged only to {err:.3g}"

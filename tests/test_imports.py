@@ -1,4 +1,7 @@
-"""Import cost: a module's code, numpy and scipy load on first use, not at import."""
+"""Import cost: a module's code, numpy and scipy load on first use, not at import.
+
+Conformal modules need neither: only ``flatten_step`` loads scipy.
+"""
 
 import os
 import subprocess
@@ -62,15 +65,26 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def test_first_quadrature_loads_scipy():
+def test_module_quadrature_loads_neither_numpy_nor_scipy():
     out = run_python(
         "import sys, segal; from segal import _oracles; "
         "v = segal.module_sc(2.0); "
-        "print('scipy' in sys.modules, abs(v - _oracles.module_agm(2.0)))"
+        "print('numpy' in sys.modules, 'scipy' in sys.modules, "
+        "abs(v - _oracles.module_agm(2.0)))"
     )
-    loaded, err = out.split()
-    assert loaded == "True"
+    numpy_loaded, scipy_loaded, err = out.split()
+    assert (numpy_loaded, scipy_loaded) == ("False", "False")
     assert float(err) <= 1e-8
+
+
+def test_first_flatten_step_loads_scipy():
+    out = run_python(
+        "import sys, segal; "
+        "before = 'scipy' in sys.modules; "
+        "segal.flatten_step(segal.base_structure_field(segal.glue_identity()), nx=17, ny=9); "
+        "print(before, 'scipy' in sys.modules)"
+    )
+    assert out.split() == ["False", "True"]
 
 
 def test_import_registers_every_module_and_loads_no_numpy():
@@ -85,8 +99,18 @@ def test_import_registers_every_module_and_loads_no_numpy():
 
 
 @pytest.mark.parametrize(
-    "argv", [["types", "validate", str(CYLINDER)], ["chains", "product", "2", "1"]],
-    ids=["types-validate", "chains-product"],
+    "argv",
+    [
+        ["types", "validate", str(CYLINDER)],
+        ["chains", "product", "2", "1"],
+        ["module", "compute", "2.0", "3.0"],
+        ["module", "check-qc", "--generate", "--count", "4"],
+        ["module", "check-qc"],
+    ],
+    ids=[
+        "types-validate", "chains-product", "module-compute", "check-qc-generate",
+        "check-qc-corpus",
+    ],
 )
 def test_light_command_never_imports_numpy(argv):
     out = run_python(

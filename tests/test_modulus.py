@@ -65,9 +65,32 @@ def test_affine_images_normalize_identically():
         assert normalize_quad(qa) == pytest.approx(normalize_quad(q), rel=1e-11)
 
 
-@pytest.mark.parametrize("x", [1.5, 2.0, 3.0, 5.0, 10.0, -1.5, -3.0, -10.0])
+@pytest.mark.parametrize(
+    "x",
+    [1.5, 2.0, 3.0, 5.0, 10.0, -1.5, -3.0, -10.0]
+    + [1 + 1e-4, -(1 + 1e-4), 1 + 1e-6, -(1 + 1e-6)],
+)
 def test_module_matches_agm_oracle(x):
     assert abs(module_sc(x) - module_agm(x)) <= 1e-8
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_module_just_past_the_edge_is_finite_and_monotone(sign):
+    """At 3e-9 past the edge the AGM oracle itself is off by about 1e-8, so
+    the module is checked against its neighbours instead."""
+    xs = [sign * (1.0 + d) for d in (2e-9, 3e-9, 4e-9)]
+    ms = [module_sc(x) for x in xs]
+    assert all(math.isfinite(m) for m in ms)
+    if sign > 0:
+        assert 0.0 < ms[0] < ms[1] < ms[2] < 1.0
+    else:
+        assert ms[0] > ms[1] > ms[2] > 1.0
+
+
+@pytest.mark.parametrize("x", [1 + 3e-9, 1.00001, 1.5, 2.0, 3.0, 1e6])
+def test_mirrored_position_inverts_module(x):
+    """s -> -s swaps the two period integrals exactly, term for term."""
+    assert module_sc(x) * module_sc(-x) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_module_at_infinity():
