@@ -247,27 +247,22 @@ def agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def complete_elliptic_K(k: float) -> float:
-    """K(k) with modulus k in [0, 1)."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus {k} outside [0, 1)")
-    return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
-
-
 def module_agm(u: float) -> float:
     """Module of the normalized quad at position u, |u| > 1 or u infinite.
 
     The period-ratio form K(k')/K(k) with k^2 = (u+1)/(2u) covers both the
-    plain branch u > 1 and the wrapped branch u < -1 in one formula.
+    plain branch u > 1 and the wrapped branch u < -1 in one formula.  As
+    K(k) = pi / (2 AGM(1, k')), the ratio is AGM(1, k') / AGM(1, k); both
+    moduli come straight from u, since k' from sqrt(1 - k^2) cancels as
+    |u| -> 1.
     """
     if math.isinf(u):
         return 1.0
     if abs(u) <= 1.0:
         raise ValueError(f"normalized position {u} inside [-1, 1]")
-    k2 = (u + 1.0) / (2.0 * u)
-    k = math.sqrt(k2)
-    kp = math.sqrt(1.0 - k2)
-    return complete_elliptic_K(kp) / complete_elliptic_K(k)
+    k = math.sqrt((u + 1.0) / (2.0 * u))
+    kp = math.sqrt((u - 1.0) / (2.0 * u))
+    return agm(1.0, kp) / agm(1.0, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 from segal.errors import (
     CurveEscape,
     DomainError,
+    GridMismatch,
     InternalInconsistency,
     InversionFailure,
     NonMonotone,
     OutOfWindow,
 )
+from segal import flattening
 from segal.flattening import (
     INFINITE,
     BoundaryGlueMap,
@@ -253,11 +255,80 @@ class TestFlattenStep:
         with pytest.raises(InversionFailure):
             flatten_step(squeeze, nx=33, ny=17)
 
+    def test_non_finite_curve_point_escapes(self):
+        holed = lambda pts: np.column_stack(
+            [np.zeros(len(pts)), np.where(pts[:, 1] > 0.5, np.nan, 1.0)]
+        )
+        with pytest.raises(CurveEscape, match="non-finite"):
+            flatten_step(holed, nx=9, ny=9)
+
+    def test_substep_cap_escapes(self, monkeypatch):
+        monkeypatch.setattr(flattening, "_MAX_SUBSTEPS", 8)
+        squeeze = lambda pts: np.column_stack(
+            [-3.0 * np.tanh(50.0 * (pts[:, 0] - 0.3)), np.ones(len(pts))]
+        )
+        with pytest.raises(CurveEscape, match="passed 8 substeps"):
+            flatten_step(squeeze, nx=33, ny=17)
+
     def test_delta_outside_certified_rectangle(self):
         g = glue_sine(0.1)
         chart = flatten_step(base_structure_field(g), nx=17, ny=9)
         with pytest.raises(OutOfWindow):
             chart.delta(5.0, 0.5)
+
+    @pytest.mark.parametrize("grid", [{"nx": 3}, {"ny": 3}, {"nx": 2.5}, {"nx": 5, "ny": 3}])
+    def test_rejects_grid_below_four_nodes_or_fractional(self, grid):
+        with pytest.raises(GridMismatch):
+            flatten_step(base_structure_field(glue_sine(0.1)), **grid)
+
+    def test_smallest_grid_runs(self):
+        chart = flatten_step(base_structure_field(glue_sine(0.1)), nx=4, ny=4)
+        assert chart.grid.shape == (4, 4, 2)
+        assert chart.report.min_jacobian > 0.5
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=["depth0", "depth1"])
+def sine_chart(request):
+    """The chart of ``appb flatten --chart`` at the given depth."""
+    g = glue_sine(0.1)
+    field = structure_field_chain(g, request.param)[-1]
+    return flatten_step(field, window=g.window, y_max=0.75)
+
+
+class TestChartInverse:
+    def test_grid_diagnostics(self, sine_chart):
+        chart = sine_chart
+        assert chart.substeps == 2
+        assert chart.step_error <= 1e-10
+        intervals = len(chart.ts) - 1
+        assert chart.field_evals == 4 * intervals * (2 * chart.substeps - 1)
+
+    def test_delta_inverts_forward_at_interior_nodes(self, sine_chart):
+        chart = sine_chart
+        (x0, x1), (y0, y1) = chart.report.x_valid, chart.report.y_valid
+        checked = 0
+        for j in range(1, len(chart.ts) - 1):
+            for i in range(1, len(chart.xs) - 1):
+                u, v = chart.forward(i, j)
+                if not (x0 <= u <= x1 and y0 <= v <= y1):
+                    continue
+                x, t = chart.delta(u, v)
+                assert abs(x - chart.xs[i]) <= 1e-10 and abs(t - chart.ts[j]) <= 1e-10
+                checked += 1
+        # only the top rows of the depth-0 chart rise above the rectangle
+        assert checked >= 0.9 * (len(chart.xs) - 2) * (len(chart.ts) - 2)
+
+    def test_spline_matches_scipy(self, sine_chart):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        chart = sine_chart
+        rng = np.random.default_rng(11)
+        ts = rng.uniform(chart.ts[0], chart.ts[-1], 300)
+        xs = rng.uniform(chart.xs[0], chart.xs[-1], 300)
+        got = np.array([np.concatenate(chart._spline(t, x)) for t, x in zip(ts, xs)])
+        for c in range(2):
+            ref = interpolate.RectBivariateSpline(chart.ts, chart.xs, chart.grid[:, :, c], s=0)
+            want = np.column_stack([ref.ev(ts, xs), ref.ev(ts, xs, dx=1), ref.ev(ts, xs, dy=1)])
+            assert np.max(np.abs(got[:, c::2] - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

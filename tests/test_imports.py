@@ -1,6 +1,6 @@
-"""Import cost: a module's code, numpy and scipy load on first use, not at import.
+"""Import cost: a module's code and numpy load on first use, not at import.
 
-Conformal modules need neither: only ``flatten_step`` loads scipy.
+Conformal modules need no numpy, and no command loads scipy.
 """
 
 import os
@@ -77,14 +77,16 @@ def test_module_quadrature_loads_neither_numpy_nor_scipy():
     assert float(err) <= 1e-8
 
 
-def test_first_flatten_step_loads_scipy():
+def test_chart_flattening_never_loads_scipy():
+    """With scipy blocked, a depth-1 chart and the flattening demo still run."""
+    demo = SRC.parent / "demos" / "flatten_boundary.py"
     out = run_python(
-        "import sys, segal; "
-        "before = 'scipy' in sys.modules; "
-        "segal.flatten_step(segal.base_structure_field(segal.glue_identity()), nx=17, ny=9); "
-        "print(before, 'scipy' in sys.modules)"
+        "import runpy, sys; sys.modules['scipy'] = None; import segal.cli; "
+        "code = segal.cli.main(['appb', 'flatten', '--k', '1', '--chart', '--depth', '1']); "
+        f"runpy.run_path({str(demo)!r}, run_name='__main__'); "
+        "print(code)"
     )
-    assert out.split() == ["False", "True"]
+    assert out.splitlines()[-1] == "0"
 
 
 def test_import_registers_every_module_and_loads_no_numpy():

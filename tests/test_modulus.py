@@ -74,10 +74,14 @@ def test_module_matches_agm_oracle(x):
     assert abs(module_sc(x) - module_agm(x)) <= 1e-8
 
 
+@pytest.mark.parametrize("x", [-(1 + 3e-9), -(1 + 1e-8), -(1 + 1e-5), 1 + 1e-8])
+def test_module_matches_agm_oracle_at_the_edge(x):
+    """Both routes keep full precision within 1e-8 of the edge |u| = 1."""
+    assert abs(module_sc(x) - module_agm(x)) <= 1e-14
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_module_just_past_the_edge_is_finite_and_monotone(sign):
-    """At 3e-9 past the edge the AGM oracle itself is off by about 1e-8, so
-    the module is checked against its neighbours instead."""
     xs = [sign * (1.0 + d) for d in (2e-9, 3e-9, 4e-9)]
     ms = [module_sc(x) for x in xs]
     assert all(math.isfinite(m) for m in ms)
