@@ -287,9 +287,7 @@ def criterion_6_module_numerics(tol_scale: float, data: AcceptanceCorpus) -> Ver
 
 def criterion_7_geometric_qc(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
     specs = [modulus.QuadrilateralSpec(*q) for q in data.quads]
-    report = modulus.check_geometric_qc(
-        2.0, specs, modulus.DEFAULT_RECT_ASPECTS, slack=1e-6 * tol_scale
-    )
+    report = modulus.check_geometric_qc(2.0, specs, slack=1e-6 * tol_scale)
     passed = report.within_bounds and report.max_ratio >= 1.99
     return Verdict(
         passed=passed,

@@ -33,6 +33,9 @@ DISC_EDGE = 1e-9
 
 FIELD_SCHEMA = "segal.field/1"
 
+# central-difference step of SampledChartMap.from_callable without derivatives
+_FD_H = 1e-6
+
 
 def _require_in_disc(value: complex, name: str) -> complex:
     value = complex(value)
@@ -93,11 +96,23 @@ def abs_mu_from_K(K: float) -> float:
 
 
 def _chart_phase(fz: complex, fzbar: complex) -> complex:
-    """The unit phase fz/conj(fz) of chart data already known to preserve
-    orientation; an infinite fz passes that test, so finiteness is checked here."""
+    """The unit phase fz/conj(fz) of orientation-preserving chart data; an
+    infinite fz passes the orientation test, so finiteness is checked after it."""
+    if not abs(fz) > abs(fzbar):
+        raise NotOrientationPreserving(
+            f"|fz|={abs(fz):.6g} must exceed |fzbar|={abs(fzbar):.6g}"
+        )
     if not (cmath.isfinite(fz) and cmath.isfinite(fzbar)):
         raise DomainError(f"chart derivatives must be finite, got fz={fz!r}, fzbar={fzbar!r}")
     return fz / fz.conjugate()
+
+
+def _unit_phase(u: complex) -> complex:
+    """u normalized to modulus 1; it must already lie within 1e-6 of it."""
+    mod = abs(u)
+    if not abs(mod - 1.0) <= 1e-6:
+        raise NotOrientationPreserving(f"|u|={mod:.6g} is not a unit phase")
+    return u / mod
 
 
 def _transform_kernel(mu_gf, mu_f, phase):
@@ -116,10 +131,6 @@ def transform_mu(mu_gf: complex, mu_f: complex, fz: complex, fzbar: complex) -> 
     """
     mu_gf = _require_in_disc(mu_gf, "mu_gf")
     mu_f = _require_in_disc(mu_f, "mu_f")
-    if not abs(fz) > abs(fzbar):
-        raise NotOrientationPreserving(
-            f"|fz|={abs(fz):.6g} must exceed |fzbar|={abs(fzbar):.6g}"
-        )
     return complex(_transform_kernel(mu_gf, mu_f, _chart_phase(fz, fzbar)))
 
 
@@ -132,11 +143,7 @@ def pullback_mu(nu_Y: complex, mu_g: complex, u: complex) -> complex:
     """
     nu_Y = _require_in_disc(nu_Y, "nu_Y")
     mu_g = _require_in_disc(mu_g, "mu_g")
-    mod = abs(u)
-    if not abs(mod - 1.0) <= 1e-6:
-        raise NotOrientationPreserving(f"|u|={mod:.6g} is not a unit phase")
-    u = u / mod
-    return complex(_pullback_kernel(nu_Y, mu_g, u))
+    return complex(_pullback_kernel(nu_Y, mu_g, _unit_phase(u)))
 
 
 def teichmuller_distance(mu1: complex, mu2: complex) -> float:
@@ -390,8 +397,6 @@ def transform_field(
 ) -> DilatationField:
     """transform_mu applied nodewise with constant chart data."""
     mu_f = _require_in_disc(mu_f, "mu_f")
-    if not abs(fz) > abs(fzbar):
-        raise NotOrientationPreserving("|fz| must exceed |fzbar|")
     out = _transform_kernel(s.values, mu_f, _chart_phase(fz, fzbar))
     return DilatationField(s.x0, s.x1, s.y0, s.y1, out)
 
@@ -399,10 +404,7 @@ def transform_field(
 def pullback_field(s: DilatationField, mu_g: complex, u: complex) -> DilatationField:
     """pullback_mu applied nodewise with constant chart data."""
     mu_g = _require_in_disc(mu_g, "mu_g")
-    mod = abs(u)
-    if not abs(mod - 1.0) <= 1e-6:
-        raise NotOrientationPreserving(f"|u|={mod:.6g} is not a unit phase")
-    out = _pullback_kernel(s.values, mu_g, u / mod)
+    out = _pullback_kernel(s.values, mu_g, _unit_phase(u))
     return DilatationField(s.x0, s.x1, s.y0, s.y1, out)
 
 
@@ -485,7 +487,6 @@ class SampledChartMap:
         nx: int,
         ny: int,
         derivatives: Optional[Callable[[complex], tuple[complex, complex]]] = None,
-        h: float = 1e-6,
     ) -> "SampledChartMap":
         xs, ys = _cell_centers(x0, x1, y0, y1, nx, ny)
         image = np.empty((ny, nx), dtype=complex)
@@ -498,8 +499,8 @@ class SampledChartMap:
                 if derivatives is not None:
                     fz[i, j], fzbar[i, j] = derivatives(z)
                 else:
-                    dfx = (f(z + h) - f(z - h)) / (2.0 * h)
-                    dfy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
+                    dfx = (f(z + _FD_H) - f(z - _FD_H)) / (2.0 * _FD_H)
+                    dfy = (f(z + 1j * _FD_H) - f(z - 1j * _FD_H)) / (2.0 * _FD_H)
                     fz[i, j] = 0.5 * (dfx - 1j * dfy)
                     fzbar[i, j] = 0.5 * (dfx + 1j * dfy)
         return cls(x0, x1, y0, y1, image, fz, fzbar)

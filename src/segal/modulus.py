@@ -284,7 +284,6 @@ class GeometricQCReport:
 def check_geometric_qc(
     K: float,
     quads: Sequence[QuadrilateralSpec],
-    rect_aspects: Sequence[float] = DEFAULT_RECT_ASPECTS,
     slack: float = 1e-6,
 ) -> GeometricQCReport:
     """Distortion of modules under the horizontal stretch by K.
@@ -301,6 +300,6 @@ def check_geometric_qc(
         module_of_quad(q.scaled(K)) / module_of_quad(q) for q in quads
     )
     rect_ratios = tuple(
-        module_rect(K * a, 1.0) / module_rect(a, 1.0) for a in rect_aspects
+        module_rect(K * a, 1.0) / module_rect(a, 1.0) for a in DEFAULT_RECT_ASPECTS
     )
     return GeometricQCReport(K, quad_ratios, rect_ratios, slack)

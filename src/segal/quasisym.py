@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, InvalidPhi, JacobianDegenerate, NonMonotone
 
 TWO_PI = 2.0 * math.pi
+_FD_H = 1e-6  # central-difference step of TwistMap.angle_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,7 @@ class SampledIncreasingFunction:
     def from_callable(
         cls, f: Callable[[float], float], lo: float, hi: float, n: int
     ) -> "SampledIncreasingFunction":
+        _require_sample_count(n)
         xs = [lo + (hi - lo) * j / n for j in range(n + 1)]
         return cls(tuple(xs), tuple(f(x) for x in xs))
 
@@ -85,6 +87,11 @@ def qs_bound(h: SampledIncreasingFunction) -> float:
     return k
 
 
+def _require_sample_count(n: int) -> None:
+    if not n >= 1:
+        raise DomainError(f"sample count must be positive, got {n}")
+
+
 def sampled_identity(n: int = 256, lo: float = 0.0, hi: float = 1.0) -> SampledIncreasingFunction:
     return SampledIncreasingFunction.from_callable(lambda x: x, lo, hi, n)
 
@@ -93,14 +100,20 @@ def sampled_slope_break(k: float, n: int = 256) -> SampledIncreasingFunction:
     """h(x) = x for x <= 0 and k*x for x > 0, sampled on a symmetric grid."""
     if k <= 0:
         raise NonMonotone("slope must be positive")
+    _require_sample_count(n)
     xs = [j / n for j in range(-n, n + 1)]
     ys = [x if x <= 0 else k * x for x in xs]
     return SampledIncreasingFunction(tuple(xs), tuple(ys))
 
 
 def sampled_exp(t_max: float = 1.0, n: int = 256) -> SampledIncreasingFunction:
+    _require_sample_count(n)
     xs = [-t_max + 2.0 * t_max * j / (2 * n) for j in range(2 * n + 1)]
-    return SampledIncreasingFunction(tuple(xs), tuple(math.exp(x) for x in xs))
+    try:
+        ys = [math.exp(x) for x in xs]
+    except OverflowError:
+        raise DomainError(f"window size {t_max!r} is too large: exp overflows a float")
+    return SampledIncreasingFunction(tuple(xs), tuple(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +306,8 @@ class TwistMap:
         recentred = self.phi.angle(theta) - self.phase
         return (1.0 - s) * recentred + s * theta
 
-    def angle_derivative(self, r: float, theta: float, h: float = 1e-6) -> float:
-        return (self.angle(r, theta + h) - self.angle(r, theta - h)) / (2.0 * h)
+    def angle_derivative(self, r: float, theta: float) -> float:
+        return (self.angle(r, theta + _FD_H) - self.angle(r, theta - _FD_H)) / (2.0 * _FD_H)
 
     def __call__(self, z: complex) -> complex:
         r = abs(z)

@@ -28,6 +28,7 @@ from segal.beltrami import (
 )
 from segal.errors import (
     DegenerateFrame,
+    DomainError,
     GridMismatch,
     InvalidACS,
     NotOrientationPreserving,
@@ -384,6 +385,34 @@ def test_field_kernels_match_scalar_ops():
                 transform_mu(v, mu_f, fz, fzbar), abs=1e-14
             )
             assert p.values[i, j] == pytest.approx(pullback_mu(v, mu_f, u), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "fz, fzbar, message",
+    [
+        (0j, 0j, r"\|fz\|=0 must exceed \|fzbar\|=0"),
+        (0.5, 0.5j, r"\|fz\|=0.5 must exceed \|fzbar\|=0.5"),
+        (complex("inf"), 0j, "chart derivatives must be finite"),
+    ],
+)
+def test_scalar_and_field_transforms_reject_chart_data_alike(fz, fzbar, message):
+    field = DilatationField.constant(0.2, 0, 1, 0, 1, 2, 2)
+    with pytest.raises((NotOrientationPreserving, DomainError), match=message) as scalar:
+        transform_mu(0.2, 0.1, fz, fzbar)
+    with pytest.raises((NotOrientationPreserving, DomainError), match=message) as nodewise:
+        transform_field(field, 0.1, fz, fzbar)
+    assert str(nodewise.value) == str(scalar.value)
+    assert type(nodewise.value) is type(scalar.value)
+
+
+@pytest.mark.parametrize("u", [0.5, 1.1j, 0j])
+def test_scalar_and_field_pullbacks_reject_phases_alike(u):
+    field = DilatationField.constant(0.2, 0, 1, 0, 1, 2, 2)
+    with pytest.raises(NotOrientationPreserving, match="is not a unit phase") as scalar:
+        pullback_mu(0.2, 0.1, u)
+    with pytest.raises(NotOrientationPreserving, match="is not a unit phase") as nodewise:
+        pullback_field(field, 0.1, u)
+    assert str(nodewise.value) == str(scalar.value)
 
 
 # ---------------------------------------------------------------------------

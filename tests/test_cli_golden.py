@@ -24,6 +24,7 @@ import pytest
 
 import segal
 from segal import beltrami, cli, cobordism, corpus
+from test_cli import REQUIRED_OPS
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "cli_golden.json").read_text(encoding="utf-8"))
@@ -223,38 +224,28 @@ def test_golden_ids_unique():
     assert len(ids) == len(set(ids))
 
 
-def _record_calls(patch: pytest.MonkeyPatch, uses: tuple[str, ...]) -> set[str]:
-    """Wrap each ``module.function`` in ``uses`` wherever a segal module holds
-    it; the returned set collects the names of those that get called."""
+def test_every_required_operation_is_called(inputs, capsys, monkeypatch):
+    """Each operation in ``REQUIRED_OPS`` runs in some golden case.  Every one
+    is wrapped wherever a segal module holds it, and the golden cases run
+    until each wrapper has been called."""
+    monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
     called: set[str] = set()
-    for use in uses:
-        mod_name, fn_name = use.split(".")
+    for op in REQUIRED_OPS:
+        mod_name, fn_name = op.split(".")
         original = getattr(getattr(segal, mod_name), fn_name)
 
-        def wrapper(*args, _use=use, _original=original, **kwargs):
-            called.add(_use)
+        def wrapper(*args, _op=op, _original=original, **kwargs):
+            called.add(_op)
             return _original(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name == "segal" or name.startswith("segal."):
                 for attr, value in list(vars(module).items()):
                     if value is original:
-                        patch.setattr(module, attr, wrapper)
-    return called
-
-
-def test_every_use_is_called_by_its_command(inputs, capsys, monkeypatch):
-    """Each function a command lists in ``uses`` runs in one of its golden
-    cases, so the table cannot name a function the command never reaches."""
-    monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
-    never = {}
-    for cmd in cli.COMMANDS:
-        key = (cmd.group, cmd.name) if cmd.group else (cmd.name,)
-        with monkeypatch.context() as patch:
-            called = _record_calls(patch, cmd.uses)
-            for case in GOLDEN:
-                if _command(case["argv"]) == key and called != set(cmd.uses):
-                    invoke(case["argv"], inputs, capsys)
-        if called != set(cmd.uses):
-            never[key] = sorted(set(cmd.uses) - called)
-    assert not never, f"commands that never call a function in their uses: {never}"
+                        monkeypatch.setattr(module, attr, wrapper)
+    for case in GOLDEN:
+        if called == REQUIRED_OPS:
+            break
+        invoke(case["argv"], inputs, capsys)
+    never = sorted(REQUIRED_OPS - called)
+    assert not never, f"required operations no golden case calls: {never}"

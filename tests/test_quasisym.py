@@ -78,6 +78,27 @@ class TestSampledIncreasingFunction:
         assert g.xs == h.ys and g.ys == h.xs
 
 
+class TestSampledBuilders:
+    @pytest.mark.parametrize(
+        "build",
+        [sampled_identity, lambda n: sampled_slope_break(2.0, n), lambda n: sampled_exp(1.0, n)],
+        ids=["identity", "slope", "exp"],
+    )
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_a_count_below_one(self, build, n):
+        with pytest.raises(DomainError, match=f"sample count must be positive, got {n}"):
+            build(n)
+
+    @pytest.mark.parametrize("t_max", [1000.0, -1000.0, 710.0])
+    def test_exp_rejects_a_window_that_overflows(self, t_max):
+        with pytest.raises(DomainError, match="exp overflows a float"):
+            sampled_exp(t_max, 4)
+
+    def test_exp_takes_the_widest_window_that_fits(self):
+        h = sampled_exp(709.0, 4)
+        assert h.ys[-1] == math.exp(709.0)
+
+
 class TestQsBound:
     def test_identity_exact_one(self):
         assert qs_bound(sampled_identity(128)) == 1.0
