@@ -10,8 +10,12 @@ A library module's code runs on first use.  ``import segal`` registers
 each module in ``sys.modules`` through ``importlib.util.LazyLoader``, and
 the module runs on its first attribute access; a public name such as
 ``segal.compose_types`` is looked up in its module on each access
-(PEP 562).  So importing the package loads no numpy, and a command runs
-only the modules it calls.
+(PEP 562).  numpy loads on first array use: ``beltrami``, ``quasisym`` and
+``flattening`` bind ``np`` to a ``_FirstUseNumpy``, which imports numpy on
+its first attribute access.  So importing the package loads no numpy, a
+command runs only the modules it calls, and a command that computes on
+scalars alone, such as ``segal belt acs`` or ``segal appb orders``, runs
+without numpy.
 """
 
 import importlib.util
@@ -74,6 +78,23 @@ def _register(modules) -> None:
         sys.modules[spec.name] = lazy
         loader.exec_module(lazy)
         globals()[module] = lazy
+
+
+class _FirstUseNumpy:
+    """Stands in for numpy as a module's global ``np`` until first used.
+
+    The first attribute access imports numpy and rebinds the module's ``np``
+    to it, so later calls look numpy up directly and pass through no proxy.
+    """
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
 
 
 _register((*_EXPORTS, "corpus", "_oracles"))

@@ -15,8 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence, TextIO
 
-import numpy as np
-
+from . import _FirstUseNumpy
 from ._input import json_int, json_list, json_number
 from .errors import (
     DegenerateFrame,
@@ -26,6 +25,8 @@ from .errors import (
     NotOrientationPreserving,
     OutOfDisc,
 )
+
+np = _FirstUseNumpy(globals())
 
 # Values this close to the unit circle make the fiber metric blow up and are
 # rejected everywhere.

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from . import _FirstUseNumpy
 from .errors import DomainError, InvalidPhi, JacobianDegenerate, NonMonotone
+
+np = _FirstUseNumpy(globals())
 
 TWO_PI = 2.0 * math.pi
 _FD_H = 1e-6  # central-difference step of TwistMap.angle_derivative
@@ -144,8 +145,11 @@ class CircleDiffeo:
     def derivative_range(self) -> tuple[float, float]:
         if self.deriv_min is not None and self.deriv_max is not None:
             return self.deriv_min, self.deriv_max
-        thetas = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        vals = [self.dpsi(float(t)) for t in thetas]
+        step = TWO_PI / 4096
+        vals = [self.dpsi(j * step) for j in range(4096)]
+        # min and max skip a NaN that does not come first
+        if not all(map(math.isfinite, vals)):
+            raise InvalidPhi("derivative is not finite at every sampled angle")
         return min(vals), max(vals)
 
     def angle(self, theta: float) -> float:
@@ -220,11 +224,12 @@ def half_angle_smooth() -> CircleDiffeo:
 
 
 def _check_half_angle_above(phi: CircleDiffeo, tol: float = 1e-9) -> None:
-    for theta in np.linspace(0.0, math.pi, 257):
-        if abs(phi.psi(float(theta)) - 0.5 * float(theta)) > tol:
+    step = math.pi / 256
+    for theta in [*(j * step for j in range(256)), math.pi]:
+        if not abs(phi.psi(theta) - 0.5 * theta) <= tol:
             raise InvalidPhi(
                 f"upper-semicircle restriction differs from the half-angle map "
-                f"at theta={float(theta):.6g}"
+                f"at theta={theta:.6g}"
             )
 
 

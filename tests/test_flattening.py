@@ -365,6 +365,14 @@ class TestVerifyOrders:
         assert abs(fit.fitted_m - 3.0) <= 0.25
         assert abs(fit.fitted_n - 2.0) <= 0.25
 
+    def test_sine_level_two_orders(self):
+        report = verify_orders(glue_sine(0.1), 2)
+        assert report.all_ok
+        fit = report.fits[2]
+        assert fit.predicted == OrderPair(3, 4)
+        assert abs(fit.fitted_m - 3.0) <= 0.25
+        assert abs(fit.fitted_n - 4.0) <= 0.25
+
     def test_rejects_large_k(self):
         with pytest.raises(DomainError):
             verify_orders(glue_sine(0.1), 3)

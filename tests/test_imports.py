@@ -1,6 +1,9 @@
-"""Import cost: a module's code and numpy load on first use, not at import.
+"""Import cost: a module's code loads on first use, and numpy on first array
+use, not at import.
 
-Conformal modules need no numpy, and no command loads scipy.
+Conformal modules and the pointwise commands (``belt acs``, ``belt distance
+--mu``, ``qs corner``, ``qs twist``, ``appb orders``) need no numpy, and no
+command loads scipy.
 """
 
 import os
@@ -108,10 +111,16 @@ def test_import_registers_every_module_and_loads_no_numpy():
         ["module", "compute", "2.0", "3.0"],
         ["module", "check-qc", "--generate", "--count", "4"],
         ["module", "check-qc"],
+        ["belt", "acs", "--mu", "0.3+0.1j"],
+        ["belt", "distance", "--mu", "0.2+0.1j", "0.1,0.3"],
+        ["qs", "corner", "--profile", "piecewise"],
+        ["qs", "twist", "--profile", "smooth"],
+        ["appb", "orders", "6"],
     ],
     ids=[
         "types-validate", "chains-product", "module-compute", "check-qc-generate",
-        "check-qc-corpus",
+        "check-qc-corpus", "belt-acs", "belt-distance-mu", "qs-corner", "qs-twist",
+        "appb-orders",
     ],
 )
 def test_light_command_never_imports_numpy(argv):
@@ -121,6 +130,18 @@ def test_light_command_never_imports_numpy(argv):
         "print(code, 'numpy' in sys.modules)"
     )
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_first_array_use_binds_numpy_itself():
+    """One array call per module rebinds its ``np`` from the stand-in to numpy."""
+    out = run_python(
+        "import numpy, segal; from segal import beltrami, flattening, quasisym; "
+        "segal.DilatationField.constant(0.1, 0, 1, 0, 1, 2, 2); "
+        "segal.qs_bound(segal.sampled_identity(8)); "
+        "segal.glue_sine(0.1); "
+        "print([m.np is numpy for m in (beltrami, quasisym, flattening)])"
+    )
+    assert out.strip() == "[True, True, True]"
 
 
 def test_public_names_are_the_published_list():

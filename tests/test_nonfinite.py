@@ -27,6 +27,9 @@ CASES = {
     "circle-winding-nan": lambda: quasisym.circle_rotation(NAN),
     "circle-winding-inf": lambda: quasisym.circle_rotation(INF),
     "circle-derivative-nan": lambda: quasisym.CircleDiffeo(lambda t: t, lambda t: NAN),
+    "circle-derivative-nan-inside": lambda: quasisym.CircleDiffeo(
+        lambda t: t, lambda t: NAN if 1.0 < t < 2.0 else 1.0
+    ),
     "circle-derivative-inf": lambda: quasisym.CircleDiffeo(lambda t: t, lambda t: 1.0, 1.0, INF),
     "sampled-nan": lambda: quasisym.SampledIncreasingFunction((0, 1, NAN), (0, 1, 2)),
     "sampled-inf": lambda: quasisym.SampledIncreasingFunction((0, 1, 2), (0, 1, INF)),

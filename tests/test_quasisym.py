@@ -2,6 +2,7 @@ import bisect
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,19 @@ class TestCircleDiffeo:
                 lambda t: 1.0 + 1.6 * math.cos(2.0 * t),
             )
 
+    def test_derivative_range_samples_the_linspace_angles(self):
+        """Without given bounds the derivative is sampled at the angles of
+        np.linspace(0, 2 pi, 4096, endpoint=False), bit for bit."""
+        seen = []
+
+        def dpsi(t):
+            seen.append(t)
+            return 1.0 + 0.5 * math.cos(t)
+
+        phi = CircleDiffeo(lambda t: t + 0.5 * math.sin(t), dpsi)
+        assert seen == np.linspace(0.0, TWO_PI, 4096, endpoint=False).tolist()
+        assert phi.derivative_range() == (0.5, 1.5)
+
     def test_piecewise_profile_nodes(self):
         phi = half_angle_piecewise()
         assert phi.psi(0.0) == 0.0
@@ -226,6 +240,28 @@ class TestCornerMap:
             corner_transform(circle_identity())
         with pytest.raises(InvalidPhi):
             corner_transform(circle_rotation(0.3))
+
+    def test_rejects_lift_that_is_nan_above(self):
+        base = half_angle_piecewise()
+        phi = CircleDiffeo(
+            lambda t: math.nan if 1.0 < t < 2.0 else base.psi(t), base.dpsi, 0.5, 2.0
+        )
+        with pytest.raises(InvalidPhi, match="theta=1.00"):
+            corner_map(phi, [1.0j])
+
+    def test_half_angle_check_samples_the_linspace_angles(self):
+        """The lift is checked at the angles of np.linspace(0, pi, 257), bit for bit."""
+        seen = []
+        base = half_angle_piecewise()
+
+        def psi(t):
+            seen.append(t)
+            return base.psi(t)
+
+        phi = CircleDiffeo(psi, base.dpsi, 0.5, 2.0)
+        seen.clear()
+        corner_transform(phi)
+        assert seen == np.linspace(0.0, math.pi, 257).tolist()
 
     def test_right_angle_at_minus_one(self):
         sigma = corner_transform(half_angle_piecewise())
