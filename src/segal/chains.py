@@ -3,7 +3,8 @@
 Spaces are formal: a generator stands for a map of a standard simplex into
 some space, and products are formal pairs.  What is verified is the
 simplicial combinatorics: face bookkeeping, signs, the chain-map identity
-and associativity.  No floats anywhere in this module.
+and associativity.  No floats anywhere in this module: a coefficient is an
+``int`` while it is integral and a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InternalInconsistency
+from ._input import json_int
+from .errors import DomainError, InternalInconsistency
 
 # ---------------------------------------------------------------------------
 # simplices
@@ -27,7 +29,8 @@ class FormalSimplex:
     ``dimension`` is the generator's dimension; ``omitted`` lists the
     generator vertices removed by face maps.  Keying faces by the omitted
     set makes the simplicial identity d_i d_j = d_{j-1} d_i (i < j) hold on
-    the nose, so d.d = 0 cancels term by term.
+    the nose, so d.d = 0 cancels term by term.  The hash is computed once
+    and cached.
     """
 
     dimension: int
@@ -35,12 +38,17 @@ class FormalSimplex:
     omitted: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        json_int(self.dimension, "simplex dimension")
         if self.dimension < 0:
             raise InternalInconsistency("negative dimension")
         if any(not 0 <= v <= self.dimension for v in self.omitted):
             raise InternalInconsistency("omitted vertex out of range")
         if len(self.omitted) > self.dimension:
             raise InternalInconsistency("too many omitted vertices")
+        self.__dict__["_hash"] = hash((self.dimension, self.label, self.omitted))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -76,6 +84,7 @@ class ProductSimplex:
     least one coordinate, and each factor's full vertex list occurs (faces
     renormalize the factors, so representations stay canonical).  Shuffle
     products emit unit-step paths; faces may introduce diagonal steps.
+    The hash is computed once and cached.
     """
 
     left: Simplex
@@ -95,6 +104,17 @@ class ProductSimplex:
             raise InternalInconsistency("path does not cover left factor vertices")
         if tuple(sorted({b for _, b in self.pairs})) != rv:
             raise InternalInconsistency("path does not cover right factor vertices")
+        self.__dict__["_hash"] = hash((self.left, self.right, self.pairs))
+
+    @classmethod
+    def _trusted(cls, left: Simplex, right: Simplex, pairs: tuple) -> "ProductSimplex":
+        """A simplex whose path is valid by construction, built unchecked."""
+        s = object.__new__(cls)
+        s.__dict__.update(left=left, right=right, pairs=pairs, _hash=hash((left, right, pairs)))
+        return s
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -147,11 +167,23 @@ def _drop_factor_vertex(s: Simplex, v: int):
 # chains
 
 
+def _exact(c) -> Union[int, Fraction]:
+    """``c`` as an exact coefficient: an ``int`` while integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"chain coefficient must be a finite rational number, not {c!r}") from None
+    return int(c) if c.denominator == 1 else c
+
+
 class Chain:
-    """Finite formal sum of simplices with rational coefficients.
+    """Finite formal sum of simplices with exact rational coefficients.
 
     Built from a dict or from (simplex, coefficient) pairs; coefficients of
-    a repeated simplex are summed and zero terms dropped.
+    a repeated simplex are summed and zero terms dropped.  A coefficient is
+    kept as an ``int`` while it is integral and as a ``Fraction`` otherwise.
     """
 
     __slots__ = ("terms",)
@@ -161,14 +193,15 @@ class Chain:
             terms = terms.items()
         merged: dict = {}
         for s, c in terms or ():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = _exact(c)
             if c:
-                merged[s] = merged.get(s, Fraction(0)) + c
-        self.terms = {s: c for s, c in merged.items() if c}
+                merged[s] = merged.get(s, 0) + c
+        self.terms = {s: c if type(c) is int else _exact(c) for s, c in merged.items() if c}
 
     @classmethod
     def of(cls, s: Simplex, coeff=1) -> "Chain":
-        return cls({s: Fraction(coeff)})
+        return cls(((s, coeff),))
 
     @classmethod
     def zero(cls) -> "Chain":
@@ -181,7 +214,7 @@ class Chain:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Chain":
-        k = Fraction(scalar)
+        k = _exact(scalar)
         return Chain((s, k * c) for s, c in self.terms.items())
 
     def __neg__(self) -> "Chain":
@@ -199,7 +232,7 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Simplex, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Simplex, Union[int, Fraction]]]:
         return sorted(self.terms.items(), key=lambda item: item[0].key())
 
     def __repr__(self):
@@ -239,34 +272,41 @@ def shuffle_product(a: Union[Chain, Simplex], b: Union[Chain, Simplex]) -> Chain
         a = Chain.of(a)
     if not isinstance(b, Chain):
         b = Chain.of(b)
+    trusted = ProductSimplex._trusted
     terms = []
     for sa, ca in a.terms.items():
-        va = sa.vertices
+        va, p = sa.vertices, sa.degree
         for sb, cb in b.terms.items():
-            vb = sb.vertices
-            p, q = sa.degree, sb.degree
-            for rights in itertools.combinations(range(p + q), q):
-                sign = -1 if sum(p - r + k for k, r in enumerate(rights)) % 2 else 1
-                i = j = 0
-                pairs = [(va[0], vb[0])]
-                for step in range(p + q):
-                    if j < q and rights[j] == step:
-                        j += 1
-                    else:
-                        i += 1
-                    pairs.append((va[i], vb[j]))
-                terms.append((ProductSimplex(sa, sb, tuple(pairs)), sign * ca * cb))
+            vb, q = sb.vertices, sb.degree
+            grid = [[(x, y) for y in vb] for x in va]
+            # depth first, right step before left step: the paths come out in
+            # the order of their right-step positions, and a right step taken
+            # after i left steps flips the sign p - i times
+            stack = [(0, 0, (grid[0][0],), ca * cb)]
+            while stack:
+                i, j, path, c = stack.pop()
+                if i == p and j == q:
+                    terms.append((trusted(sa, sb, path), c))
+                    continue
+                if i < p:
+                    stack.append((i + 1, j, path + (grid[i + 1][j],), c))
+                if j < q:
+                    stack.append((i, j + 1, path + (grid[i][j + 1],), -c if (p - i) % 2 else c))
     return Chain(terms)
 
 
 def swap_factors(c: Union[Chain, Simplex]) -> Chain:
-    """The coordinate swap of product simplices, extended linearly."""
+    """The coordinate swap of product simplices, extended linearly.
+
+    A swapped valid path is valid, so the swapped simplices are built
+    unchecked.
+    """
     if not isinstance(c, Chain):
         c = Chain.of(c)
     if not all(isinstance(s, ProductSimplex) for s in c.terms):
         raise InternalInconsistency("swap applies to product simplices")
     return Chain(
-        (ProductSimplex(s.right, s.left, tuple((b, a) for a, b in s.pairs)), coeff)
+        (ProductSimplex._trusted(s.right, s.left, tuple((b, a) for a, b in s.pairs)), coeff)
         for s, coeff in c.terms.items()
     )
 
@@ -282,25 +322,36 @@ def flatten_factors(s: Simplex) -> tuple[tuple, ...]:
     differently nested products describe the same multi-simplex exactly
     when these agree.
     """
+    return _flatten(s, {})
+
+
+def _flatten(s: Simplex, memo: dict) -> tuple[tuple, ...]:
+    """``flatten_factors`` of ``s``, remembering every product it expands."""
     if isinstance(s, FormalSimplex):
         return ((s.key(), s.vertices),)
-    left_words = flatten_factors(s.left)
-    right_words = flatten_factors(s.right)
-    lsel = tuple(a for a, _ in s.pairs)
-    rsel = tuple(b for _, b in s.pairs)
-    lpos = {v: k for k, v in enumerate(s.left.vertices)}
-    rpos = {v: k for k, v in enumerate(s.right.vertices)}
+    if s in memo:
+        return memo[s]
     out = []
-    for key, word in left_words:
-        out.append((key, tuple(word[lpos[v]] for v in lsel)))
-    for key, word in right_words:
-        out.append((key, tuple(word[rpos[v]] for v in rsel)))
-    return tuple(out)
+    for factor, visited in zip((s.left, s.right), zip(*s.pairs)):
+        # a generator's word is its own vertex list, and a product's vertices
+        # are its path positions, so the visited vertices index words directly
+        if isinstance(factor, FormalSimplex):
+            out.append((factor.key(), visited))
+        else:
+            out.extend(
+                (key, tuple(map(word.__getitem__, visited))) for key, word in _flatten(factor, memo)
+            )
+    memo[s] = out = tuple(out)
+    return out
 
 
 def flattened(c: Chain) -> dict:
-    """Coefficients summed per flattened multi-simplex, zeros dropped."""
-    return Chain((flatten_factors(s), coeff) for s, coeff in c.terms.items()).terms
+    """Coefficients summed per flattened multi-simplex, zeros dropped.
+
+    One memo serves every term, since nested products share their factors.
+    """
+    memo: dict = {}
+    return Chain((_flatten(s, memo), coeff) for s, coeff in c.terms.items()).terms
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -126,6 +127,35 @@ class TestChain:
         assert Chain({a: 0}).is_zero()
         assert Chain().is_zero() and Chain(None).is_zero()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([generator("a", 1), generator("a", 2), generator("b", 1)]),
+                st.integers(-3, 3) | st.fractions(max_denominator=4),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_fraction_sum(self, pairs):
+        reference: dict = {}
+        for s, c in pairs:
+            reference[s] = reference.get(s, Fraction(0)) + Fraction(c)
+        c = Chain(pairs)
+        assert c.terms == {s: v for s, v in reference.items() if v}
+        for s, v in c.terms.items():
+            assert type(v) is (int if reference[s].denominator == 1 else Fraction)
+
+    def test_integral_coefficients_are_ints(self):
+        a = generator("a", 1)
+        for c in (
+            Chain.of(a, Fraction(4, 2)),
+            Chain.of(a, 2.0),
+            Fraction(1, 2) * Chain.of(a, 4),
+            Chain.of(a, Fraction(1, 3)) + Chain.of(a, Fraction(5, 3)),
+        ):
+            assert c.terms == {a: 2} and type(c.terms[a]) is int
+
 
 # ---------------------------------------------------------------------------
 # shuffle product
@@ -177,6 +207,30 @@ class TestShuffleProduct:
         p, q = pq[0], pq[1] - pq[0]
         a, b = generator("a", p), generator("b", q)
         assert shuffle_product(a, b) == step_word_shuffle(a, b)
+
+
+class TestTrustedPath:
+    """Products and swaps skip path validation; pin that nothing they emit
+    differs from what the validating constructor builds."""
+
+    PAIRS = [(p, q) for p in range(9) for q in range(9 - p)]
+
+    def test_repr_digest(self):
+        digest = hashlib.sha256()
+        for p, q in self.PAIRS:
+            c = shuffle_product(generator("a", p), generator("b", q))
+            for shown in (c, boundary(c), swap_factors(c)):
+                digest.update(repr(shown).encode())
+        assert digest.hexdigest() == (
+            "0072326a822e2c0366f783b4db4eba81d6eda1c4bbdc514b6274384a607bc3d1"
+        )
+
+    def test_terms_rebuild_through_validation(self):
+        for p, q in self.PAIRS:
+            c = shuffle_product(generator("a", p), generator("b", q))
+            for s in itertools.chain(c.terms, swap_factors(c).terms):
+                rebuilt = ProductSimplex(s.left, s.right, s.pairs)
+                assert rebuilt == s and hash(rebuilt) == hash(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Every public constructor, and every map applied to a point, rejects
-non-finite input, and a grid with no cells or a fractional cell count, with a
-typed error."""
+non-finite input, a grid with no cells or a fractional cell count, and a
+chain coefficient or simplex dimension of the wrong kind, with a typed
+error."""
 
 import math
 
 import numpy as np
 import pytest
 
-from segal import beltrami, flattening, modulus, quasisym
+from segal import beltrami, chains, flattening, modulus, quasisym
 from segal.errors import SegalError
 
 NAN, INF = math.nan, math.inf
@@ -81,6 +82,19 @@ CASES = {
     "chart-callable-fractional-columns": lambda: beltrami.SampledChartMap.from_callable(
         lambda z: z, 0, 1, 0, 1, 2.5, 2
     ),
+    # chain coefficients that are not rational numbers
+    "chain-coefficient-nan": lambda: chains.Chain.of(chains.generator("a", 1), NAN),
+    "chain-coefficient-inf": lambda: chains.Chain([(chains.generator("a", 1), -INF)]),
+    "chain-coefficient-none": lambda: chains.Chain.of(chains.generator("a", 1), None),
+    "chain-coefficient-complex": lambda: chains.Chain.of(chains.generator("a", 1), 1 + 0j),
+    "chain-scalar-nan": lambda: NAN * chains.Chain.of(chains.generator("a", 1)),
+    # simplex dimensions that are not integers
+    "generator-dimension-fractional": lambda: chains.generator("a", 1.5),
+    "generator-dimension-nan": lambda: chains.generator("a", NAN),
+    "generator-dimension-inf": lambda: chains.generator("a", INF),
+    "generator-dimension-string": lambda: chains.generator("a", "2"),
+    "generator-dimension-bool": lambda: chains.generator("a", True),
+    "simplex-dimension-float": lambda: chains.FormalSimplex(2.0, "a"),
 }
 
 
