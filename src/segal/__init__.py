@@ -37,8 +37,8 @@ _EXPORTS = {
     ),
     "chains": (
         "Chain", "FormalSimplex", "ProductSimplex", "boundary", "check_associativity",
-        "check_chain_map", "check_symmetry", "generator", "shuffle_product",
-        "swap_factors",
+        "check_chain_map", "check_identities", "check_symmetry", "generator",
+        "shuffle_product", "swap_factors",
     ),
     "cobordism": (
         "BoundaryCycle", "ComponentData", "CycleEntry", "ObjectSignature", "OCType",

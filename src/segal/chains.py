@@ -10,6 +10,7 @@ and associativity.  No floats anywhere in this module: a coefficient is an
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -60,12 +61,9 @@ class FormalSimplex:
 
     def face(self, i: int) -> "FormalSimplex":
         """Omit the i-th remaining vertex."""
+        if not 0 <= i <= self.degree:
+            raise InternalInconsistency(f"no face {i} of a degree-{self.degree} simplex")
         v = self.vertices[i]
-        return FormalSimplex(self.dimension, self.label, self.omitted | {v})
-
-    def drop_vertex(self, v: int) -> "FormalSimplex":
-        if v in self.omitted:
-            raise InternalInconsistency(f"vertex {v} already omitted")
         return FormalSimplex(self.dimension, self.label, self.omitted | {v})
 
     def key(self):
@@ -125,42 +123,37 @@ class ProductSimplex:
         return tuple(range(len(self.pairs)))
 
     def face(self, m: int) -> "ProductSimplex":
-        pairs = self.pairs[:m] + self.pairs[m + 1 :]
+        """Omit the m-th path vertex.
+
+        Path coordinates never decrease, so a factor loses the coordinate of
+        vertex m exactly when neither neighbour shares it; that factor then
+        loses the vertex too.  A product factor is indexed by path position,
+        so its later positions shift down by one.  The face of a valid path
+        is valid, so it is built unchecked.
+        """
+        pairs = self.pairs
+        if not 0 <= m < len(pairs) or len(pairs) < 2:
+            raise InternalInconsistency(f"no face {m} of a degree-{self.degree} simplex")
+        a, b = pairs[m]
+        near_a, near_b = zip(*pairs[m - 1 : m], *pairs[m + 1 : m + 2])
+        pairs = pairs[:m] + pairs[m + 1 :]
         left, right = self.left, self.right
-        lost_l = _lost_coordinate(self.pairs, pairs, side=0)
-        lost_r = _lost_coordinate(self.pairs, pairs, side=1)
-        if lost_l is not None:
-            left, relabel = _drop_factor_vertex(left, lost_l)
-            if relabel:
-                pairs = tuple((a - 1 if a > lost_l else a, b) for a, b in pairs)
-        if lost_r is not None:
-            right, relabel = _drop_factor_vertex(right, lost_r)
-            if relabel:
-                pairs = tuple((a, b - 1 if b > lost_r else b) for a, b in pairs)
-        return ProductSimplex(left, right, pairs)
+        if a not in near_a:
+            if isinstance(left, FormalSimplex):
+                left = left.face(left.vertices.index(a))
+            else:
+                left = left.face(a)
+                pairs = tuple((x - (x > a), y) for x, y in pairs)
+        if b not in near_b:
+            if isinstance(right, FormalSimplex):
+                right = right.face(right.vertices.index(b))
+            else:
+                right = right.face(b)
+                pairs = tuple((x, y - (y > b)) for x, y in pairs)
+        return ProductSimplex._trusted(left, right, pairs)
 
     def key(self):
         return ("p", self.left.key(), self.right.key(), self.pairs)
-
-
-def _lost_coordinate(old, new, side):
-    before = {p[side] for p in old}
-    after = {p[side] for p in new}
-    lost = before - after
-    if len(lost) > 1:
-        raise InternalInconsistency("face removed more than one vertex")
-    return next(iter(lost)) if lost else None
-
-
-def _drop_factor_vertex(s: Simplex, v: int):
-    """Remove a vertex from a factor.  Returns (factor, needs_relabel).
-
-    Formal factors keep their original vertex labels; product factors are
-    indexed by position, so later positions shift down by one.
-    """
-    if isinstance(s, FormalSimplex):
-        return s.drop_vertex(v), False
-    return s.face(v), True
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +373,38 @@ def check_symmetry(i: int, j: int) -> bool:
     a, b = generator("a", i), generator("b", j)
     sign = -1 if (i * j) % 2 else 1
     return swap_factors(shuffle_product(a, b)) == sign * shuffle_product(b, a)
+
+
+def check_identities(degree: int) -> dict[str, int]:
+    """Failure count per identity, swept over generators up to ``degree``.
+
+    - ``chain_map``: the Leibniz rule for a_i x b_j, i + j <= degree
+    - ``term_counts``: a_i x b_j has binomial(i + j, i) terms
+    - ``associativity``: (a_i x b_j) x c_k against a_i x (b_j x c_k),
+      i + j + k <= degree
+    - ``boundary_squares_to_zero``: d.d = 0 on a_n, 1 <= n <= degree, and
+      on a_i x b_j, i, j <= 2 at every degree
+    - ``symmetry``: the graded swap of a_i x b_j, i, j <= 3 at every degree
+    """
+    if json_int(degree, "degree") < 0:
+        raise DomainError(f"degree must be non-negative, got {degree}")
+    failures = dict.fromkeys(
+        ("chain_map", "term_counts", "associativity", "symmetry", "boundary_squares_to_zero"), 0
+    )
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            failures["chain_map"] += not check_chain_map(i, j)
+            c = shuffle_product(generator("a", i), generator("b", j))
+            failures["term_counts"] += len(c) != math.comb(i + j, i)
+            for k in range(degree + 1 - i - j):
+                failures["associativity"] += not check_associativity(i, j, k)
+    for n in range(1, degree + 1):
+        failures["boundary_squares_to_zero"] += not boundary(boundary(generator("a", n))).is_zero()
+    for i in range(3):
+        for j in range(3):
+            c = shuffle_product(generator("a", i), generator("b", j))
+            failures["boundary_squares_to_zero"] += not boundary(boundary(c)).is_zero()
+    for i in range(4):
+        for j in range(4):
+            failures["symmetry"] += not check_symmetry(i, j)
+    return failures

@@ -220,8 +220,11 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
 
     Grammar: genus 0 or 1, at most one incoming and one outgoing closed
     circle, and at most one open boundary cycle with at most two intervals
-    over the given labels.  Rotation-equal cycles appear once.
+    over the given labels, which must be distinct.  Rotation-equal cycles
+    appear once.
     """
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"labels must be distinct, got {','.join(labels)}")
     cycles: list[tuple[BoundaryCycle, ...]] = [()]
     for l in labels:
         cycles.append((free_circle(l),))

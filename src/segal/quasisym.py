@@ -332,6 +332,9 @@ class TwistReport:
 
 def smooth_twist(phi: CircleDiffeo, r1: float, r2: float) -> tuple[TwistMap, TwistReport]:
     """The twist of the annulus r1 <= |z| <= r2, checked on 64 angles and 33 radii."""
+    for name, r in (("r1", r1), ("r2", r2)):
+        if not math.isfinite(r):
+            raise DomainError(f"twist radius {name} must be finite, got {r!r}")
     if not 0.0 < r1 < r2:
         raise DomainError("need 0 < r1 < r2")
     phase = phi.psi(0.0)

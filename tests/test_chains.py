@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segal import chains
 from segal.chains import (
     Chain,
     FormalSimplex,
@@ -14,6 +15,7 @@ from segal.chains import (
     boundary,
     check_associativity,
     check_chain_map,
+    check_identities,
     check_symmetry,
     flatten_factors,
     flattened,
@@ -21,7 +23,7 @@ from segal.chains import (
     shuffle_product,
     swap_factors,
 )
-from segal.errors import InternalInconsistency
+from segal.errors import DomainError, InternalInconsistency
 
 
 def multinomial(*parts: int) -> int:
@@ -29,6 +31,13 @@ def multinomial(*parts: int) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
+
+
+def rebuilt(s):
+    """``s`` rebuilt through the validating constructors, factors first."""
+    if isinstance(s, FormalSimplex):
+        return FormalSimplex(s.dimension, s.label, s.omitted)
+    return ProductSimplex(rebuilt(s.left), rebuilt(s.right), s.pairs)
 
 
 def step_word_shuffle(a: FormalSimplex, b: FormalSimplex) -> Chain:
@@ -107,6 +116,15 @@ class TestProductSimplex:
         f = s.face(1)
         assert f.pairs == ((0, 0), (1, 1))
         assert f.left == a and f.right == b
+
+    def test_face_index_in_range(self):
+        a, b = generator("a", 1), generator("b", 1)
+        s = ProductSimplex(a, b, ((0, 0), (1, 0), (1, 1)))
+        for simplex, m in ((s, -1), (s, 3), (a, -1), (a, 2)):
+            with pytest.raises(InternalInconsistency):
+                simplex.face(m)
+        with pytest.raises(InternalInconsistency):
+            ProductSimplex(generator("a", 0), b.face(0), ((0, 1),)).face(0)
 
     def test_vertices_are_path_positions(self):
         a, b = generator("a", 2), generator("b", 1)
@@ -210,10 +228,11 @@ class TestShuffleProduct:
 
 
 class TestTrustedPath:
-    """Products and swaps skip path validation; pin that nothing they emit
-    differs from what the validating constructor builds."""
+    """Products, swaps and faces skip path validation; pin that nothing they
+    emit differs from what the validating constructors build."""
 
     PAIRS = [(p, q) for p in range(9) for q in range(9 - p)]
+    TRIPLES = [(i, j, k) for i in range(5) for j in range(5 - i) for k in range(5 - i - j)]
 
     def test_repr_digest(self):
         digest = hashlib.sha256()
@@ -228,9 +247,24 @@ class TestTrustedPath:
     def test_terms_rebuild_through_validation(self):
         for p, q in self.PAIRS:
             c = shuffle_product(generator("a", p), generator("b", q))
-            for s in itertools.chain(c.terms, swap_factors(c).terms):
-                rebuilt = ProductSimplex(s.left, s.right, s.pairs)
-                assert rebuilt == s and hash(rebuilt) == hash(s)
+            for s in itertools.chain(c.terms, swap_factors(c).terms, boundary(c).terms):
+                assert rebuilt(s) == s and hash(rebuilt(s)) == hash(s)
+
+    def test_nested_boundary_digest(self):
+        """A face of a nested product shifts the positions of its product
+        factor; pin those faces, and rebuild each through validation."""
+        digest = hashlib.sha256()
+        for i, j, k in self.TRIPLES:
+            a, b, c = generator("a", i), generator("b", j), generator("c", k)
+            left = shuffle_product(shuffle_product(a, b), c)
+            for nested in (left, shuffle_product(a, shuffle_product(b, c)), swap_factors(left)):
+                d = boundary(nested)
+                digest.update(repr(d).encode())
+                for s in d.terms:
+                    assert rebuilt(s) == s and hash(rebuilt(s)) == hash(s)
+        assert digest.hexdigest() == (
+            "4d8abb9918f7b9861dd56637746b54087919cdf20e415296200f79d5d65e59db"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +400,17 @@ class TestSymmetryAndUnit:
         ((s, coeff),) = c.terms.items()
         assert coeff == 1
         assert s.pairs == tuple((k, 0) for k in range(3))
+
+
+class TestCheckIdentities:
+    def test_counts_failures_per_identity(self, monkeypatch):
+        names = ("chain_map", "term_counts", "associativity", "symmetry", "boundary_squares_to_zero")
+        assert check_identities(3) == dict.fromkeys(names, 0)
+        # the 10 triples of total degree 3 fail
+        monkeypatch.setattr(chains, "check_associativity", lambda i, j, k: i + j + k != 3)
+        assert check_identities(3) == {**dict.fromkeys(names, 0), "associativity": 10}
+
+    @pytest.mark.parametrize("degree", [-1, 2.5, True])
+    def test_degree_is_a_natural_number(self, degree):
+        with pytest.raises(DomainError):
+            check_identities(degree)

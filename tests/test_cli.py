@@ -64,6 +64,7 @@ REQUIRED_OPS = {
     "chains.check_chain_map",
     "chains.check_associativity",
     "chains.check_symmetry",
+    "chains.check_identities",
     "flattening.order_step",
     "flattening.order_sequence",
     "flattening.glue_identity",

@@ -5,11 +5,13 @@ every subcommand in text and JSON mode, plus bad inputs of every error
 kind.  Arguments name their input files by placeholder (``{field_a}``,
 ``{types}`` ...); ``write_inputs`` builds those files, and temporary paths
 in stderr are written back as ``{tmp}``.  stdout must match byte for byte,
-except for ``appb flatten``.  Its numbers come from long chains of numpy
-float work (vectorised sin and cos in the glue maps, thousands of RK4 steps,
-LAPACK solves, log-log fits), whose last digits may differ between CPUs and
-numpy builds, so for it every number is masked and only the labels, keys
-and verdicts must match.
+except for ``appb flatten`` and ``accept`` over every criterion.  Their
+numbers come from long chains of numpy float work (vectorised sin and cos in
+the glue maps, thousands of RK4 steps, LAPACK solves, log-log fits,
+quadrature), whose last digits may differ between CPUs and numpy builds, so
+for them every number is masked and only the labels, keys, verdicts and
+detail text must match.  The ``accept --only`` records pick criteria whose
+output is exact, and match byte for byte.
 """
 
 import json
@@ -29,7 +31,6 @@ from test_cli import REQUIRED_OPS
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "cli_golden.json").read_text(encoding="utf-8"))
 TYPES = Path(segal.__file__).resolve().parent / "data" / "corpus" / "types"
-HOST_DRIFT_MASKED = {("appb", "flatten")}
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
@@ -194,6 +195,10 @@ def _command(argv: list[str]) -> tuple[str, ...]:
     return (argv[0],) if argv[0] == "accept" else tuple(argv[:2])
 
 
+def _host_drift_masked(argv: list[str]) -> bool:
+    return _command(argv) == ("appb", "flatten") or argv[0] == "accept" and "--only" not in argv
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> dict[str, str]:
     """One set of input files for every case; no case writes a file another reads."""
@@ -205,7 +210,7 @@ def test_golden(case, inputs, capsys, monkeypatch):
     monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
     got = invoke(case["argv"], inputs, capsys)
     assert (got["code"], got["stderr"]) == (case["code"], case["stderr"])
-    if _command(case["argv"]) in HOST_DRIFT_MASKED:
+    if _host_drift_masked(case["argv"]):
         json_mode = "json" in case["argv"]
         assert masked(got["stdout"], json_mode) == masked(case["stdout"], json_mode)
     else:

@@ -308,6 +308,12 @@ def test_json_roundtrip_beyond_acceptance_cap(seed, components, genus, closed, o
         assert octype_to_json(back) == doc
 
 
+def test_enumerate_small_types_needs_distinct_labels():
+    assert len(corpus.enumerate_small_types(("a",))) == 56
+    with pytest.raises(DomainError, match="labels must be distinct"):
+        corpus.enumerate_small_types(("a", "a"))
+
+
 def test_json_top_level_must_be_object():
     with pytest.raises(DomainError):
         octype_from_json([1, 2])

@@ -35,7 +35,8 @@ PUBLIC = [
     "OCType", "ObjectSignature", "OrderPair", "ProductSimplex", "QuadrilateralSpec",
     "SampledChartMap", "SampledIncreasingFunction", "StructureField", "abs_mu_from_K",
     "acs_from_frame", "acs_from_mu", "base_structure_field", "boundary", "bump",
-    "check_associativity", "check_chain_map", "check_geometric_qc", "check_symmetry",
+    "check_associativity", "check_chain_map", "check_geometric_qc", "check_identities",
+    "check_symmetry",
     "circle_identity", "circle_rotation", "compose_types", "corner_dilatation",
     "corner_map", "corner_transform", "cross_ratio", "dilatation_K", "disjoint_union",
     "field_distance", "flatten_step", "generator", "glue_identity", "glue_linear",

@@ -53,6 +53,7 @@ CASES = {
     "pullback-u-nan": lambda: beltrami.pullback_mu(0.1, 0.0, complex(NAN, 0.0)),
     "corner-point-nan": lambda: quasisym.corner_transform(quasisym.half_angle_piecewise())(NAN),
     "circle-point-inf": lambda: quasisym.circle_identity()(complex(INF, 0.0)),
+    "twist-radius-inf": lambda: quasisym.smooth_twist(quasisym.circle_identity(), 1.0, INF),
     "acs-nan": lambda: beltrami.ACSMatrix(NAN, -1.0, 1.0, NAN),
     "acs-inf": lambda: beltrami.ACSMatrix(0.0, -INF, INF, 0.0),
     "acs-frame-nan": lambda: beltrami.acs_from_frame(NAN, 1.0),

@@ -350,8 +350,10 @@ class TestBump:
 
 class TestSmoothTwist:
     def test_bad_radii(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need 0 < r1 < r2"):
             smooth_twist(circle_identity(), 2.0, 1.0)
+        with pytest.raises(DomainError, match="twist radius r2 must be finite"):
+            smooth_twist(circle_identity(), 1.0, math.inf)
 
     def test_boundary_exact_at_nodes(self):
         twist, report = smooth_twist(half_angle_smooth(), 1.0, 2.0)
