@@ -1,22 +1,24 @@
 """Acceptance suite: every shipped guarantee as one runnable check.
 
 Each criterion is one ``CRITERIA`` row (index, name, function).  Every
-function takes the tolerance scale and the loaded corpus and returns a
-``Verdict``: pass or fail, a measured value and the tolerance it was held
-to.  ``run_acceptance`` alone turns rows and verdicts into results, so the
-command-line runner and the test suite print identical one-line verdicts.
-Tolerances scale by a single factor (CI knob); checks that are exact keep
-tolerance zero, which scaling leaves unchanged.
+function takes the loaded corpus and returns its checks and a detail text.
+A ``Check`` states one bound once: a measured value, the bound and the
+sense (``<=``, ``>=`` or ``>``) in which the value must meet it.  An exact
+check has bound 0; a yes/no check measures 0 for yes and 1 for no.
+``run_acceptance`` alone judges the checks, deriving pass or fail and a
+signed margin, and turns rows into results, so the command-line runner and
+the test suite print identical one-line verdicts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
 from ._input import json_list, json_number, json_object, load_file
@@ -31,13 +33,40 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
+class Check:
+    """One stated bound: the check holds when ``measured <sense> bound``."""
+
+    name: str
+    measured: float
+    bound: float
+    sense: str  # "<=", ">=" or ">"
+
+
+# what a criterion function returns: its checks, then its detail text
+Outcome = tuple[list[Check], str]
+
+
+@dataclass(frozen=True)
+class CheckResult(Check):
+    """A judged check.  ``margin`` is the signed distance from the measured
+    value to the bound, relative to a non-zero bound; it is negative when
+    the value lies on the wrong side."""
+
+    passed: bool
+    margin: float
+
+
+@dataclass(frozen=True)
 class CriterionResult:
+    """One criterion's verdict; ``measured`` and ``tolerance`` are its first check's."""
+
     index: int
     name: str
     passed: bool
     measured: float
     tolerance: float
     detail: str
+    checks: tuple[CheckResult, ...]
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -45,15 +74,6 @@ class CriterionResult:
             f"{verdict}  {self.index:2d} {self.name:<28s} "
             f"measured={self.measured:.3e} tolerance={self.tolerance:.3e}  {self.detail}"
         )
-
-
-class Verdict(NamedTuple):
-    """What a criterion function returns; its row adds the index and name."""
-
-    passed: bool
-    measured: float
-    tolerance: float
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -83,7 +103,7 @@ def load_corpus(directory: Optional[str] = None) -> AcceptanceCorpus:
     return AcceptanceCorpus(quads, types)
 
 
-def corpus_integrity(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def corpus_integrity(data: AcceptanceCorpus) -> Outcome:
     """Pre-flight: every corpus type valid, every quad strictly ordered."""
     problems = []
     for name, t in data.types:
@@ -94,12 +114,7 @@ def corpus_integrity(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
         if not (q[0] < q[1] < q[2] < q[3]):
             problems.append(f"quad {q} not strictly ordered")
     detail = problems[0] if problems else f"{len(data.types)} types, {len(data.quads)} quads"
-    return Verdict(
-        passed=not problems,
-        measured=float(len(problems)),
-        tolerance=0.0,
-        detail=detail,
-    )
+    return [Check("problems", float(len(problems)), 0.0, "<=")], detail
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +161,7 @@ def _random_field(
 # the criteria
 
 
-def criterion_1_associativity(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_1_associativity(data: AcceptanceCorpus) -> Outcome:
     mismatches = 0
     for seed in range(_TRIPLES):
         t1, t2, t3 = _capped_triple(seed)
@@ -154,15 +169,11 @@ def criterion_1_associativity(tol_scale: float, data: AcceptanceCorpus) -> Verdi
         rhs = cobordism.compose_types(t1, cobordism.compose_types(t2, t3))
         if lhs != rhs:
             mismatches += 1
-    return Verdict(
-        passed=mismatches == 0,
-        measured=float(mismatches),
-        tolerance=0.0,
-        detail=f"{_TRIPLES} seeded composable triples, canonical forms compared",
-    )
+    checks = [Check("mismatches", float(mismatches), 0.0, "<=")]
+    return checks, f"{_TRIPLES} seeded composable triples, canonical forms compared"
 
 
-def criterion_2_compose_oracle(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_2_compose_oracle(data: AcceptanceCorpus) -> Outcome:
     small = corpus.enumerate_small_types()
     by_in: dict[cobordism.ObjectSignature, list[cobordism.OCType]] = {}
     for t in small:
@@ -173,15 +184,11 @@ def criterion_2_compose_oracle(tol_scale: float, data: AcceptanceCorpus) -> Verd
     mismatches = sum(
         octype_summary(cobordism.compose_types(t1, t2)) != glued_summary(t1, t2) for t1, t2 in pairs
     )
-    return Verdict(
-        passed=mismatches == 0,
-        measured=float(mismatches),
-        tolerance=0.0,
-        detail=f"{len(pairs)} glued pairs vs polygon-complex oracle, exact",
-    )
+    checks = [Check("mismatches", float(mismatches), 0.0, "<=")]
+    return checks, f"{len(pairs)} glued pairs vs polygon-complex oracle, exact"
 
 
-def criterion_3_dilatation(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_3_dilatation(data: AcceptanceCorpus) -> Outcome:
     rng = random.Random(3)
     worst_rt = 0.0
     for _ in range(10_000):
@@ -194,17 +201,11 @@ def criterion_3_dilatation(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
         f = lambda z, k=k: k * z.real + 1j * z.imag
         fz, fzbar = wirtinger_fd(f, complex(0.3, 0.4), 1e-6)
         worst_fd = max(worst_fd, abs(fzbar / fz - (k - 1.0) / (k + 1.0)))
-    tol_rt = 1e-12 * tol_scale
-    tol_fd = 1e-8 * tol_scale
-    return Verdict(
-        passed=worst_rt <= tol_rt and worst_fd <= tol_fd,
-        measured=worst_rt,
-        tolerance=tol_rt,
-        detail=f"10^4 samples; stretch FD dev {worst_fd:.2e} vs {tol_fd:.1e}",
-    )
+    checks = [Check("round-trip", worst_rt, 1e-12, "<="), Check("stretch-fd", worst_fd, 1e-8, "<=")]
+    return checks, f"10^4 samples; stretch FD dev {worst_fd:.2e} vs {checks[1].bound:.1e}"
 
 
-def criterion_4_fiber_isometry(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_4_fiber_isometry(data: AcceptanceCorpus) -> Outcome:
     rng = random.Random(4)
     worst = 0.0
     for _ in range(1000):
@@ -218,16 +219,11 @@ def criterion_4_fiber_isometry(tol_scale: float, data: AcceptanceCorpus) -> Verd
             beltrami.transform_mu(mu2, mu_f, fz, fzbar),
         )
         worst = max(worst, abs(d1 - d0))
-    tol = 1e-10 * tol_scale
-    return Verdict(
-        passed=worst <= tol,
-        measured=worst,
-        tolerance=tol,
-        detail="10^3 random coefficient pairs under chart changes",
-    )
+    checks = [Check("distance-change", worst, 1e-10, "<=")]
+    return checks, "10^3 random coefficient pairs under chart changes"
 
 
-def criterion_5_sewing_isometry(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_5_sewing_isometry(data: AcceptanceCorpus) -> Outcome:
     worst = 0.0
     for seed in range(100):
         rng = random.Random(10_000 + seed)
@@ -240,16 +236,11 @@ def criterion_5_sewing_isometry(tol_scale: float, data: AcceptanceCorpus) -> Ver
         )
         rhs = max(beltrami.field_distance(a, a2), beltrami.field_distance(b, b2))
         worst = max(worst, abs(lhs - rhs))
-    tol = 1e-12 * tol_scale
-    return Verdict(
-        passed=worst <= tol,
-        measured=worst,
-        tolerance=tol,
-        detail="100 random field quadruples, seam concatenation",
-    )
+    checks = [Check("distance-change", worst, 1e-12, "<=")]
+    return checks, "100 random field quadruples, seam concatenation"
 
 
-def criterion_6_module_numerics(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_6_module_numerics(data: AcceptanceCorpus) -> Outcome:
     positions = (1.5, 2.0, 3.0, 5.0, 10.0)
     worst_agm = max(
         abs(modulus.module_sc(x) - module_agm(x)) for x in positions
@@ -271,82 +262,67 @@ def criterion_6_module_numerics(tol_scale: float, data: AcceptanceCorpus) -> Ver
         c = quad.z0 - rng.uniform(0.5, 2.0)
         inverted = modulus.QuadrilateralSpec(*(-1.0 / (z - c) for z in quad.vertices))
         worst_mob = max(worst_mob, abs(modulus.module_of_quad(inverted) - base))
-    tol_agm = 1e-8 * tol_scale
-    tol_rec = 1e-6 * tol_scale
-    tol_mob = 1e-8 * tol_scale
-    return Verdict(
-        passed=worst_agm <= tol_agm and worst_rec <= tol_rec and worst_mob <= tol_mob,
-        measured=worst_agm,
-        tolerance=tol_agm,
-        detail=(
-            f"reciprocity dev {worst_rec:.2e} vs {tol_rec:.1e}; "
-            f"invariance dev {worst_mob:.2e} vs {tol_mob:.1e}"
-        ),
+    checks = [
+        Check("vs-agm", worst_agm, 1e-8, "<="),
+        Check("reciprocity", worst_rec, 1e-6, "<="),
+        Check("mobius-invariance", worst_mob, 1e-8, "<="),
+    ]
+    _, rec, mob = checks
+    return checks, (
+        f"reciprocity dev {rec.measured:.2e} vs {rec.bound:.1e}; "
+        f"invariance dev {mob.measured:.2e} vs {mob.bound:.1e}"
     )
 
 
-def criterion_7_geometric_qc(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_7_geometric_qc(data: AcceptanceCorpus) -> Outcome:
     specs = [modulus.QuadrilateralSpec(*q) for q in data.quads]
-    report = modulus.check_geometric_qc(2.0, specs, slack=1e-6 * tol_scale)
-    passed = report.within_bounds and report.max_ratio >= 1.99
-    return Verdict(
-        passed=passed,
-        measured=report.max_ratio,
-        tolerance=1.99,
-        detail=(
-            f"{len(report.quad_ratios)} quads in [1/2,2]; "
-            f"rectangle family sup {report.max_ratio:.6f} (measured >= tolerance)"
-        ),
+    report = modulus.check_geometric_qc(2.0, specs, slack=1e-6)
+    checks = [
+        Check("rectangle-sup", report.max_ratio, 1.99, ">="),
+        Check("within-bounds", float(not report.within_bounds), 0.0, "<="),
+    ]
+    return checks, (
+        f"{len(report.quad_ratios)} quads in [1/2,2]; "
+        f"rectangle family sup {report.max_ratio:.6f} (measured >= tolerance)"
     )
 
 
-def criterion_8_corner(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_8_corner(data: AcceptanceCorpus) -> Outcome:
     phi = quasisym.half_angle_piecewise()
     k = quasisym.corner_dilatation(phi)
     lo, hi = phi.derivative_range()
     printed = max(0.5 * hi, 2.0 / lo)
-    exact_ok = k == printed
     sigma = quasisym.corner_transform(phi)
     worst_fd = 0.0
     for j in range(256):
         theta = 2.0 * math.pi * (j + 0.5) / 256
         worst_fd = max(worst_fd, dilatation_fd(sigma, cmath.exp(1j * theta), 1e-6))
-    rel = abs(worst_fd - k) / k
-    tol = 0.05 * tol_scale
-    return Verdict(
-        passed=exact_ok and rel <= tol,
-        measured=rel,
-        tolerance=tol,
-        detail=f"K={k} equals profile bound exactly: {exact_ok}; FD sup {worst_fd:.4f}",
-    )
+    checks = [
+        Check("fd-relative", abs(worst_fd - k) / k, 0.05, "<="),
+        Check("profile-bound", abs(k - printed), 0.0, "<="),
+    ]
+    return checks, f"K={k} equals profile bound exactly: {k == printed}; FD sup {worst_fd:.4f}"
 
 
-def criterion_9_quasisymmetry(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_9_quasisymmetry(data: AcceptanceCorpus) -> Outcome:
     k_id = quasisym.qs_bound(quasisym.sampled_identity(128))
     k_slope = quasisym.qs_bound(quasisym.sampled_slope_break(2.0, 128))
     t_max = 1.0
     k_exp = quasisym.qs_bound(quasisym.sampled_exp(t_max, 128))
-    exact = max(abs(k_id - 1.0), abs(k_slope - 2.0))
-    exp_ok = k_exp >= math.exp(t_max) * (1.0 - 1e-6 * tol_scale)
-    return Verdict(
-        passed=exact == 0.0 and exp_ok,
-        measured=exact,
-        tolerance=0.0,
-        detail=f"identity=1 and slope-2=2 exact; exp window k={k_exp:.9f}",
-    )
+    checks = [
+        Check("identity-and-slope", max(abs(k_id - 1.0), abs(k_slope - 2.0)), 0.0, "<="),
+        Check("exp-window", k_exp, math.exp(t_max) * (1.0 - 1e-6), ">="),
+    ]
+    return checks, f"identity=1 and slope-2=2 exact; exp window k={k_exp:.9f}"
 
 
-def criterion_10_chain_suite(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_10_chain_suite(data: AcceptanceCorpus) -> Outcome:
     failures = sum(chains.check_identities(6).values())
-    return Verdict(
-        passed=failures == 0,
-        measured=float(failures),
-        tolerance=0.0,
-        detail="chain map, associativity, term counts, d^2=0; rational arithmetic",
-    )
+    checks = [Check("failures", float(failures), 0.0, "<=")]
+    return checks, "chain map, associativity, term counts, d^2=0; rational arithmetic"
 
 
-def criterion_11_order_recursion(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_11_order_recursion(data: AcceptanceCorpus) -> Outcome:
     expected = [
         flattening.OrderPair(flattening.INFINITE, 0),
         flattening.OrderPair(1, 2),
@@ -365,16 +341,15 @@ def criterion_11_order_recursion(tol_scale: float, data: AcceptanceCorpus) -> Ve
             worst = max(worst, abs(fit.fitted_m - fit.predicted.m))
         if fit.fitted_n != flattening.INFINITE:
             worst = max(worst, abs(fit.fitted_n - fit.predicted.n))
-    tol = 0.25 * tol_scale
-    return Verdict(
-        passed=seq_ok and growth_ok and worst <= tol,
-        measured=worst,
-        tolerance=tol,
-        detail=f"sequence exact: {seq_ok}; min order exceeds 20 within 45: {growth_ok}",
-    )
+    checks = [
+        Check("fit-deviation", worst, 0.25, "<="),
+        Check("sequence", float(not seq_ok), 0.0, "<="),
+        Check("growth", float(not growth_ok), 0.0, "<="),
+    ]
+    return checks, f"sequence exact: {seq_ok}; min order exceeds 20 within 45: {growth_ok}"
 
 
-def criterion_12_smooth_twist(tol_scale: float, data: AcceptanceCorpus) -> Verdict:
+def criterion_12_smooth_twist(data: AcceptanceCorpus) -> Outcome:
     worst = 0.0
     min_jac = math.inf
     for phi in (quasisym.half_angle_smooth(), quasisym.half_angle_piecewise()):
@@ -382,16 +357,15 @@ def criterion_12_smooth_twist(tol_scale: float, data: AcceptanceCorpus) -> Verdi
         worst = max(worst, rep.inner_max_dev, rep.outer_max_dev)
         min_jac = min(min_jac, rep.min_jacobian)
     _, rot = quasisym.smooth_twist(quasisym.circle_rotation(0.9), 1.0, 2.0)
-    passed = worst == 0.0 and min_jac > 0.0 and rot.rigid_rotation
-    return Verdict(
-        passed=passed,
-        measured=worst,
-        tolerance=0.0,
-        detail=f"min Jacobian {min_jac:.4f}; rotation extends rigidly: {rot.rigid_rotation}",
-    )
+    checks = [
+        Check("boundary-deviation", worst, 0.0, "<="),
+        Check("min-jacobian", min_jac, 0.0, ">"),
+        Check("rigid-rotation", float(not rot.rigid_rotation), 0.0, "<="),
+    ]
+    return checks, f"min Jacobian {min_jac:.4f}; rotation extends rigidly: {rot.rigid_rotation}"
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[float, AcceptanceCorpus], Verdict]], ...] = (
+CRITERIA: tuple[tuple[int, str, Callable[[AcceptanceCorpus], Outcome]], ...] = (
     (1, "composition-associativity", criterion_1_associativity),
     (2, "compose-vs-cell-complex", criterion_2_compose_oracle),
     (3, "dilatation-round-trip", criterion_3_dilatation),
@@ -407,15 +381,41 @@ CRITERIA: tuple[tuple[int, str, Callable[[float, AcceptanceCorpus], Verdict]], .
 )
 
 
+_HOLDS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+def _judge(check: Check) -> CheckResult:
+    gap = check.bound - check.measured if check.sense == "<=" else check.measured - check.bound
+    return CheckResult(
+        **vars(check),
+        passed=_HOLDS[check.sense](check.measured, check.bound),
+        margin=gap / abs(check.bound) if check.bound else gap,
+    )
+
+
 def run_acceptance(
     corpus_dir: Optional[str] = None,
-    tol_scale: float = 1.0,
+    scale: float = 1.0,
     indices: Optional[Sequence[int]] = None,
 ) -> list[CriterionResult]:
-    """Run the corpus check and every requested criterion, in order."""
+    """Run the corpus check and every requested criterion, in order.
+
+    Each bound is stated once, in its criterion.  ``scale`` only holds the
+    second positional place for existing callers: any value but 1.0 is a
+    ``DomainError``.
+    """
+    if scale != 1.0:
+        raise DomainError(f"acceptance bounds are fixed; scale must be 1.0, got {scale!r}")
     data = load_corpus(corpus_dir)
     # both names are looked up at call time, so a wrapper installed over
     # them (perfbench's tracer) sees every criterion it runs
     rows = [(0, "corpus-integrity", corpus_integrity)]
     rows += [row for row in CRITERIA if not indices or row[0] in indices]
-    return [CriterionResult(idx, name, *fn(tol_scale, data)) for idx, name, fn in rows]
+    results = []
+    for idx, name, fn in rows:
+        checks, detail = fn(data)
+        judged = tuple(map(_judge, checks))
+        first = checks[0]
+        passed = all(c.passed for c in judged)
+        results.append(CriterionResult(idx, name, passed, first.measured, first.bound, detail, judged))
+    return results

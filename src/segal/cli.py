@@ -12,7 +12,6 @@ codes: an error in ``INPUT_ERRORS`` (bad syntax, a missing file or corpus, a
 value outside the domain of the operation) exits 2 with ``error:``; every
 other ``SegalError`` means a computation ran and its check failed, and
 exits 1 with ``check failed:``.
-The environment variable SEGAL_TOLERANCE_SCALE multiplies every tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import random
 import sys
 from typing import Callable, Optional, Sequence
@@ -60,17 +58,6 @@ INPUT_ERRORS = (
 
 # ---------------------------------------------------------------------------
 # parsing helpers
-
-
-def tolerance_scale() -> float:
-    raw = os.environ.get("SEGAL_TOLERANCE_SCALE", "1")
-    try:
-        v = float(raw)
-    except ValueError:
-        raise DomainError(f"SEGAL_TOLERANCE_SCALE={raw!r} is not a number")
-    if not 0 < v < math.inf:
-        raise DomainError(f"SEGAL_TOLERANCE_SCALE={raw!r} must be finite and positive")
-    return v
 
 
 def parse_complex(s: str) -> complex:
@@ -452,13 +439,12 @@ def run_module_compute(args) -> Report:
 
 
 def run_module_check_qc(args) -> Report:
-    scale = tolerance_scale()
     if args.generate:
         quads = corpus.generate_quads(args.seed, args.count)
     else:
         quads = acceptance.load_corpus(args.corpus).quads
     specs = [modulus.QuadrilateralSpec(*q) for q in quads]
-    report = modulus.check_geometric_qc(args.K, specs, slack=args.slack * scale)
+    report = modulus.check_geometric_qc(args.K, specs, slack=args.slack)
     payload = {
         "K": report.K,
         "quad_count": len(report.quad_ratios),
@@ -611,7 +597,6 @@ def run_appb_flatten(args) -> Report:
 
 
 def run_accept(args) -> Report:
-    scale = tolerance_scale()
     indices = None
     if args.only:
         try:
@@ -622,15 +607,14 @@ def run_accept(args) -> Report:
         bad = [i for i in indices if i not in known]
         if bad:
             raise DomainError(f"criterion indices out of range: {bad}")
-    results = acceptance.run_acceptance(args.corpus, scale, indices)
+    results = acceptance.run_acceptance(args.corpus, indices=indices)
     passed = all(r.passed for r in results)
     payload = {
-        "tolerance_scale": scale,
         "results": [dataclasses.asdict(r) for r in results],
         "all_passed": passed,
     }
     lines = [r.line() for r in results]
-    return Report(payload, "segal.report.accept/1", lines, 0 if passed else 1)
+    return Report(payload, "segal.report.accept/2", lines, 0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ def circle_identity() -> CircleDiffeo:
 
 
 def circle_rotation(delta: float) -> CircleDiffeo:
+    if not math.isfinite(delta):
+        raise DomainError(f"rotation angle must be finite, got {delta!r}")
     return CircleDiffeo(lambda t: t + delta, lambda t: 1.0, 1.0, 1.0)
 
 

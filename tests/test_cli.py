@@ -164,10 +164,6 @@ class TestExitCodes:
         p.write_text(json.dumps(cobordism.octype_to_json(t)), encoding="utf-8")
         assert main(["types", "stability", str(p)]) == 1
 
-    def test_bad_tolerance_scale_is_input_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("SEGAL_TOLERANCE_SCALE", "banana")
-        assert main(["accept", "--only", "9"]) == 2
-
 
 class TestDeterminism:
     def _capture(self, capsys, argv):
@@ -191,14 +187,6 @@ class TestDeterminism:
         d = json.loads(out)
         assert d["schema"] == "segal.report.twist/1"
         assert d["version"] == segal.__version__
-
-    def test_tolerance_scale_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("SEGAL_TOLERANCE_SCALE", "100")
-        code, out = self._capture(capsys, ["accept", "--only", "3", "--format", "json"])
-        assert code == 0
-        d = json.loads(out)
-        by_name = {r["name"]: r for r in d["results"]}
-        assert by_name["dilatation-round-trip"]["tolerance"] == pytest.approx(1e-10)
 
 
 class TestTypesCommands:

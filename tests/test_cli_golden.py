@@ -206,8 +206,7 @@ def inputs(tmp_path_factory) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
-def test_golden(case, inputs, capsys, monkeypatch):
-    monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
+def test_golden(case, inputs, capsys):
     got = invoke(case["argv"], inputs, capsys)
     assert (got["code"], got["stderr"]) == (case["code"], case["stderr"])
     if _host_drift_masked(case["argv"]):
@@ -233,7 +232,6 @@ def test_every_required_operation_is_called(inputs, capsys, monkeypatch):
     """Each operation in ``REQUIRED_OPS`` runs in some golden case.  Every one
     is wrapped wherever a segal module holds it, and the golden cases run
     until each wrapper has been called."""
-    monkeypatch.delenv("SEGAL_TOLERANCE_SCALE", raising=False)
     called: set[str] = set()
     for op in REQUIRED_OPS:
         mod_name, fn_name = op.split(".")

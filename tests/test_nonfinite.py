@@ -99,7 +99,14 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
-def test_every_public_constructor_rejects_non_finite_input(build):
-    with pytest.raises(SegalError):
-        build()
+# the message a case must raise, where it names the bad value
+MESSAGES = {
+    "circle-winding-nan": "rotation angle must be finite, got nan",
+    "circle-winding-inf": "rotation angle must be finite, got inf",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_public_constructor_rejects_non_finite_input(case):
+    with pytest.raises(SegalError, match=MESSAGES.get(case)):
+        CASES[case]()
