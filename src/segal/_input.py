@@ -1,10 +1,13 @@
 """The input boundary: every file segal reads is opened, decoded and read as
 numbers here, so a float, a bool or a numeric string is never truncated or
-coerced, and every failure is a ``DomainError`` naming the file."""
+coerced, and every failure is a ``DomainError`` naming the file.  The
+modulus of a complex number from outside is taken here too, by
+``abs_or_inf``."""
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, TypeVar
 
 from .errors import DomainError, SegalError
@@ -70,3 +73,11 @@ def json_number(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DomainError(f"{what} must be a number, not {v!r}")
     return float(v)
+
+
+def abs_or_inf(z: complex) -> float:
+    """|z|, or inf where it overflows a float, as for 1.5e308+1.5e308j."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf

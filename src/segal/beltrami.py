@@ -4,6 +4,11 @@ Scalar values live in the open unit disc and measure local conformal
 distortion.  Fields sample such values at cell centers of an axis-aligned
 rectangle, which keeps sewing exact: joining two fields along a shared edge
 is plain concatenation and no sample sits on the seam line.
+
+The chart-change transform, the pullback and the pseudo-distance are each
+one expression, in ``_transform_kernel``, ``_pullback_kernel`` and
+``_pseudo_distance``.  It runs in Python complex arithmetic on one value and
+as a numpy broadcast on a field, so the scalar functions need no numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence, TextIO
 
 from . import _FirstUseNumpy
-from ._input import json_int, json_list, json_number
+from ._input import abs_or_inf, json_int, json_list, json_number
 from .errors import (
     DegenerateFrame,
     DomainError,
@@ -42,8 +47,11 @@ def _require_in_disc(value: complex, name: str) -> complex:
     value = complex(value)
     if not cmath.isfinite(value):
         raise OutOfDisc(f"{name} is not finite: {value!r}")
-    if abs(value) >= 1.0 - DISC_EDGE:
-        raise OutOfDisc(f"{name} has modulus {abs(value):.12g}, too close to 1")
+    r = abs_or_inf(value)
+    if r == math.inf:
+        raise OutOfDisc(f"{name} {value!r} has modulus too large for double precision")
+    if r >= 1.0 - DISC_EDGE:
+        raise OutOfDisc(f"{name} has modulus {r:.12g}, too close to 1")
     return value
 
 
@@ -59,10 +67,9 @@ class LinearMapZZbar:
     b: complex
 
     def __post_init__(self):
-        if not abs(self.a) > abs(self.b):
-            raise NotOrientationPreserving(
-                f"|a|={abs(self.a):.6g} must exceed |b|={abs(self.b):.6g}"
-            )
+        a, b = abs_or_inf(self.a), abs_or_inf(self.b)
+        if not a > b:
+            raise NotOrientationPreserving(f"|a|={a:.6g} must exceed |b|={b:.6g}")
 
     def __call__(self, z: complex) -> complex:
         return self.a * z + self.b * z.conjugate()
@@ -97,31 +104,47 @@ def abs_mu_from_K(K: float) -> float:
 
 
 def _chart_phase(fz: complex, fzbar: complex) -> complex:
-    """The unit phase fz/conj(fz) of orientation-preserving chart data; an
-    infinite fz passes the orientation test, so finiteness is checked after it."""
-    if not abs(fz) > abs(fzbar):
-        raise NotOrientationPreserving(
-            f"|fz|={abs(fz):.6g} must exceed |fzbar|={abs(fzbar):.6g}"
-        )
-    if not (cmath.isfinite(fz) and cmath.isfinite(fzbar)):
+    """The unit phase fz/conj(fz) of orientation-preserving chart data.
+
+    An fz of infinite modulus passes the orientation test, and its phase
+    would be nan, so it is rejected after the test; fzbar, of smaller
+    modulus, is then finite too."""
+    mod_fz, mod_fzbar = abs_or_inf(fz), abs_or_inf(fzbar)
+    if not mod_fz > mod_fzbar:
+        raise NotOrientationPreserving(f"|fz|={mod_fz:.6g} must exceed |fzbar|={mod_fzbar:.6g}")
+    if mod_fz == math.inf and cmath.isfinite(fz):
+        raise DomainError(f"chart derivative fz={fz!r} has modulus too large for double precision")
+    if mod_fz == math.inf:
         raise DomainError(f"chart derivatives must be finite, got fz={fz!r}, fzbar={fzbar!r}")
     return fz / fz.conjugate()
 
 
 def _unit_phase(u: complex) -> complex:
     """u normalized to modulus 1; it must already lie within 1e-6 of it."""
-    mod = abs(u)
+    mod = abs_or_inf(u)
     if not abs(mod - 1.0) <= 1e-6:
         raise NotOrientationPreserving(f"|u|={mod:.6g} is not a unit phase")
     return u / mod
 
 
-def _transform_kernel(mu_gf, mu_f, phase):
-    return phase * (mu_gf - mu_f) / (1.0 - np.conjugate(mu_f) * mu_gf)
+def _transform_kernel(mu_gf, mu_f: complex, phase: complex):
+    return phase * (mu_gf - mu_f) / (1.0 - mu_f.conjugate() * mu_gf)
 
 
-def _pullback_kernel(nu_Y, mu_g, u):
-    return (nu_Y + u * mu_g) / (u + np.conjugate(mu_g) * nu_Y)
+def _pullback_kernel(nu_Y, mu_g: complex, u: complex):
+    return (nu_Y + u * mu_g) / (u + mu_g.conjugate() * nu_Y)
+
+
+def _pseudo_distance(a, b):
+    """|a - b| / |1 - a conj(b)|, of two values or nodewise of two arrays."""
+    return abs((a - b) / (1.0 - a * b.conjugate()))
+
+
+def _hyperbolic(delta: float) -> float:
+    """The hyperbolic distance log((1+d)/(1-d)) of a pseudo-distance d < 1."""
+    if not delta < 1.0:
+        raise OutOfDisc("the values are too far apart to measure in double precision")
+    return math.log((1.0 + delta) / (1.0 - delta))
 
 
 def transform_mu(mu_gf: complex, mu_f: complex, fz: complex, fzbar: complex) -> complex:
@@ -132,7 +155,7 @@ def transform_mu(mu_gf: complex, mu_f: complex, fz: complex, fzbar: complex) -> 
     """
     mu_gf = _require_in_disc(mu_gf, "mu_gf")
     mu_f = _require_in_disc(mu_f, "mu_f")
-    return complex(_transform_kernel(mu_gf, mu_f, _chart_phase(fz, fzbar)))
+    return _transform_kernel(mu_gf, mu_f, _chart_phase(fz, fzbar))
 
 
 def pullback_mu(nu_Y: complex, mu_g: complex, u: complex) -> complex:
@@ -144,15 +167,14 @@ def pullback_mu(nu_Y: complex, mu_g: complex, u: complex) -> complex:
     """
     nu_Y = _require_in_disc(nu_Y, "nu_Y")
     mu_g = _require_in_disc(mu_g, "mu_g")
-    return complex(_pullback_kernel(nu_Y, mu_g, _unit_phase(u)))
+    return _pullback_kernel(nu_Y, mu_g, _unit_phase(u))
 
 
 def teichmuller_distance(mu1: complex, mu2: complex) -> float:
     """Hyperbolic distance log((1+d)/(1-d)) of the pseudo-distance d."""
     mu1 = _require_in_disc(mu1, "mu1")
     mu2 = _require_in_disc(mu2, "mu2")
-    delta = abs((mu1 - mu2) / (1.0 - mu1 * mu2.conjugate()))
-    return math.log((1.0 + delta) / (1.0 - delta))
+    return _hyperbolic(_pseudo_distance(mu1, mu2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +191,19 @@ class ACSMatrix:
     j22: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.j11, self.j12, self.j21, self.j22))):
+        entries = (self.j11, self.j12, self.j21, self.j22)
+        if not all(map(math.isfinite, entries)):
             raise InvalidACS("J has a non-finite entry")
-        sq_diag = self.j11 * self.j11 + self.j12 * self.j21
-        off1 = self.j12 * (self.j11 + self.j22)
-        off2 = self.j21 * (self.j11 + self.j22)
-        sq_diag2 = self.j22 * self.j22 + self.j12 * self.j21
-        scale = max(1.0, abs(self.j11), abs(self.j12), abs(self.j21), abs(self.j22)) ** 2
-        err = max(abs(sq_diag + 1.0), abs(sq_diag2 + 1.0), abs(off1), abs(off2))
-        if err > 1e-12 * scale:
-            raise InvalidACS(f"J*J differs from -I by {err:.3g}")
+        # J*J + I divided by s*s, with s the largest entry (at least 1), is
+        # formed on the entries divided by s, so that no square overflows.
+        s = max(1.0, *map(abs, entries))
+        a, b, c, d = (x / s for x in entries)
+        unit = (1.0 / s) * (1.0 / s)
+        err = max(
+            abs(a * a + b * c + unit), abs(d * d + b * c + unit), abs(b * (a + d)), abs(c * (a + d))
+        )
+        if not err <= 1e-12:
+            raise InvalidACS(f"J*J differs from -I by {err * s * s:.3g}")
         if self.j21 - self.j12 <= 0.0:
             raise InvalidACS("J is negatively oriented")
 
@@ -193,7 +218,8 @@ def acs_from_frame(A: float, B: float) -> ACSMatrix:
     """The unique J with J*J = -I sending the frame vector (A,B) to (0,1).
 
     Solving the three constraints pins every entry: J = [[B, -A],
-    [(1+B^2)/A, -B]].  Positive orientation forces A > 0.
+    [(1+B^2)/A, -B]].  Positive orientation forces A > 0.  The dilatation
+    of J must keep off the unit circle, as every dilatation value does.
     """
     if not (math.isfinite(A) and math.isfinite(B)):
         raise DegenerateFrame(f"frame vector ({A!r}, {B!r}) is not finite")
@@ -203,7 +229,12 @@ def acs_from_frame(A: float, B: float) -> ACSMatrix:
         raise NotOrientationPreserving(
             "the structure sending this frame to (0,1) is negatively oriented"
         )
-    return ACSMatrix(B, -A, (1.0 + B * B) / A, -B)
+    j21 = (1.0 + B * B) / A
+    if not math.isfinite(j21):
+        raise DegenerateFrame(f"frame vector ({A!r}, {B!r}) gives J an infinite entry")
+    J = ACSMatrix(B, -A, j21, -B)
+    _require_in_disc(mu_from_acs(J), "mu")
+    return J
 
 
 def mu_from_acs(J: ACSMatrix) -> complex:
@@ -250,6 +281,7 @@ def _cell_centers(
     x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the nx-by-ny cells of the rectangle: x values, y values."""
+    _require_rectangle(x0, x1, y0, y1)
     nx, ny = _grid_counts(nx, ny)
     xs = x0 + (np.arange(nx) + 0.5) * ((x1 - x0) / nx)
     ys = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
@@ -387,10 +419,7 @@ def _require_same_grid(s1: DilatationField, s2: DilatationField) -> None:
 def field_distance(s1: DilatationField, s2: DilatationField) -> float:
     """Largest nodewise hyperbolic distance between the two sample sets."""
     _require_same_grid(s1, s2)
-    v1, v2 = s1.values, s2.values
-    delta = np.abs((v1 - v2) / (1.0 - v1 * np.conjugate(v2)))
-    dm = float(delta.max())
-    return math.log((1.0 + dm) / (1.0 - dm))
+    return _hyperbolic(float(_pseudo_distance(s1.values, s2.values).max()))
 
 
 def transform_field(
@@ -471,11 +500,13 @@ class SampledChartMap:
             raise GridMismatch("image and derivative grids must be non-empty 2-d arrays")
         if not all(np.isfinite(a).all() for a in (self.image, self.fz, self.fzbar)):
             raise GridMismatch("image and derivative samples must be finite")
-        jac = np.abs(self.fz) ** 2 - np.abs(self.fzbar) ** 2
-        if jac.min() <= 0.0:
-            raise NotOrientationPreserving(
-                f"Jacobian {jac.min():.6g} <= 0 at a sample node"
-            )
+        # |fz| > |fzbar| tells the Jacobian's sign without squares that could
+        # overflow; as in _chart_phase, an fz of infinite modulus has no phase
+        mod_fz = np.abs(self.fz)
+        if not (mod_fz > np.abs(self.fzbar)).all():
+            raise NotOrientationPreserving("Jacobian |fz|^2 - |fzbar|^2 <= 0 at a sample node")
+        if np.isinf(mod_fz).any():
+            raise GridMismatch("a derivative sample fz has modulus too large for double precision")
 
     @classmethod
     def from_callable(

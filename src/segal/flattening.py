@@ -276,14 +276,11 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
     return StructureField(func=func, depth=prev.depth + 1)
 
 
-def structure_field_chain(
-    g: BoundaryGlueMap, k: int, n_steps_by_level: Optional[dict] = None
-) -> list[StructureField]:
+def structure_field_chain(g: BoundaryGlueMap, k: int) -> list[StructureField]:
     """Fields for levels -1 .. k-1, i.e. the inputs of steps 0 .. k."""
-    steps = n_steps_by_level or {}
     out = [base_structure_field(g)]
-    for level in range(1, k + 1):
-        out.append(next_structure_field(out[-1], n_steps=steps.get(level, _INNER_STEPS)))
+    for _ in range(k):
+        out.append(next_structure_field(out[-1]))
     return out
 
 
@@ -578,11 +575,12 @@ def verify_orders(g: BoundaryGlueMap, k_max: int) -> OrdersReport:
     if not 0 <= k_max <= 2:
         raise DomainError("k_max must be between 0 and 2")
     seq = order_sequence(k_max + 1)
-    # Level 2 runs 512 inner steps for the k <= 1 fits.  At k = 2 every level
-    # runs the default 32: over ladder times of at most 1/16 that fits the
-    # same orders as 128 steps (n within 0.006) at a 15th of the cost.
-    steps = {2: 512} if k_max < 2 else {}
-    fields = structure_field_chain(g, k_max + 1, n_steps_by_level=steps)
+    # For k_max < 2 the last level runs 512 inner steps; that counts only at
+    # level 2, since level 1 follows the exact base flow.  At k = 2 every
+    # level runs the default 32: over ladder times of at most 1/16 that fits
+    # the same orders as 128 steps (n within 0.006) at a 15th of the cost.
+    fields = structure_field_chain(g, k_max)
+    fields.append(next_structure_field(fields[-1], n_steps=512 if k_max < 2 else _INNER_STEPS))
     x0 = g.x_lo + 0.77 * (g.x_hi - g.x_lo)
 
     fits = []

@@ -86,10 +86,32 @@ def normalize_quad(q: QuadrilateralSpec) -> float:
 
 
 def cross_ratio(z0: float, z1: float, z2: float, z3: float) -> float:
-    """(z0-z2)(z1-z3) / ((z0-z3)(z1-z2)), with the usual infinity limits."""
-    if math.isinf(z3):
-        return (z0 - z2) / (z1 - z2)
-    return ((z0 - z2) * (z1 - z3)) / ((z0 - z3) * (z1 - z2))
+    """(z0-z2)(z1-z3) / ((z0-z3)(z1-z2)), with the usual infinity limits.
+
+    Formed as a product of two quotients, each of two differences that
+    share an endpoint.  That stays finite where the two products would
+    overflow, and neither quotient underflows on a far fourth point.  The
+    ratio is unchanged by scaling, so points whose differences overflow are
+    halved first.  A ratio that is still not finite raises DegenerateQuad;
+    so does halving a subnormal gap to 0, which happens only where the
+    ratio overflows.
+    """
+    zs = (z0, z1, z2, z3)
+    if z0 - z3 == 0.0 or z1 - z2 == 0.0:
+        raise DegenerateQuad(f"cross ratio of coincident points {zs}")
+    finite = [z for z in zs if math.isfinite(z)]
+    if finite and math.isinf(max(finite) - min(finite)):
+        z0, z1, z2, z3 = (0.5 * z for z in zs)
+    try:
+        if math.isinf(z3):
+            cr = (z0 - z2) / (z1 - z2)
+        else:
+            cr = ((z0 - z2) / (z1 - z2)) * ((z1 - z3) / (z0 - z3))
+    except ZeroDivisionError:
+        cr = math.inf
+    if not math.isfinite(cr):
+        raise DegenerateQuad(f"cross ratio of {zs} is not finite in double precision")
+    return cr
 
 
 # Targets of the period quadrature: absolute and relative error, and the

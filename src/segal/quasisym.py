@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import _FirstUseNumpy
+from ._input import abs_or_inf
 from .errors import DomainError, InvalidPhi, JacobianDegenerate, NonMonotone
 
 np = _FirstUseNumpy(globals())
@@ -121,6 +122,16 @@ def sampled_exp(t_max: float = 1.0, n: int = 256) -> SampledIncreasingFunction:
 # circle diffeomorphisms
 
 
+def _point_modulus(z: complex) -> float:
+    """|z| of a point a circle or corner map acts on, which must be finite."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"point {z!r} is not finite")
+    r = abs_or_inf(z)
+    if r == math.inf:
+        raise DomainError(f"point {z!r} has modulus too large for double precision")
+    return r
+
+
 @dataclass(frozen=True)
 class CircleDiffeo:
     """Orientation-preserving circle map given by a lift and its derivative.
@@ -154,13 +165,13 @@ class CircleDiffeo:
 
     def angle(self, theta: float) -> float:
         """Lift evaluated with 2*pi-periodic extension."""
+        if not math.isfinite(theta):
+            raise DomainError(f"angle {theta!r} is not finite")
         k = math.floor(theta / TWO_PI)
         return self.psi(theta - k * TWO_PI) + k * TWO_PI
 
     def __call__(self, w: complex) -> complex:
-        r = abs(w)
-        if not math.isfinite(r):
-            raise DomainError(f"point {w!r} is not finite")
+        r = _point_modulus(w)
         if r == 0.0:
             raise DomainError("circle map undefined at 0")
         theta = cmath.phase(w) % TWO_PI
@@ -240,9 +251,7 @@ def corner_transform(phi: CircleDiffeo) -> Callable[[complex], complex]:
     _check_half_angle_above(phi)
 
     def sigma(z: complex) -> complex:
-        r = abs(z)
-        if not math.isfinite(r):
-            raise DomainError(f"point {z!r} is not finite")
+        r = _point_modulus(z)
         if r == 0.0:
             return 0.0
         theta = cmath.phase(z) % TWO_PI
@@ -317,7 +326,7 @@ class TwistMap:
         return (self.angle(r, theta + _FD_H) - self.angle(r, theta - _FD_H)) / (2.0 * _FD_H)
 
     def __call__(self, z: complex) -> complex:
-        r = abs(z)
+        r = abs_or_inf(z)
         theta = cmath.phase(z) % TWO_PI
         return r * cmath.exp(1j * self.angle(r, theta))
 

@@ -131,6 +131,9 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "field_c": _write_json(tmp / "c.json", _field(0.0, 4, 0.1 - 0.2j)),
         "field_fine": _write_json(tmp / "fine.json", _field(0.0, 5, 0.1 - 0.2j)),
         "field_far": _write_json(tmp / "far.json", _field(3.0, 4, 0.1 - 0.2j)),
+        # inside the disc, but 1 - their pseudo-distance rounds to 0
+        "field_edge": _write_json(tmp / "edge.json", _field(0.0, 2, 0.9999999989)),
+        "field_edge_neg": _write_json(tmp / "edge_neg.json", _field(0.0, 2, -0.9999999989)),
         "field_nan": _write_json(tmp / "nan_field.json", nan_field),
         "field_nan_rect": _write_json(tmp / "nan_rect.json", nan_rect),
         "broken_type": _write_json(tmp / "broken_disc.json", broken_disc),

@@ -183,7 +183,7 @@ class TestStructureFields:
 
     def test_chain_depths(self):
         g = glue_sine(0.1)
-        fields = structure_field_chain(g, 2, n_steps_by_level={2: 64})
+        fields = structure_field_chain(g, 2)
         assert [f.depth for f in fields] == [0, 1, 2]
 
 

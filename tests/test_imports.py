@@ -2,8 +2,8 @@
 use, not at import.
 
 Conformal modules and the pointwise commands (``belt acs``, ``belt distance
---mu``, ``qs corner``, ``qs twist``, ``appb orders``) need no numpy, and no
-command loads scipy.
+--mu``, ``belt transform --value``, ``belt pullback --value``, ``qs corner``,
+``qs twist``, ``appb orders``) need no numpy, and no command loads scipy.
 """
 
 import os
@@ -114,13 +114,16 @@ def test_import_registers_every_module_and_loads_no_numpy():
         ["module", "check-qc"],
         ["belt", "acs", "--mu", "0.3+0.1j"],
         ["belt", "distance", "--mu", "0.2+0.1j", "0.1,0.3"],
+        ["belt", "transform", "--value", "0.2+0.1j", "--mu-f", "0.3", "--fz", "1+1j"],
+        ["belt", "pullback", "--value", "0.2,0", "--mu-g", "0.1,0", "--u", "1,0"],
         ["qs", "corner", "--profile", "piecewise"],
         ["qs", "twist", "--profile", "smooth"],
         ["appb", "orders", "6"],
     ],
     ids=[
         "types-validate", "chains-product", "module-compute", "check-qc-generate",
-        "check-qc-corpus", "belt-acs", "belt-distance-mu", "qs-corner", "qs-twist",
+        "check-qc-corpus", "belt-acs", "belt-distance-mu", "belt-transform-value",
+        "belt-pullback-value", "qs-corner", "qs-twist",
         "appb-orders",
     ],
 )

@@ -55,6 +55,27 @@ def test_normalize_preserves_cross_ratio():
             )
 
 
+@pytest.mark.parametrize(
+    "zs, expected",
+    [
+        ((0.0, 1.0, 2.0, 1e308), 2.0),  # both products overflow
+        ((-1e308, 0.0, 1.0, 1e308), 5e307),  # z0 - z3 overflows
+        ((-1e308, 0.0, 1e308, math.inf), 2.0),  # z0 - z2 overflows
+    ],
+)
+def test_cross_ratio_far_points(zs, expected):
+    assert cross_ratio(*zs) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "zs",
+    [(0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 2.0), (-1e308, 5e-324, 0.0, 1e308), (math.nan, 0, 1, 2)],
+)
+def test_cross_ratio_rejects_degenerate_or_unrepresentable(zs):
+    with pytest.raises(DegenerateQuad):
+        cross_ratio(*zs)
+
+
 def test_affine_images_normalize_identically():
     rng = random.Random(1)
     for _ in range(100):

@@ -1,12 +1,15 @@
 """Every public constructor, and every map applied to a point, rejects
 non-finite input, a grid with no cells or a fractional cell count, and a
 chain coefficient or simplex dimension of the wrong kind, with a typed
-error."""
+error.  A hypothesis property drives every number-taking callable of
+``beltrami``, ``modulus`` and ``quasisym`` with extreme finite values too."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal import beltrami, chains, flattening, modulus, quasisym
 from segal.errors import SegalError
@@ -110,3 +113,104 @@ MESSAGES = {
 def test_every_public_constructor_rejects_non_finite_input(case):
     with pytest.raises(SegalError, match=MESSAGES.get(case)):
         CASES[case]()
+
+
+# ---------------------------------------------------------------------------
+# every number-taking callable of the numeric layers, on extreme values
+
+EDGE = 1.0 - 1.1e-9  # inside the disc rule, but two such values are far apart
+FLOATS = (NAN, INF, -INF, 0.0, -1.0, 5e-324, 1e-200, 0.5, EDGE, -EDGE, 1e308, -1e308)
+DRAWS = {
+    "f": st.sampled_from(FLOATS),
+    "c": st.sampled_from(FLOATS + (complex(1.5e308, 1.5e308),)),
+    "i": st.sampled_from((-1, 0, 1, 3)),
+}
+
+
+def _constant(value):
+    return beltrami.DilatationField.constant(value, 0.0, 1.0, 0.0, 1.0, 2, 2)
+
+
+def _chart_map(x0, x1, image, fz, fzbar):
+    """A 2x2 sampled chart map with constant image and derivatives."""
+    image, fz, fzbar = (np.full((2, 2), complex(v)) for v in (image, fz, fzbar))
+    return beltrami.SampledChartMap(x0, x1, 0.0, 1.0, image, fz, fzbar)
+
+
+def _identity(x):
+    return x
+
+
+# name -> (callable, the kind of each argument: float, complex or int)
+NUMERIC = {
+    "LinearMapZZbar": (beltrami.LinearMapZZbar, "cc"),
+    "LinearMapZZbar-call": (lambda a, b, z: beltrami.LinearMapZZbar(a, b)(z), "ccc"),
+    "LinearMapZZbar.from_real_matrix": (beltrami.LinearMapZZbar.from_real_matrix, "ffff"),
+    "dilatation_K": (beltrami.dilatation_K, "c"),
+    "abs_mu_from_K": (beltrami.abs_mu_from_K, "f"),
+    "transform_mu": (beltrami.transform_mu, "cccc"),
+    "pullback_mu": (beltrami.pullback_mu, "ccc"),
+    "teichmuller_distance": (beltrami.teichmuller_distance, "cc"),
+    "ACSMatrix": (beltrami.ACSMatrix, "ffff"),
+    "ACSMatrix.apply": (lambda x, y: beltrami.acs_from_mu(0.3j).apply((x, y)), "ff"),
+    "acs_from_frame": (beltrami.acs_from_frame, "ff"),
+    "acs_from_mu": (beltrami.acs_from_mu, "c"),
+    "DilatationField.constant": (beltrami.DilatationField.constant, "cffffii"),
+    "DilatationField.from_function": (
+        lambda *box: beltrami.DilatationField.from_function(lambda z: 0.1j, *box), "ffffii"
+    ),
+    "DilatationField.value_at": (_constant(0.1).value_at, "ff"),
+    "transform_field": (lambda *chart: beltrami.transform_field(_constant(0.1), *chart), "ccc"),
+    "pullback_field": (lambda *chart: beltrami.pullback_field(_constant(0.1), *chart), "cc"),
+    "field_distance": (lambda a, b: beltrami.field_distance(_constant(a), _constant(b)), "cc"),
+    "SampledChartMap": (_chart_map, "ffccc"),
+    "SampledChartMap.from_callable": (
+        lambda *box: beltrami.SampledChartMap.from_callable(_identity, *box), "ffffii"
+    ),
+    "QuadrilateralSpec": (modulus.QuadrilateralSpec, "ffff"),
+    "QuadrilateralSpec.scaled": (modulus.QuadrilateralSpec(-1.0, 0.0, 1.0, 3.0).scaled, "f"),
+    "normalize_quad": (lambda *zs: modulus.normalize_quad(modulus.QuadrilateralSpec(*zs)), "ffff"),
+    "module_of_quad": (lambda *zs: modulus.module_of_quad(modulus.QuadrilateralSpec(*zs)), "ffff"),
+    "cross_ratio": (modulus.cross_ratio, "ffff"),
+    "module_sc": (modulus.module_sc, "f"),
+    "rotated_position": (modulus.rotated_position, "f"),
+    "module_rect": (modulus.module_rect, "ff"),
+    "check_geometric_qc": (
+        lambda K, slack: modulus.check_geometric_qc(
+            K, [modulus.QuadrilateralSpec(-1.0, 0.0, 1.0, 3.0)], slack
+        ),
+        "ff",
+    ),
+    "SampledIncreasingFunction": (
+        lambda *v: quasisym.SampledIncreasingFunction(v[:3], v[3:]), "ffffff"
+    ),
+    "SampledIncreasingFunction.from_callable": (
+        lambda lo, hi, n: quasisym.SampledIncreasingFunction.from_callable(_identity, lo, hi, n),
+        "ffi",
+    ),
+    "sampled_identity": (quasisym.sampled_identity, "iff"),
+    "sampled_slope_break": (quasisym.sampled_slope_break, "fi"),
+    "sampled_exp": (quasisym.sampled_exp, "fi"),
+    "CircleDiffeo": (lambda lo, hi: quasisym.CircleDiffeo(_identity, lambda t: 1.0, lo, hi), "ff"),
+    "CircleDiffeo-call": (quasisym.circle_identity(), "c"),
+    "CircleDiffeo.angle": (quasisym.half_angle_smooth().angle, "f"),
+    "circle_rotation": (quasisym.circle_rotation, "f"),
+    "corner_transform-call": (quasisym.corner_transform(quasisym.half_angle_piecewise()), "c"),
+    "corner_map": (lambda z: quasisym.corner_map(quasisym.half_angle_piecewise(), [z]), "c"),
+    "bump": (quasisym.bump, "f"),
+    "smooth_twist": (lambda r1, r2: quasisym.smooth_twist(quasisym.circle_identity(), r1, r2), "ff"),
+    "TwistMap-call": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0], "c"),
+    "TwistMap.angle": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0].angle, "ff"),
+}
+
+
+@pytest.mark.parametrize("name", NUMERIC)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numeric_callable_returns_or_raises_a_segal_error(name, data):
+    fn, kinds = NUMERIC[name]
+    args = [data.draw(DRAWS[kind]) for kind in kinds]
+    try:
+        fn(*args)
+    except SegalError:
+        pass
