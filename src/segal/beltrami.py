@@ -70,6 +70,9 @@ class LinearMapZZbar:
         a, b = abs_or_inf(self.a), abs_or_inf(self.b)
         if not a > b:
             raise NotOrientationPreserving(f"|a|={a:.6g} must exceed |b|={b:.6g}")
+        # an infinite a passes the test above; b, of smaller modulus, is finite
+        if not cmath.isfinite(self.a):
+            raise DomainError(f"coefficients must be finite, got a={self.a!r}, b={self.b!r}")
 
     def __call__(self, z: complex) -> complex:
         return self.a * z + self.b * z.conjugate()

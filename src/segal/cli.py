@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Every public library operation is reachable from at least one subcommand.
-The dispatch table does not declare which operations a handler calls: the
-golden-case test observes it, by running the recorded invocations until each
-required operation has been called.  Reports are deterministic: identical
-inputs, seeds, and package version give byte-identical output.
+Each subcommand is one ``@command`` declaration on its handler: its group,
+name, help line and arguments, each ``arg`` being one ``add_argument`` call
+written as data.  The declaration does not say which operations a handler
+calls: the golden-case test observes it, by running the recorded invocations
+until each required operation has been called.  Reports are deterministic:
+identical inputs, seeds, and package version give byte-identical output.
 
 Exit codes: 0 success, 1 a check ran and failed, 2 unusable input.  Each
 handler returns a ``Report`` and ``main`` alone turns errors into exit
-codes: an error in ``INPUT_ERRORS`` (bad syntax, a missing file or corpus, a
-value outside the domain of the operation) exits 2 with ``error:``; every
-other ``SegalError`` means a computation ran and its check failed, and
-exits 1 with ``check failed:``.
+codes: an ``InputError`` (bad syntax, a missing file or corpus, a value
+outside the domain of the operation) exits 2 with ``error:``; every other
+``SegalError`` means a computation ran and its check failed, and exits 1
+with ``check failed:``.
 """
 
 from __future__ import annotations
@@ -27,33 +29,7 @@ from typing import Callable, Optional, Sequence
 from . import __version__, acceptance, beltrami, cobordism, corpus, flattening, modulus, quasisym
 from . import chains as chainalg
 from ._input import load_file, read_text
-from .errors import (
-    DegenerateFrame,
-    DegenerateQuad,
-    DomainError,
-    GridMismatch,
-    InvalidPhi,
-    NonMonotone,
-    NotOrientationPreserving,
-    OutOfDisc,
-    OutOfWindow,
-    SegalError,
-)
-
-
-# Errors meaning the input was unusable (exit 2); any other SegalError is a
-# check that ran and failed (exit 1).
-INPUT_ERRORS = (
-    DomainError,
-    OutOfDisc,
-    NotOrientationPreserving,
-    NonMonotone,
-    DegenerateQuad,
-    DegenerateFrame,
-    InvalidPhi,
-    GridMismatch,
-    OutOfWindow,
-)
+from .errors import DomainError, InputError, SegalError
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +231,56 @@ def field_report(f: beltrami.DilatationField) -> Report:
 
 
 # ---------------------------------------------------------------------------
+# declarations
+
+
+# one ``add_argument`` call: its positional and its keyword arguments
+Arg = tuple[tuple[str, ...], dict]
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    group: Optional[str]
+    name: str
+    help: str
+    args: tuple[Arg, ...]
+    run: Callable[[argparse.Namespace], Report]
+
+
+# Every subcommand, in declaration order, which is the order of ``--help``.
+COMMANDS: list[Command] = []
+
+
+def arg(*flags: str, **options) -> Arg:
+    """One ``add_argument`` call, written as data."""
+    return flags, options
+
+
+def command(group: Optional[str], name: str, help: str, *args):
+    """Declare the decorated handler as ``segal [group] name`` with these arguments."""
+
+    def declare(run: Callable[[argparse.Namespace], Report]):
+        COMMANDS.append(Command(group, name, help, args, run))
+        return run
+
+    return declare
+
+
+TWO_TYPES = (
+    arg("first", help="surface-type JSON file"),
+    arg("second", help="surface-type JSON file"),
+    arg("-o", "--output", help="write the resulting type JSON here"),
+)
+
+
+# ---------------------------------------------------------------------------
 # handlers: surface types
 
 
+@command(
+    "types", "validate", "check structural invariants of a surface type",
+    arg("file", help="surface-type JSON file"),
+)
 def run_types_validate(args) -> Report:
     rep = cobordism.validate_type(load_octype(args.file))
     lines = [f"ok: {fmt(rep.ok)}"] + [f"violation: {v}" for v in rep.violations]
@@ -265,16 +288,22 @@ def run_types_validate(args) -> Report:
     return Report(payload, "segal.report.validate/1", lines, 0 if rep.ok else 1)
 
 
+@command("types", "compose", "splice two types along matching boundaries", *TWO_TYPES)
 def run_types_compose(args) -> Report:
     t1, t2 = load_valid_octype(args.first), load_valid_octype(args.second)
     return type_report(cobordism.compose_types(t1, t2))
 
 
+@command("types", "union", "place two types side by side", *TWO_TYPES)
 def run_types_union(args) -> Report:
     t1, t2 = load_valid_octype(args.first), load_valid_octype(args.second)
     return type_report(cobordism.disjoint_union(t1, t2))
 
 
+@command(
+    "types", "stability", "report per-component stability",
+    arg("file", help="surface-type JSON file"),
+)
 def run_types_stability(args) -> Report:
     rep = cobordism.is_stable(load_valid_octype(args.file))
     lines = [f"component {i}: {s}" for i, s in enumerate(rep.statuses)]
@@ -283,6 +312,12 @@ def run_types_stability(args) -> Report:
     return Report(payload, "segal.report.stability/1", lines, 0 if rep.all_stable else 1)
 
 
+@command(
+    "types", "random", "emit a seeded random type, optionally composable after a given one",
+    arg("--seed", type=int, default=0),
+    arg("--successor", help="emit a type composable after this one", default=None),
+    arg("-o", "--output", help="write the type JSON here"),
+)
 def run_types_random(args) -> Report:
     rng = random.Random(args.seed)
     if args.successor:
@@ -290,6 +325,10 @@ def run_types_random(args) -> Report:
     return type_report(corpus.random_octype(rng))
 
 
+@command(
+    "types", "enumerate", "count the bounded single-component type grammar",
+    arg("--labels", default="a,b", help="comma-separated interval labels"),
+)
 def run_types_enumerate(args) -> Report:
     labels = parse_labels(args.labels)
     count = len(corpus.enumerate_small_types(labels))
@@ -301,6 +340,12 @@ def run_types_enumerate(args) -> Report:
 # handlers: dilatation calculus
 
 
+@command(
+    "belt", "distance", "distance between two fields or two scalar values",
+    arg("first", nargs="?", help="dilatation-field JSON file"),
+    arg("second", nargs="?", help="dilatation-field JSON file"),
+    arg("--mu", nargs=2, metavar=("MU1", "MU2"), help="two scalar values"),
+)
 def run_belt_distance(args) -> Report:
     if args.mu:
         mu1, mu2 = (parse_complex(s) for s in args.mu)
@@ -317,6 +362,15 @@ def run_belt_distance(args) -> Report:
     return Report(payload, "segal.report.distance/1", lines)
 
 
+@command(
+    "belt", "transform", "push dilatation data through a chart change",
+    arg("field", nargs="?", help="dilatation-field JSON file"),
+    arg("--value", help="transform one scalar instead of a field"),
+    arg("--mu-f", required=True, help="dilatation of the chart change"),
+    arg("--fz", required=True, help="holomorphic derivative at the point"),
+    arg("--fzbar", help="antiholomorphic derivative; default mu_f*fz"),
+    arg("-o", "--output", help="write the resulting field JSON here"),
+)
 def run_belt_transform(args) -> Report:
     mu_f = parse_complex(args.mu_f)
     fz = parse_complex(args.fz)
@@ -329,6 +383,14 @@ def run_belt_transform(args) -> Report:
     return field_report(beltrami.transform_field(load_field(args.field), mu_f, fz, fzbar))
 
 
+@command(
+    "belt", "pullback", "pull dilatation data back along an overlap map",
+    arg("field", nargs="?", help="dilatation-field JSON file"),
+    arg("--value", help="pull back one scalar instead of a field"),
+    arg("--mu-g", required=True, help="dilatation of the overlap map"),
+    arg("--u", required=True, help="derivative coefficient of the overlap map"),
+    arg("-o", "--output", help="write the resulting field JSON here"),
+)
 def run_belt_pullback(args) -> Report:
     mu_g = parse_complex(args.mu_g)
     u = parse_complex(args.u)
@@ -340,11 +402,25 @@ def run_belt_pullback(args) -> Report:
     return field_report(beltrami.pullback_field(load_field(args.field), mu_g, u))
 
 
+@command(
+    "belt", "sew", "join two fields along a shared edge",
+    arg("first", help="dilatation-field JSON file"),
+    arg("second", help="dilatation-field JSON file"),
+    arg("--seam", choices=("x", "y"), default="x"),
+    arg("-o", "--output", help="write the joined field JSON here"),
+)
 def run_belt_sew(args) -> Report:
     f1, f2 = load_field(args.first), load_field(args.second)
     return field_report(beltrami.sew_sections(f1, f2, args.seam))
 
 
+@command(
+    "belt", "acs", "convert between dilatation values, structure matrices, and frames",
+    arg("--mu", help="dilatation value to convert to a structure matrix"),
+    arg("--frame", nargs=2, metavar=("A", "B"), help="frame coefficients"),
+    arg("--K", help="dilatation bound to convert to |mu|"),
+    arg("--linear", nargs=2, metavar=("A", "B"), help="z and conj(z) coefficients"),
+)
 def run_belt_acs(args) -> Report:
     if args.mu is not None:
         mu = parse_complex(args.mu)
@@ -372,6 +448,13 @@ def run_belt_acs(args) -> Report:
 # handlers: quasisymmetry
 
 
+@command(
+    "qs", "bound", "quasisymmetry constant of an increasing function",
+    arg("--fn", default="identity", help="identity, slope:K, or exp:T"),
+    arg("--file", help="CSV file of x,y samples"),
+    arg("--n", type=int, default=256, help="sample count for built-in functions"),
+    arg("--inverted", action="store_true", help="bound the inverse instead"),
+)
 def run_qs_bound(args) -> Report:
     h = load_sampled_csv(args.file) if args.file else parse_sampled(args.fn, args.n)
     if args.inverted:
@@ -379,6 +462,11 @@ def run_qs_bound(args) -> Report:
     return Report({"bound": quasisym.qs_bound(h), "samples": len(h.xs)}, "segal.report.qsbound/1")
 
 
+@command(
+    "qs", "corner", "radial square-root map with a boundary profile",
+    arg("--profile", default="piecewise", help="piecewise, smooth, identity, rotation:X"),
+    arg("--points", help="semicolon-separated complex points to map"),
+)
 def run_qs_corner(args) -> Report:
     phi = parse_profile(args.profile)
     k = quasisym.corner_dilatation(phi)
@@ -400,6 +488,12 @@ def run_qs_corner(args) -> Report:
     return Report(payload, "segal.report.corner/1", lines)
 
 
+@command(
+    "qs", "twist", "extend a circle map to an annulus, identity outside",
+    arg("--profile", default="smooth", help="piecewise, smooth, identity, rotation:X"),
+    arg("--r1", type=float, default=1.0),
+    arg("--r2", type=float, default=2.0),
+)
 def run_qs_twist(args) -> Report:
     _twist, rep = quasisym.smooth_twist(parse_profile(args.profile), args.r1, args.r2)
     return Report(dataclasses.asdict(rep), "segal.report.twist/1")
@@ -409,6 +503,12 @@ def run_qs_twist(args) -> Report:
 # handlers: conformal modules
 
 
+@command(
+    "module", "compute", "conformal module at positions, of a quad, or of a rectangle",
+    arg("positions", nargs="*", help="normalized fourth-point positions, |x| > 1"),
+    arg("--quad", nargs=4, metavar=("Z0", "Z1", "Z2", "Z3"), help="marked points"),
+    arg("--rect", nargs=2, metavar=("A", "B"), help="rectangle side lengths"),
+)
 def run_module_compute(args) -> Report:
     if args.quad:
         q = modulus.QuadrilateralSpec(*(parse_float(s, "marked point") for s in args.quad))
@@ -438,6 +538,15 @@ def run_module_compute(args) -> Report:
     return Report(payload, "segal.report.module/1", lines)
 
 
+@command(
+    "module", "check-qc", "module distortion bounds under a horizontal stretch",
+    arg("--K", type=float, default=2.0, help="horizontal stretch factor"),
+    arg("--corpus", help="directory holding quads.json"),
+    arg("--generate", action="store_true", help="generate quads instead of loading"),
+    arg("--seed", type=int, default=0),
+    arg("--count", type=int, default=50),
+    arg("--slack", type=float, default=1e-6),
+)
 def run_module_check_qc(args) -> Report:
     if args.generate:
         quads = corpus.generate_quads(args.seed, args.count)
@@ -475,6 +584,14 @@ def _simplex_str(s) -> str:
     return f"{_simplex_str(s.left)}*{_simplex_str(s.right)}@{word}"
 
 
+@command(
+    "chains", "product", "shuffle product of two generators",
+    arg("i", type=int, help="degree of the first generator"),
+    arg("j", type=int, help="degree of the second generator"),
+    arg("--labels", default="a,b", help="labels LA,LB of the two generators"),
+    arg("--boundary", action="store_true", help="print the boundary of the product"),
+    arg("--swapped", action="store_true", help="print the factor-swapped product"),
+)
 def run_chains_product(args) -> Report:
     if args.i < 0 or args.j < 0:
         raise DomainError("degrees must be non-negative")
@@ -502,6 +619,10 @@ def run_chains_product(args) -> Report:
     return Report(payload, "segal.report.chain/1", lines)
 
 
+@command(
+    "chains", "check", "sweep the product identities up to a degree",
+    arg("--degree", type=int, default=6, help="maximum total degree to sweep"),
+)
 def run_chains_check(args) -> Report:
     deg = args.degree
     if not 1 <= deg <= 8:
@@ -535,6 +656,10 @@ def _order_json(v):
     return None if v == flattening.INFINITE else v
 
 
+@command(
+    "appb", "orders", "tabulate the vanishing-order recursion",
+    arg("k", type=int, help="number of recursion steps to tabulate"),
+)
 def run_appb_orders(args) -> Report:
     if args.k < 0:
         raise DomainError("step count must be non-negative")
@@ -546,6 +671,13 @@ def run_appb_orders(args) -> Report:
     return Report({"steps": steps}, "segal.report.orders/1", lines)
 
 
+@command(
+    "appb", "flatten", "fit field vanishing orders; optionally flatten one chart",
+    arg("--glue", default="sine:0.1", help="identity, linear:K, or sine:A"),
+    arg("--k", type=int, default=1, help="deepest field level to fit"),
+    arg("--chart", action="store_true", help="also flatten one field and certify it"),
+    arg("--depth", type=int, default=0, help="field recursion depth for --chart"),
+)
 def run_appb_flatten(args) -> Report:
     g = parse_glue(args.glue)
     if not 0 <= args.k <= 2:
@@ -596,6 +728,11 @@ def run_appb_flatten(args) -> Report:
 # handler: acceptance
 
 
+@command(
+    None, "accept", "run the full acceptance suite",
+    arg("--corpus", help="directory with quads.json and types/*.json"),
+    arg("--only", help="comma-separated criterion indices to run"),
+)
 def run_accept(args) -> Report:
     indices = None
     if args.only:
@@ -618,222 +755,7 @@ def run_accept(args) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# dispatch table
-
-
-@dataclasses.dataclass(frozen=True)
-class Command:
-    group: Optional[str]
-    name: str
-    help: str
-    configure: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], Report]
-
-
-def _cfg_types_validate(p):
-    p.add_argument("file", help="surface-type JSON file")
-
-
-def _cfg_two_types(p):
-    p.add_argument("first", help="surface-type JSON file")
-    p.add_argument("second", help="surface-type JSON file")
-    p.add_argument("-o", "--output", help="write the resulting type JSON here")
-
-
-def _cfg_types_random(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--successor", help="emit a type composable after this one", default=None)
-    p.add_argument("-o", "--output", help="write the type JSON here")
-
-
-def _cfg_types_enumerate(p):
-    p.add_argument("--labels", default="a,b", help="comma-separated interval labels")
-
-
-def _cfg_belt_distance(p):
-    p.add_argument("first", nargs="?", help="dilatation-field JSON file")
-    p.add_argument("second", nargs="?", help="dilatation-field JSON file")
-    p.add_argument("--mu", nargs=2, metavar=("MU1", "MU2"), help="two scalar values")
-
-
-def _cfg_belt_transform(p):
-    p.add_argument("field", nargs="?", help="dilatation-field JSON file")
-    p.add_argument("--value", help="transform one scalar instead of a field")
-    p.add_argument("--mu-f", required=True, help="dilatation of the chart change")
-    p.add_argument("--fz", required=True, help="holomorphic derivative at the point")
-    p.add_argument("--fzbar", help="antiholomorphic derivative; default mu_f*fz")
-    p.add_argument("-o", "--output", help="write the resulting field JSON here")
-
-
-def _cfg_belt_pullback(p):
-    p.add_argument("field", nargs="?", help="dilatation-field JSON file")
-    p.add_argument("--value", help="pull back one scalar instead of a field")
-    p.add_argument("--mu-g", required=True, help="dilatation of the overlap map")
-    p.add_argument("--u", required=True, help="derivative coefficient of the overlap map")
-    p.add_argument("-o", "--output", help="write the resulting field JSON here")
-
-
-def _cfg_belt_sew(p):
-    p.add_argument("first", help="dilatation-field JSON file")
-    p.add_argument("second", help="dilatation-field JSON file")
-    p.add_argument("--seam", choices=("x", "y"), default="x")
-    p.add_argument("-o", "--output", help="write the joined field JSON here")
-
-
-def _cfg_belt_acs(p):
-    p.add_argument("--mu", help="dilatation value to convert to a structure matrix")
-    p.add_argument("--frame", nargs=2, metavar=("A", "B"), help="frame coefficients")
-    p.add_argument("--K", help="dilatation bound to convert to |mu|")
-    p.add_argument("--linear", nargs=2, metavar=("A", "B"), help="z and conj(z) coefficients")
-
-
-def _cfg_qs_bound(p):
-    p.add_argument("--fn", default="identity", help="identity, slope:K, or exp:T")
-    p.add_argument("--file", help="CSV file of x,y samples")
-    p.add_argument("--n", type=int, default=256, help="sample count for built-in functions")
-    p.add_argument("--inverted", action="store_true", help="bound the inverse instead")
-
-
-def _cfg_qs_corner(p):
-    p.add_argument("--profile", default="piecewise", help="piecewise, smooth, identity, rotation:X")
-    p.add_argument("--points", help="semicolon-separated complex points to map")
-
-
-def _cfg_qs_twist(p):
-    p.add_argument("--profile", default="smooth", help="piecewise, smooth, identity, rotation:X")
-    p.add_argument("--r1", type=float, default=1.0)
-    p.add_argument("--r2", type=float, default=2.0)
-
-
-def _cfg_module_compute(p):
-    p.add_argument("positions", nargs="*", help="normalized fourth-point positions, |x| > 1")
-    p.add_argument("--quad", nargs=4, metavar=("Z0", "Z1", "Z2", "Z3"), help="marked points")
-    p.add_argument("--rect", nargs=2, metavar=("A", "B"), help="rectangle side lengths")
-
-
-def _cfg_module_check_qc(p):
-    p.add_argument("--K", type=float, default=2.0, help="horizontal stretch factor")
-    p.add_argument("--corpus", help="directory holding quads.json")
-    p.add_argument("--generate", action="store_true", help="generate quads instead of loading")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--slack", type=float, default=1e-6)
-
-
-def _cfg_chains_product(p):
-    p.add_argument("i", type=int, help="degree of the first generator")
-    p.add_argument("j", type=int, help="degree of the second generator")
-    p.add_argument("--labels", default="a,b", help="labels LA,LB of the two generators")
-    p.add_argument("--boundary", action="store_true", help="print the boundary of the product")
-    p.add_argument("--swapped", action="store_true", help="print the factor-swapped product")
-
-
-def _cfg_chains_check(p):
-    p.add_argument("--degree", type=int, default=6, help="maximum total degree to sweep")
-
-
-def _cfg_appb_orders(p):
-    p.add_argument("k", type=int, help="number of recursion steps to tabulate")
-
-
-def _cfg_appb_flatten(p):
-    p.add_argument("--glue", default="sine:0.1", help="identity, linear:K, or sine:A")
-    p.add_argument("--k", type=int, default=1, help="deepest field level to fit")
-    p.add_argument("--chart", action="store_true", help="also flatten one field and certify it")
-    p.add_argument("--depth", type=int, default=0, help="field recursion depth for --chart")
-
-
-def _cfg_accept(p):
-    p.add_argument("--corpus", help="directory with quads.json and types/*.json")
-    p.add_argument("--only", help="comma-separated criterion indices to run")
-
-
-COMMANDS: tuple[Command, ...] = (
-    Command(
-        "types", "validate", "check structural invariants of a surface type",
-        _cfg_types_validate, run_types_validate,
-    ),
-    Command(
-        "types", "compose", "splice two types along matching boundaries",
-        _cfg_two_types, run_types_compose,
-    ),
-    Command(
-        "types", "union", "place two types side by side",
-        _cfg_two_types, run_types_union,
-    ),
-    Command(
-        "types", "stability", "report per-component stability",
-        _cfg_types_validate, run_types_stability,
-    ),
-    Command(
-        "types", "random", "emit a seeded random type, optionally composable after a given one",
-        _cfg_types_random, run_types_random,
-    ),
-    Command(
-        "types", "enumerate", "count the bounded single-component type grammar",
-        _cfg_types_enumerate, run_types_enumerate,
-    ),
-    Command(
-        "belt", "distance", "distance between two fields or two scalar values",
-        _cfg_belt_distance, run_belt_distance,
-    ),
-    Command(
-        "belt", "transform", "push dilatation data through a chart change",
-        _cfg_belt_transform, run_belt_transform,
-    ),
-    Command(
-        "belt", "pullback", "pull dilatation data back along an overlap map",
-        _cfg_belt_pullback, run_belt_pullback,
-    ),
-    Command(
-        "belt", "sew", "join two fields along a shared edge",
-        _cfg_belt_sew, run_belt_sew,
-    ),
-    Command(
-        "belt", "acs", "convert between dilatation values, structure matrices, and frames",
-        _cfg_belt_acs, run_belt_acs,
-    ),
-    Command(
-        "qs", "bound", "quasisymmetry constant of an increasing function",
-        _cfg_qs_bound, run_qs_bound,
-    ),
-    Command(
-        "qs", "corner", "radial square-root map with a boundary profile",
-        _cfg_qs_corner, run_qs_corner,
-    ),
-    Command(
-        "qs", "twist", "extend a circle map to an annulus, identity outside",
-        _cfg_qs_twist, run_qs_twist,
-    ),
-    Command(
-        "module", "compute", "conformal module at positions, of a quad, or of a rectangle",
-        _cfg_module_compute, run_module_compute,
-    ),
-    Command(
-        "module", "check-qc", "module distortion bounds under a horizontal stretch",
-        _cfg_module_check_qc, run_module_check_qc,
-    ),
-    Command(
-        "chains", "product", "shuffle product of two generators",
-        _cfg_chains_product, run_chains_product,
-    ),
-    Command(
-        "chains", "check", "sweep the product identities up to a degree",
-        _cfg_chains_check, run_chains_check,
-    ),
-    Command(
-        "appb", "orders", "tabulate the vanishing-order recursion",
-        _cfg_appb_orders, run_appb_orders,
-    ),
-    Command(
-        "appb", "flatten", "fit field vanishing orders; optionally flatten one chart",
-        _cfg_appb_flatten, run_appb_flatten,
-    ),
-    Command(
-        None, "accept", "run the full acceptance suite",
-        _cfg_accept, run_accept,
-    ),
-)
+# parser and entry point
 
 
 GROUP_HELP = {
@@ -861,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="command", required=True, metavar="SUBCOMMAND"
             )
         leaf = subs[cmd.group].add_parser(cmd.name, help=cmd.help, parents=[shared])
-        cmd.configure(leaf)
+        for flags, options in cmd.args:
+            leaf.add_argument(*flags, **options)
         leaf.set_defaults(run=cmd.run)
     return parser
 
@@ -870,7 +793,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return emit(args, args.run(args))
-    except INPUT_ERRORS as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SegalError as e:

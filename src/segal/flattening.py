@@ -82,6 +82,18 @@ def order_sequence(k: int) -> list[OrderPair]:
 # glue maps
 
 
+def _require_strip(window: tuple[float, float], y_max: float) -> None:
+    """The rule for a boundary strip: a nonempty window of finite ends and
+    finite width, and a positive finite height."""
+    x_lo, x_hi = window
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise DomainError(f"window {window!r} is empty or not finite")
+    if x_hi - x_lo == math.inf:
+        raise DomainError(f"window {window!r} is too wide for double precision")
+    if not 0 < y_max < math.inf:
+        raise DomainError(f"y_max must be positive and finite, got {y_max!r}")
+
+
 @dataclass(frozen=True)
 class BoundaryGlueMap:
     """Increasing smooth reparametrization of the boundary line.
@@ -99,10 +111,7 @@ class BoundaryGlueMap:
     y_max: float = 1.0
 
     def __post_init__(self):
-        if not -math.inf < self.x_lo < self.x_hi < math.inf:
-            raise DomainError("window is empty or not finite")
-        if not 0 < self.y_max < math.inf:
-            raise DomainError("y_max must be positive and finite")
+        _require_strip((self.x_lo, self.x_hi), self.y_max)
         xs = np.linspace(self.x_lo, self.x_hi, 512)
         dv = np.asarray(self.drho(xs), dtype=float)
         if not 1e-6 < dv.min() <= dv.max() < math.inf:
@@ -421,8 +430,9 @@ def _curve_grid(
 
     The substep count per output interval doubles until the step-doubling
     estimate max|fine - coarse| / 15 (Hairer, Norsett & Wanner, II.4) is at
-    most 1e-10.  Returns the finer grid, its substep count, the field
-    evaluation count and the estimate.
+    most 1e-10; curve points too large for double precision to resolve
+    1e-10 escape at once.  Returns the finer grid, its substep count, the
+    field evaluation count and the estimate.
     """
     h = np.full(len(starts), ts[1] - ts[0])
 
@@ -445,6 +455,12 @@ def _curve_grid(
         err = float(np.max(np.abs(fine - coarse))) / 15.0
         if err <= _GRID_TOL:
             return fine, 2 * n, evals, err
+        scale = float(np.max(np.abs(fine)))
+        if np.spacing(scale) > _GRID_TOL:
+            # no step count can agree within the tolerance at this magnitude
+            raise CurveEscape(
+                f"curve points reach {scale:.3g}, too large to resolve to {_GRID_TOL}"
+            )
         n, coarse = 2 * n, fine
 
 
@@ -470,6 +486,7 @@ def flatten_step(
     for name, count in (("nx", nx), ("ny", ny)):
         if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 4:
             raise GridMismatch(f"{name} must be an integer of at least 4, got {count!r}")
+    _require_strip(window, y_max)
     func = field.func if isinstance(field, StructureField) else field
     x_lo, x_hi = window
     xs = np.linspace(x_lo, x_hi, nx)
@@ -489,6 +506,33 @@ def flatten_step(
     if grid[:, :, 1].min() < -1e-9 or grid[:, :, 1].max() > y_cap + 1e-9:
         raise CurveEscape("an integral curve left the strip vertically")
 
+    # A finite window or height can still be out of double-precision scale
+    # (near 5e-324 or 1e308); the grid arithmetic then overflows or divides
+    # by zero, which is an input error.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = _grid_report(func, xs, ts, grid)
+            spline = _GridSpline(ts, xs, grid)
+    except FloatingPointError as e:
+        raise DomainError(
+            f"window {window!r} with y_max {y_max!r} is out of double-precision scale: {e}"
+        ) from None
+    return FlattenedChart(
+        xs=xs,
+        ts=ts,
+        grid=grid,
+        report=report,
+        substeps=substeps,
+        field_evals=field_evals,
+        step_error=step_error,
+        _spline=spline,
+    )
+
+
+def _grid_report(
+    func: Callable, xs: np.ndarray, ts: np.ndarray, grid: np.ndarray
+) -> FlattenReport:
+    """The defining properties of a curve grid, checked at its nodes."""
     boundary_dev = float(
         np.max(np.abs(grid[0, :, 0] - xs)) + np.max(np.abs(grid[0, :, 1]))
     )
@@ -513,22 +557,12 @@ def flatten_step(
 
     x_valid = (float(grid[:, 0, 0].max()), float(grid[:, -1, 0].min()))
     y_valid = (0.0, float(grid[-1, :, 1].min()))
-    report = FlattenReport(
+    return FlattenReport(
         boundary_max_dev=boundary_dev,
         min_jacobian=min_jac,
         pushforward_max_dev=push_dev,
         x_valid=x_valid,
         y_valid=y_valid,
-    )
-    return FlattenedChart(
-        xs=xs,
-        ts=ts,
-        grid=grid,
-        report=report,
-        substeps=substeps,
-        field_evals=field_evals,
-        step_error=step_error,
-        _spline=_GridSpline(ts, xs, grid),
     )
 
 

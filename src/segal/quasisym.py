@@ -84,8 +84,14 @@ def qs_bound(h: SampledIncreasingFunction) -> float:
         # targets never exceed xs[i], so m <= i; m == i is the centre itself
         hit = (m < i) & (np.abs(xs[m] - targets) <= tol)
         if hit.any():
-            rho = (ys[js[hit]] - ys[i]) / (ys[i] - ys[m[hit]])
-            k = max(k, float(rho.max()), float((1.0 / rho).max()))
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    rho = (ys[js[hit]] - ys[i]) / (ys[i] - ys[m[hit]])
+                    k = max(k, float(rho.max()), float((1.0 / rho).max()))
+            except FloatingPointError:
+                raise DomainError(
+                    f"a symmetric ratio about x={float(xs[i])!r} overflows double precision"
+                ) from None
     return k
 
 

@@ -1,5 +1,8 @@
 """Command-line contract: exit codes, determinism, and the subcommand set."""
 
+import argparse
+import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import segal
-from segal.cli import COMMANDS, main
+from segal import cli, errors
+from segal.cli import COMMANDS, build_parser, main
 
 BUNDLED = Path(segal.__file__).resolve().parent / "data" / "corpus"
 
@@ -101,10 +105,85 @@ SPEC_SUBCOMMANDS = {
 }
 
 
+# The number of parser actions and their digest (see ``argument_surface``);
+# a change to any subcommand's arguments or help text changes the digest.
+SURFACE = (149, "530f8f04b98c3d7313e89cf8897add817763aa81e2161de6c59b62cc0c81a17a")
+
+# The errors that mean the input was unusable; every other one is a failed check.
+EXIT_2_ERRORS = {
+    "DomainError",
+    "OutOfDisc",
+    "NotOrientationPreserving",
+    "NonMonotone",
+    "DegenerateQuad",
+    "DegenerateFrame",
+    "InvalidPhi",
+    "GridMismatch",
+    "OutOfWindow",
+}
+ERROR_CLASSES = sorted(
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type)
+    and issubclass(value, errors.SegalError)
+    and name not in ("SegalError", "InputError")
+)
+
+
+def _actions(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Each action of ``parser`` and of its subparsers, with its subcommand path."""
+    for action in parser._actions:
+        yield path, action
+        if isinstance(action, argparse._SubParsersAction):
+            for listed in action._choices_actions:
+                yield path, listed
+            for name, sub in action.choices.items():
+                yield from _actions(sub, (*path, name))
+
+
+def argument_surface() -> tuple[int, str]:
+    """The count of parser actions, and a sha256 over what each one accepts
+    and says.  It reads the action attributes, not the formatted help, which
+    depends on the terminal width."""
+    digest = hashlib.sha256()
+    count = 0
+    for path, a in _actions(build_parser()):
+        fields = (
+            path, a.option_strings, a.dest, a.nargs, a.default,
+            getattr(a.type, "__name__", a.type), a.help, a.metavar,
+            None if a.choices is None else list(a.choices), a.required,
+        )
+        digest.update(repr(fields).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
 class TestDispatchTable:
     def test_contracted_subcommands_exist(self):
         present = {(c.group, c.name) for c in COMMANDS}
         assert SPEC_SUBCOMMANDS <= present
+
+    def test_argument_surface_is_unchanged(self):
+        assert argument_surface() == SURFACE
+
+    def test_every_error_class_is_known(self):
+        assert len(ERROR_CLASSES) == 16
+        assert EXIT_2_ERRORS <= set(ERROR_CLASSES)
+
+    @pytest.mark.parametrize("name", ERROR_CLASSES)
+    def test_error_class_decides_exit_code(self, name, monkeypatch, capsys):
+        def fail(args):
+            raise getattr(errors, name)("bad")
+
+        commands = [dataclasses.replace(c, run=fail) for c in cli.COMMANDS]
+        monkeypatch.setattr(cli, "COMMANDS", commands)
+        code = main(["types", "enumerate"])
+        captured = capsys.readouterr()
+        if name in EXIT_2_ERRORS:
+            assert (code, captured.err) == (2, "error: bad\n")
+        else:
+            assert (code, captured.err) == (1, "check failed: bad\n")
+        assert captured.out == ""
 
 
 class TestExitCodes:

@@ -123,6 +123,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     (tmp / "latin1.csv").write_bytes(b"x,y\n0,0\n\xff,1\n")
     # two samples closer than the 1e-9 * span match tolerance
     (tmp / "close.csv").write_text("x,y\n0,0\n0.5,0.5\n0.5000000001,0.6\n1,1\n", encoding="utf-8")
+    # the symmetric ratio about 0.5 overflows double precision
+    (tmp / "overflow.csv").write_text("x,y\n0,0\n0.5,5e-324\n1,1e308\n", encoding="utf-8")
     return {
         "tmp": str(tmp),
         "types": str(TYPES),
@@ -149,6 +151,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "csv": str(tmp / "h.csv"),
         "bad_csv": str(tmp / "bad.csv"),
         "close_csv": str(tmp / "close.csv"),
+        "overflow_csv": str(tmp / "overflow.csv"),
         "latin1": str(tmp / "latin1.csv"),
         "missing": str(tmp / "missing.json"),
         "nowhere": str(tmp / "nowhere"),

@@ -69,6 +69,17 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def test_building_the_parser_runs_no_library_module():
+    """The subcommand declarations read no library module, so after
+    ``build_parser`` each one is still registered without running its code."""
+    out = run_python(
+        "import importlib.util, sys, segal.cli; segal.cli.build_parser(); "
+        "print(sorted(name for name, m in sys.modules.items() if name.startswith('segal.') "
+        "and not isinstance(m, importlib.util._LazyModule)))"
+    )
+    assert out.strip() == repr(["segal._input", "segal.cli", "segal.errors"])
+
+
 def test_module_quadrature_loads_neither_numpy_nor_scipy():
     out = run_python(
         "import sys, segal; from segal import _oracles; "

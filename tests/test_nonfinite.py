@@ -5,6 +5,7 @@ error.  A hypothesis property drives every number-taking callable of
 ``beltrami``, ``modulus`` and ``quasisym`` with extreme finite values too."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ def _chart(x0=0.0, x1=1.0, image=0.5, fz=1.0):
     """A constant 2x2 sampled chart map with one argument replaced."""
     image, fz, fzbar = (np.full((2, 2), complex(v)) for v in (image, fz, 0.0))
     return beltrami.SampledChartMap(x0, x1, 0.0, 1.0, image, fz, fzbar)
+
+
+def _flatten(**strip):
+    """flatten_step of the identity glue's base field on the given strip."""
+    field = flattening.base_structure_field(flattening.glue_identity())
+    return flattening.flatten_step(field, **strip)
 
 
 CASES = {
@@ -42,7 +49,31 @@ CASES = {
     "glue-sine-nan": lambda: flattening.glue_sine(NAN),
     "glue-window-inf": lambda: flattening.glue_identity(x_hi=INF),
     "glue-height-nan": lambda: flattening.glue_identity(y_max=NAN),
+    "glue-window-too-wide": lambda: flattening.glue_identity(x_lo=-1e308, x_hi=1e308),
+    # strips that are empty, reversed, not finite, or out of double-precision scale
+    **{
+        f"flatten-window-{name}": partial(_flatten, window=window)
+        for name, window in (
+            ("empty", (0.0, 0.0)),
+            ("too-wide", (-1e308, 1e308)),
+            ("reversed", (1.0, -1.0)),
+            ("nan", (NAN, 1.0)),
+            ("subnormal", (5e-324, 1e-323)),
+        )
+    },
+    **{
+        f"flatten-height-{name}": partial(_flatten, y_max=y_max)
+        for name, y_max in (
+            ("zero", 0.0),
+            ("inf", INF),
+            ("negative-inf", -INF),
+            ("subnormal", 5e-324),
+            ("tiny", 1e-200),
+            ("huge", 1e308),
+        )
+    },
     "linear-map-nan": lambda: beltrami.LinearMapZZbar(NAN, 0.0),
+    "linear-map-inf": lambda: beltrami.LinearMapZZbar(INF, 0.0),
     "transform-fz-nan": lambda: beltrami.transform_mu(0.1, 0.0, NAN, 0.0),
     "transform-fz-inf": lambda: beltrami.transform_mu(0.1, 0.2, complex(INF, 0.0), 0.0),
     "transform-field-fz-inf": lambda: beltrami.transform_field(
@@ -102,10 +133,23 @@ CASES = {
 }
 
 
-# the message a case must raise, where it names the bad value
+# the message a case must raise, where it names the bad value or the rule
 MESSAGES = {
     "circle-winding-nan": "rotation angle must be finite, got nan",
     "circle-winding-inf": "rotation angle must be finite, got inf",
+    "linear-map-inf": "coefficients must be finite",
+    "glue-window-too-wide": "too wide for double precision",
+    "flatten-window-empty": "is empty or not finite",
+    "flatten-window-too-wide": "too wide for double precision",
+    "flatten-window-reversed": "is empty or not finite",
+    "flatten-window-nan": "is empty or not finite",
+    "flatten-window-subnormal": "out of double-precision scale",
+    "flatten-height-zero": "y_max must be positive and finite",
+    "flatten-height-inf": "y_max must be positive and finite",
+    "flatten-height-negative-inf": "y_max must be positive and finite",
+    "flatten-height-subnormal": "out of double-precision scale",
+    "flatten-height-tiny": "out of double-precision scale",
+    "flatten-height-huge": "too large to resolve",
 }
 
 

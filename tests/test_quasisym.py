@@ -133,6 +133,14 @@ class TestQsBound:
         h = SampledIncreasingFunction((0.0, 1.0, 3.0), (0.0, 1.0, 3.0))
         assert qs_bound(h) >= 1.0
 
+    @pytest.mark.parametrize(
+        "ys", [(0.0, 5e-324, 1e308), (-1e308, 0.0, 5e-324)], ids=["ratio", "inverse"]
+    )
+    def test_ratio_overflow_is_input_error(self, ys):
+        h = SampledIncreasingFunction((0.0, 0.5, 1.0), ys)
+        with pytest.raises(DomainError, match="overflows double precision"):
+            qs_bound(h)
+
     def test_close_samples_are_not_a_triple(self):
         # 0.5 and 0.5 + 1e-10 are closer than the 1e-9 * span tolerance, so
         # the left point of (0.5 - t, 0.5, 0.5 + 1e-10) resolves to the
