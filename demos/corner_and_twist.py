@@ -12,7 +12,7 @@ import cmath
 from segal import (
     circle_rotation,
     corner_dilatation,
-    corner_map,
+    corner_transform,
     half_angle_piecewise,
     half_angle_smooth,
     qs_bound,
@@ -31,9 +31,10 @@ def main():
     print()
 
     phi = half_angle_piecewise()
-    images, _ = corner_map(phi, [cmath.exp(1j * cmath.pi * t) for t in (0.0, 0.5, 1.0)])
+    sigma = corner_transform(phi)
     print("corner map on three rim points:")
-    for z in images:
+    for t in (0.0, 0.5, 1.0):
+        z = sigma(cmath.exp(1j * cmath.pi * t))
         print(f"  {z.real:+.6f} {z.imag:+.6f}j")
     print()
 

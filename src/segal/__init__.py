@@ -58,7 +58,7 @@ _EXPORTS = {
     ),
     "quasisym": (
         "CircleDiffeo", "SampledIncreasingFunction", "bump", "circle_identity",
-        "circle_rotation", "corner_dilatation", "corner_map", "corner_transform",
+        "circle_rotation", "corner_dilatation", "corner_transform",
         "half_angle_piecewise", "half_angle_smooth", "qs_bound", "sampled_exp",
         "sampled_identity", "sampled_slope_break", "smooth_twist",
     ),

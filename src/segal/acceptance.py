@@ -400,12 +400,18 @@ def run_acceptance(
 ) -> list[CriterionResult]:
     """Run the corpus check and every requested criterion, in order.
 
-    Each bound is stated once, in its criterion.  ``scale`` only holds the
-    second positional place for existing callers: any value but 1.0 is a
-    ``DomainError``.
+    Each bound is stated once, in its criterion.  ``indices`` names criteria
+    of ``CRITERIA``, all of them when empty or None; any other index is a
+    ``DomainError``, raised before the corpus loads.  ``scale`` only holds
+    the second positional place for existing callers: any value but 1.0 is
+    a ``DomainError``.
     """
     if scale != 1.0:
         raise DomainError(f"acceptance bounds are fixed; scale must be 1.0, got {scale!r}")
+    known = {idx for idx, _, _ in CRITERIA}
+    bad = [i for i in indices or () if i not in known]
+    if bad:
+        raise DomainError(f"criterion indices out of range: {bad}")
     data = load_corpus(corpus_dir)
     # both names are looked up at call time, so a wrapper installed over
     # them (perfbench's tracer) sees every criterion it runs

@@ -14,11 +14,10 @@ as a numpy broadcast on a field, so the scalar functions need no numpy.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence, TextIO
+from typing import Callable, Literal, Optional, Sequence
 
 from . import _FirstUseNumpy
 from ._input import abs_or_inf, json_int, json_list, json_number
@@ -332,9 +331,6 @@ class DilatationField:
     def dy(self) -> float:
         return (self.y1 - self.y0) / self.ny
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        return _cell_centers(self.x0, self.x1, self.y0, self.y1, self.nx, self.ny)
-
     @classmethod
     def constant(
         cls, value: complex, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
@@ -397,17 +393,6 @@ class DilatationField:
         vals = [complex(json_number(re, "sample"), json_number(im, "sample")) for re, im in pairs]
         corners = (json_number(d[k], k) for k in ("x0", "x1", "y0", "y1"))
         return cls(*corners, np.array(vals).reshape(ny, nx))
-
-    def to_csv(self, stream: TextIO) -> None:
-        xs, ys = self.cell_centers()
-        writer = csv.writer(stream)
-        writer.writerow(["x", "y", "re", "im"])
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                v = self.values[i, j]
-                writer.writerow(
-                    [repr(float(x)), repr(float(y)), repr(float(v.real)), repr(float(v.imag))]
-                )
 
 
 def _require_same_grid(s1: DilatationField, s2: DilatationField) -> None:

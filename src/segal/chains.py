@@ -196,10 +196,6 @@ class Chain:
     def of(cls, s: Simplex, coeff=1) -> "Chain":
         return cls(((s, coeff),))
 
-    @classmethod
-    def zero(cls) -> "Chain":
-        return cls()
-
     def __add__(self, other: "Chain") -> "Chain":
         return Chain(itertools.chain(self.terms.items(), other.terms.items()))
 
@@ -308,18 +304,14 @@ def swap_factors(c: Union[Chain, Simplex]) -> Chain:
 # flattening nested products for the associativity comparison
 
 
-def flatten_factors(s: Simplex) -> tuple[tuple, ...]:
+def _flatten(s: Simplex, memo: dict) -> tuple[tuple, ...]:
     """Expand nested products into per-generator vertex words.
 
     Returns one (generator key, vertex word) entry per leaf factor; two
     differently nested products describe the same multi-simplex exactly
-    when these agree.
+    when these agree.  ``memo`` remembers every product expanded, so
+    products that share factors expand each factor once.
     """
-    return _flatten(s, {})
-
-
-def _flatten(s: Simplex, memo: dict) -> tuple[tuple, ...]:
-    """``flatten_factors`` of ``s``, remembering every product it expands."""
     if isinstance(s, FormalSimplex):
         return ((s.key(), s.vertices),)
     if s in memo:

@@ -474,7 +474,7 @@ def run_qs_corner(args) -> Report:
     sigma = quasisym.corner_transform(phi)
     pts = [parse_complex(p) for p in args.points.split(";")] if args.points else []
     rim = [complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8)) for j in range(8)]
-    images, _ = quasisym.corner_map(phi, rim)
+    images = [sigma(z) for z in rim]
     extra = [sigma(p) for p in pts]
     lines = [f"dilatation: {k!r}", f"derivative range: [{lo!r}, {hi!r}]"]
     lines += [f"rim {j}: {cfmt(z)}" for j, z in enumerate(images)]
@@ -740,10 +740,6 @@ def run_accept(args) -> Report:
             indices = [int(s) for s in args.only.split(",")]
         except ValueError:
             raise DomainError(f"--only takes comma-separated integers, got {args.only!r}")
-        known = {idx for idx, _, _ in acceptance.CRITERIA}
-        bad = [i for i in indices if i not in known]
-        if bad:
-            raise DomainError(f"criterion indices out of range: {bad}")
     results = acceptance.run_acceptance(args.corpus, indices=indices)
     passed = all(r.passed for r in results)
     payload = {

@@ -117,10 +117,6 @@ class ComponentData:
             return self.boundary_circles
         return self.derived_boundary_count
 
-    @property
-    def free_circles(self) -> tuple[Label, ...]:
-        return tuple(sorted(c.free_arc_labels[0] for c in self.cycles if c.is_free_circle))
-
     def canonical_key(self) -> tuple:
         return (
             self.genus,
@@ -240,24 +236,19 @@ def _absent(present: Iterable, count: int) -> tuple[list[int], int]:
     return missing, n_missing
 
 
-def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> ValidationReport:
+def validate_type(t: OCType) -> ValidationReport:
     """Check every structural invariant; collect human-readable violations.
 
     Returns a report rather than raising so that deliberately broken values
-    can be inspected.  ``label_set``, when given, restricts admissible labels.
+    can be inspected.
     """
     v: list[str] = []
-    labels = set(label_set) if label_set is not None else None
 
     for side, sig in (("in", t.in_signature), ("out", t.out_signature)):
         if sig.closed_count < 0 or sig.open_count < 0:
             v.append(f"{side} signature: negative count")
         if len(sig.source_labels) != sig.open_count or len(sig.target_labels) != sig.open_count:
             v.append(f"{side} signature: label list length != open_count")
-        if labels is not None:
-            for lab in (*sig.source_labels, *sig.target_labels):
-                if lab not in labels:
-                    v.append(f"{side} signature: label {lab!r} outside declared set")
 
     # Closed circle ownership: each identifier in exactly one component.
     for side, count, getter in (
@@ -317,10 +308,6 @@ def validate_type(t: OCType, label_set: Optional[Iterable[Label]] = None) -> Val
                     f"for {m} entries"
                 )
                 continue
-            if labels is not None:
-                for lab in cyc.free_arc_labels:
-                    if lab not in labels:
-                        v.append(f"component {ci} cycle {ki}: label {lab!r} outside declared set")
             # D-brane compatibility: the free arc before an interval must carry
             # the label of the endpoint where the traversal enters it.
             for pi, e in enumerate(cyc.entries):
@@ -547,14 +534,6 @@ class StabilityReport:
     @property
     def all_stable(self) -> bool:
         return all(s == "stable" for s in self.statuses)
-
-    @property
-    def unstable_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.statuses) if s == "unstable")
-
-    @property
-    def special_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.statuses) if s == "special")
 
 
 def is_stable(t: OCType) -> StabilityReport:

@@ -51,10 +51,10 @@ class OrderPair:
 
     def __post_init__(self):
         if self.m != INFINITE:
-            if self.m != int(self.m) or self.m < 1:
+            if not (math.isfinite(self.m) and self.m == int(self.m) and self.m >= 1):
                 raise InternalInconsistency("m must be a positive integer or infinite")
             object.__setattr__(self, "m", int(self.m))
-        if self.n < 0 or self.n != int(self.n):
+        if not (math.isfinite(self.n) and self.n == int(self.n) and self.n >= 0):
             raise InternalInconsistency("n must be a non-negative integer")
         object.__setattr__(self, "n", int(self.n))
 
@@ -113,20 +113,27 @@ class BoundaryGlueMap:
     def __post_init__(self):
         _require_strip((self.x_lo, self.x_hi), self.y_max)
         xs = np.linspace(self.x_lo, self.x_hi, 512)
-        dv = np.asarray(self.drho(xs), dtype=float)
+        if not np.all(np.diff(xs) > 0):
+            raise DomainError(
+                f"window {self.window!r} is out of double-precision scale: "
+                f"its 512 samples are not distinct"
+            )
+        try:
+            with np.errstate(over="raise"):
+                dv = np.asarray(self.drho(xs), dtype=float)
+                vals = np.asarray(self.rho(xs), dtype=float)
+        except FloatingPointError as e:
+            raise DomainError(
+                f"window {self.window!r} is out of double-precision scale for this map: {e}"
+            ) from None
         if not 1e-6 < dv.min() <= dv.max() < math.inf:
             raise NonMonotone(f"derivative reaches {dv.min():.3g}")
-        vals = np.asarray(self.rho(xs), dtype=float)
         if not np.all(np.diff(vals) > 0) or not np.isfinite(vals).all():
             raise NonMonotone("sampled values not strictly increasing")
 
     @property
     def window(self) -> tuple[float, float]:
         return (self.x_lo, self.x_hi)
-
-    def derivative_floor(self) -> float:
-        xs = np.linspace(self.x_lo, self.x_hi, 512)
-        return float(np.min(self.drho(xs)))
 
 
 def glue_identity(**kw) -> BoundaryGlueMap:
@@ -188,11 +195,18 @@ class StructureField:
     """
 
     func: Callable[[np.ndarray], np.ndarray]
-    depth: int
     exact_flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def at(self, x: float, y: float) -> tuple[float, float]:
-        v = self.func(np.array([[x, y]], dtype=float))[0]
+        """The field at one point, which must be finite and keep the field's
+        arithmetic within double precision."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"point ({x!r}, {y!r}) is not finite")
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                v = self.func(np.array([[x, y]], dtype=float))[0]
+        except FloatingPointError as e:
+            raise DomainError(f"point ({x!r}, {y!r}) is out of double-precision scale: {e}") from None
         return float(v[0]), float(v[1])
 
 
@@ -209,7 +223,7 @@ def base_structure_field(g: BoundaryGlueMap) -> StructureField:
         x0 = np.asarray(x0, dtype=float)
         return np.column_stack([x0, np.asarray(t, dtype=float) * g.drho(x0)])
 
-    return StructureField(func=func, depth=0, exact_flow=exact_flow)
+    return StructureField(func=func, exact_flow=exact_flow)
 
 
 def _rk4_flow(
@@ -253,6 +267,8 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
     and solve the 2x2 change of basis back.  The flow derivative in t is the
     field itself, exactly, so only the x-derivative needs differencing.
     """
+    if not (isinstance(n_steps, int) and n_steps >= 1):
+        raise DomainError(f"n_steps must be a positive integer, got {n_steps!r}")
     stencil, weights = np.array(_STENCIL), np.array(_FD_WEIGHTS)
 
     def func(pts: np.ndarray) -> np.ndarray:
@@ -282,7 +298,7 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
         u2 = (-q1 * w1 + p1 * w2) / det
         return np.column_stack([u1, u2])
 
-    return StructureField(func=func, depth=prev.depth + 1)
+    return StructureField(func=func)
 
 
 def structure_field_chain(g: BoundaryGlueMap, k: int) -> list[StructureField]:

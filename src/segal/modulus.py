@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateQuad, DomainError, QuadratureFailure
@@ -58,19 +58,24 @@ class QuadrilateralSpec:
 def _position(z0: float, z1: float, z2: float, z3: float) -> float:
     """Image of z3 under the Moebius map sending (z0, z1, z2) to (-1, 0, 1).
 
-    Composes R: (z0,z1,z2) -> (0,1,inf) with W(u) = (u-1)/(u+1).
+    From the gaps a = z1 - z0, b = z2 - z1 and c = z3 - z2 the image is
+    (a+b)(b+c) / (b(a+b) + c(b-a)) = (1 + v) / (1 + v t), with v = c/b and
+    t = (b-a)/(a+b); where v overflows, or z3 = +inf, it is the same
+    quotient divided through by v.  No cross ratio r is formed, so no
+    r + 1 rounds to 0 far from the pole.  The image is unchanged by
+    scaling, so points whose span overflows are halved first.
     """
-    if math.isinf(z3):
-        r = (z1 - z2) / (z1 - z0)
+    if math.isinf((z3 if math.isfinite(z3) else z2) - z0):
+        z0, z1, z2, z3 = (0.5 * z for z in (z0, z1, z2, z3))
+    a, b = z1 - z0, z2 - z1
+    t = (b - a) / (a + b)
+    v = (z3 - z2) / b
+    if math.isinf(v):
+        u = b / (z3 - z2)
+        num, den = 1.0 + u, u + t
     else:
-        r_num = (z3 - z0) * (z1 - z2)
-        r_den = (z3 - z2) * (z1 - z0)
-        if r_den == 0.0:
-            return math.inf
-        r = r_num / r_den
-    if r == -1.0:
-        return math.inf
-    return (r - 1.0) / (r + 1.0)
+        num, den = 1.0 + v, 1.0 + v * t
+    return num / den if den != 0.0 else math.inf
 
 
 def normalize_quad(q: QuadrilateralSpec) -> float:
@@ -259,7 +264,7 @@ def rotated_position(x: float) -> float:
     """
     if math.isinf(x):
         return math.inf
-    return _position(0.0, 1.0, x, -1.0)
+    return -x
 
 
 def module_rect(a: float, b: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import _FirstUseNumpy
 from ._input import abs_or_inf
@@ -100,8 +100,8 @@ def _require_sample_count(n: int) -> None:
         raise DomainError(f"sample count must be positive, got {n}")
 
 
-def sampled_identity(n: int = 256, lo: float = 0.0, hi: float = 1.0) -> SampledIncreasingFunction:
-    return SampledIncreasingFunction.from_callable(lambda x: x, lo, hi, n)
+def sampled_identity(n: int = 256) -> SampledIncreasingFunction:
+    return SampledIncreasingFunction.from_callable(lambda x: x, 0.0, 1.0, n)
 
 
 def sampled_slope_break(k: float, n: int = 256) -> SampledIncreasingFunction:
@@ -242,10 +242,10 @@ def half_angle_smooth() -> CircleDiffeo:
 # corner map
 
 
-def _check_half_angle_above(phi: CircleDiffeo, tol: float = 1e-9) -> None:
+def _check_half_angle_above(phi: CircleDiffeo) -> None:
     step = math.pi / 256
     for theta in [*(j * step for j in range(256)), math.pi]:
-        if not abs(phi.psi(theta) - 0.5 * theta) <= tol:
+        if not abs(phi.psi(theta) - 0.5 * theta) <= 1e-9:
             raise InvalidPhi(
                 f"upper-semicircle restriction differs from the half-angle map "
                 f"at theta={theta:.6g}"
@@ -275,13 +275,6 @@ def corner_dilatation(phi: CircleDiffeo) -> float:
     """
     lo, hi = phi.derivative_range()
     return max(2.0 * hi, 1.0 / (2.0 * lo))
-
-
-def corner_map(
-    phi: CircleDiffeo, points: Sequence[complex]
-) -> tuple[list[complex], float]:
-    sigma = corner_transform(phi)
-    return [sigma(complex(z)) for z in points], corner_dilatation(phi)
 
 
 # ---------------------------------------------------------------------------

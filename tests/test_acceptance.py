@@ -99,3 +99,10 @@ def test_judge_margin(check, passed, margin):
 def test_scale_is_fixed():
     with pytest.raises(DomainError, match="got 2.0"):
         run_acceptance(None, 2.0)
+
+
+def test_unknown_indices_are_rejected_before_the_corpus_loads(tmp_path):
+    # the corpus directory does not exist, so only a rejection that comes
+    # first can name the indices
+    with pytest.raises(DomainError, match=r"^criterion indices out of range: \[0, 99\]$"):
+        run_acceptance(str(tmp_path / "missing"), indices=[0, 3, 99])

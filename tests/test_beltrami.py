@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import random
@@ -296,16 +295,6 @@ def test_field_json_roundtrip():
 def test_field_json_must_be_object():
     with pytest.raises(GridMismatch):
         DilatationField.from_json([1, 2])
-
-
-def test_field_csv_export():
-    f = DilatationField.constant(0.25j, 0, 1, 0, 1, 2, 2)
-    buf = io.StringIO()
-    f.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 5
-    assert lines[1].split(",") == ["0.25", "0.25", "0.0", "0.25"]
 
 
 def test_value_at_cell_ownership():

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import shutil
 from pathlib import Path
@@ -15,71 +16,20 @@ from segal.cli import COMMANDS, build_parser, main
 
 BUNDLED = Path(segal.__file__).resolve().parent / "data" / "corpus"
 
-# Operations that must stay reachable from the command line, one entry per
-# public callable.  test_cli_golden.py::test_every_required_operation_is_called
-# checks that some golden case calls each of them.
+# Operations that must stay reachable from the command line: every public
+# function, keyed by its home module, and the corpus generators and loader
+# that the commands reach through ``segal.corpus`` and ``segal.acceptance``.
+# test_cli_golden.py::test_every_required_operation_is_called checks that
+# some golden case calls each of them.
 REQUIRED_OPS = {
-    "cobordism.validate_type",
-    "cobordism.compose_types",
-    "cobordism.disjoint_union",
-    "cobordism.is_stable",
-    "cobordism.octype_to_json",
-    "cobordism.octype_from_json",
+    f"{obj.__module__.removeprefix('segal.')}.{name}"
+    for name in segal.__all__
+    if inspect.isfunction(obj := getattr(segal, name))
+} | {
     "corpus.random_octype",
     "corpus.random_successor",
     "corpus.enumerate_small_types",
     "corpus.generate_quads",
-    "beltrami.mu_of_linear",
-    "beltrami.dilatation_K",
-    "beltrami.abs_mu_from_K",
-    "beltrami.transform_mu",
-    "beltrami.pullback_mu",
-    "beltrami.teichmuller_distance",
-    "beltrami.acs_from_frame",
-    "beltrami.mu_from_acs",
-    "beltrami.acs_from_mu",
-    "beltrami.field_distance",
-    "beltrami.transform_field",
-    "beltrami.pullback_field",
-    "beltrami.sew_sections",
-    "quasisym.qs_bound",
-    "quasisym.sampled_identity",
-    "quasisym.sampled_slope_break",
-    "quasisym.sampled_exp",
-    "quasisym.circle_identity",
-    "quasisym.circle_rotation",
-    "quasisym.half_angle_piecewise",
-    "quasisym.half_angle_smooth",
-    "quasisym.corner_transform",
-    "quasisym.corner_dilatation",
-    "quasisym.corner_map",
-    "quasisym.smooth_twist",
-    "modulus.module_sc",
-    "modulus.normalize_quad",
-    "modulus.cross_ratio",
-    "modulus.rotated_position",
-    "modulus.module_rect",
-    "modulus.module_of_quad",
-    "modulus.check_geometric_qc",
-    "chains.generator",
-    "chains.shuffle_product",
-    "chains.boundary",
-    "chains.swap_factors",
-    "chains.check_chain_map",
-    "chains.check_associativity",
-    "chains.check_symmetry",
-    "chains.check_identities",
-    "flattening.order_step",
-    "flattening.order_sequence",
-    "flattening.glue_identity",
-    "flattening.glue_linear",
-    "flattening.glue_sine",
-    "flattening.tau_minus1",
-    "flattening.base_structure_field",
-    "flattening.next_structure_field",
-    "flattening.flatten_step",
-    "flattening.verify_orders",
-    "acceptance.run_acceptance",
     "acceptance.load_corpus",
 }
 

@@ -86,7 +86,7 @@ class TestOrderRecursion:
 class TestGlueMap:
     def test_sine_valid(self):
         g = glue_sine(0.1)
-        assert g.derivative_floor() > 0.8
+        assert g.drho(np.linspace(g.x_lo, g.x_hi, 512)).min() > 0.8
 
     def test_rejects_unit_amplitude(self):
         with pytest.raises(NonMonotone):
@@ -165,7 +165,7 @@ class TestStructureFields:
     def test_generic_flow_route_agrees_with_exact_flow(self):
         g = glue_sine(0.1)
         base = base_structure_field(g)
-        base_no_exact = type(base)(func=base.func, depth=0, exact_flow=None)
+        base_no_exact = type(base)(func=base.func, exact_flow=None)
         via_exact = next_structure_field(base)
         via_rk4 = next_structure_field(base_no_exact, n_steps=512)
         for x, y in [(0.25, 0.3), (-0.6, 0.8)]:
@@ -184,7 +184,8 @@ class TestStructureFields:
     def test_chain_depths(self):
         g = glue_sine(0.1)
         fields = structure_field_chain(g, 2)
-        assert [f.depth for f in fields] == [0, 1, 2]
+        # the base field flows in closed form; each transported level by RK4
+        assert [f.exact_flow is not None for f in fields] == [True, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ PUBLIC = [
     "check_associativity", "check_chain_map", "check_geometric_qc", "check_identities",
     "check_symmetry",
     "circle_identity", "circle_rotation", "compose_types", "corner_dilatation",
-    "corner_map", "corner_transform", "cross_ratio", "dilatation_K", "disjoint_union",
+    "corner_transform", "cross_ratio", "dilatation_K", "disjoint_union",
     "field_distance", "flatten_step", "generator", "glue_identity", "glue_linear",
     "glue_sine", "half_angle_piecewise", "half_angle_smooth", "is_stable",
     "module_of_quad", "module_rect", "module_sc", "mu_from_acs", "mu_of_linear",

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,33 @@ def test_normalize_examples():
 def test_normalize_wrapped_branch():
     x = normalize_quad(QuadrilateralSpec(-2, -2 / 3, -2 / 7, 2))
     assert x == pytest.approx(-3, abs=1e-12)
+
+
+def _exact_position(z0, z1, z2, z3):
+    """The normalized position in rational arithmetic, rounded once."""
+    a, b = Fraction(z1) - Fraction(z0), Fraction(z2) - Fraction(z1)
+    if math.isinf(z3):
+        return float((a + b) / (b - a))
+    c = Fraction(z3) - Fraction(z2)
+    return float((a + b) * (b + c) / (b * (a + b) + c * (b - a)))
+
+
+@pytest.mark.parametrize(
+    "zs",
+    [(0, 1, 2, 1e8), (0, 1, 2, 1e308), (0, 1, 12, 1e308), (-1.7e308, 1.7e308, 1.75e308, math.inf)],
+)
+def test_position_of_far_points_is_exact(zs):
+    assert normalize_quad(QuadrilateralSpec(*zs)) == _exact_position(*zs)
+
+
+def test_position_matches_rational_arithmetic():
+    rng = random.Random(19)
+    worst = 0.0
+    for _ in range(20_000):
+        zs = sorted(rng.uniform(-4, 4) for _ in range(4))
+        want = _exact_position(*zs)
+        worst = max(worst, abs(normalize_quad(QuadrilateralSpec(*zs)) - want) / abs(want))
+    assert worst <= 1e-11
 
 
 def test_normalize_preserves_cross_ratio():
@@ -147,8 +175,8 @@ def test_module_monotone_in_position():
 
 
 def test_rotation_negates_position():
-    for x in (1.5, 2.0, 3.0, 7.0, -2.0, -5.0):
-        assert rotated_position(x) == pytest.approx(-x, abs=1e-12)
+    for x in (1.5, 2.0, 3.0, 7.0, -2.0, -5.0, 1e8, -1e308):
+        assert rotated_position(x) == -x
 
 
 @pytest.mark.parametrize("x", [1.5, 2.0, 3.0, 5.0, 10.0, -2.5])

@@ -2,7 +2,8 @@
 non-finite input, a grid with no cells or a fractional cell count, and a
 chain coefficient or simplex dimension of the wrong kind, with a typed
 error.  A hypothesis property drives every number-taking callable of
-``beltrami``, ``modulus`` and ``quasisym`` with extreme finite values too."""
+``beltrami``, ``modulus``, ``quasisym`` and ``flattening`` with extreme
+finite values too."""
 
 import math
 from functools import partial
@@ -30,6 +31,18 @@ def _flatten(**strip):
     return flattening.flatten_step(field, **strip)
 
 
+_GLUE = flattening.glue_sine(0.1)
+_BASE = flattening.base_structure_field(_GLUE)
+_TRANSPORTED = flattening.next_structure_field(_BASE)
+_CHART = flattening.flatten_step(_BASE, nx=5, ny=5)
+
+
+def _glue(make, *args):
+    """The glue map ``make`` returns, with the last three arguments its strip."""
+    *params, x_lo, x_hi, y_max = args
+    return make(*params, x_lo=x_lo, x_hi=x_hi, y_max=y_max)
+
+
 CASES = {
     "field-value-nan": lambda: beltrami.DilatationField(0, 1, 0, 1, np.array([[NAN + 0j]])),
     "field-value-inf": lambda: beltrami.DilatationField(0, 1, 0, 1, np.array([[complex(0, INF)]])),
@@ -50,6 +63,14 @@ CASES = {
     "glue-window-inf": lambda: flattening.glue_identity(x_hi=INF),
     "glue-height-nan": lambda: flattening.glue_identity(y_max=NAN),
     "glue-window-too-wide": lambda: flattening.glue_identity(x_lo=-1e308, x_hi=1e308),
+    "glue-window-subnormal": lambda: flattening.glue_identity(x_lo=5e-324, x_hi=1e-323),
+    "glue-values-overflow": lambda: flattening.glue_linear(1e308, x_lo=0.0, x_hi=1e308),
+    "order-pair-m-nan": lambda: flattening.OrderPair(NAN, 0),
+    "order-pair-n-inf": lambda: flattening.OrderPair(1, INF),
+    "field-point-nan": lambda: _TRANSPORTED.at(NAN, INF),
+    "field-point-huge": lambda: _TRANSPORTED.at(0.0, 1e308),
+    "field-inner-steps-zero": lambda: flattening.next_structure_field(_TRANSPORTED, 0),
+    "field-inner-steps-negative": lambda: flattening.next_structure_field(_TRANSPORTED, -1),
     # strips that are empty, reversed, not finite, or out of double-precision scale
     **{
         f"flatten-window-{name}": partial(_flatten, window=window)
@@ -139,6 +160,12 @@ MESSAGES = {
     "circle-winding-inf": "rotation angle must be finite, got inf",
     "linear-map-inf": "coefficients must be finite",
     "glue-window-too-wide": "too wide for double precision",
+    "glue-window-subnormal": "out of double-precision scale: its 512 samples",
+    "glue-values-overflow": "out of double-precision scale for this map",
+    "field-point-nan": "is not finite",
+    "field-point-huge": "out of double-precision scale",
+    "field-inner-steps-zero": "n_steps must be a positive integer",
+    "field-inner-steps-negative": "n_steps must be a positive integer",
     "flatten-window-empty": "is empty or not finite",
     "flatten-window-too-wide": "too wide for double precision",
     "flatten-window-reversed": "is empty or not finite",
@@ -232,7 +259,7 @@ NUMERIC = {
         lambda lo, hi, n: quasisym.SampledIncreasingFunction.from_callable(_identity, lo, hi, n),
         "ffi",
     ),
-    "sampled_identity": (quasisym.sampled_identity, "iff"),
+    "sampled_identity": (quasisym.sampled_identity, "i"),
     "sampled_slope_break": (quasisym.sampled_slope_break, "fi"),
     "sampled_exp": (quasisym.sampled_exp, "fi"),
     "CircleDiffeo": (lambda lo, hi: quasisym.CircleDiffeo(_identity, lambda t: 1.0, lo, hi), "ff"),
@@ -240,11 +267,30 @@ NUMERIC = {
     "CircleDiffeo.angle": (quasisym.half_angle_smooth().angle, "f"),
     "circle_rotation": (quasisym.circle_rotation, "f"),
     "corner_transform-call": (quasisym.corner_transform(quasisym.half_angle_piecewise()), "c"),
-    "corner_map": (lambda z: quasisym.corner_map(quasisym.half_angle_piecewise(), [z]), "c"),
     "bump": (quasisym.bump, "f"),
     "smooth_twist": (lambda r1, r2: quasisym.smooth_twist(quasisym.circle_identity(), r1, r2), "ff"),
     "TwistMap-call": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0], "c"),
     "TwistMap.angle": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0].angle, "ff"),
+    "OrderPair": (flattening.OrderPair, "ff"),
+    "order_sequence": (flattening.order_sequence, "i"),
+    "glue_identity": (partial(_glue, flattening.glue_identity), "fff"),
+    "glue_linear": (partial(_glue, flattening.glue_linear), "ffff"),
+    "glue_sine": (partial(_glue, flattening.glue_sine), "ffff"),
+    "tau_minus1": (lambda x, y: flattening.tau_minus1(_GLUE, [(x, y)]), "ff"),
+    "StructureField.at": (_BASE.at, "ff"),
+    "StructureField.at-transported": (_TRANSPORTED.at, "ff"),
+    "next_structure_field": (
+        lambda n: flattening.next_structure_field(_TRANSPORTED, n).at(0.5, 0.5), "i"
+    ),
+    "structure_field_chain": (lambda k: flattening.structure_field_chain(_GLUE, k), "i"),
+    "verify_orders": (lambda k: flattening.verify_orders(_GLUE, k), "i"),
+    "FlattenedChart.delta": (_CHART.delta, "ff"),
+    "flatten_step": (
+        lambda x_lo, x_hi, y_max: flattening.flatten_step(
+            _BASE, (x_lo, x_hi), y_max, nx=5, ny=5
+        ),
+        "fff",
+    ),
 }
 
 

@@ -1,7 +1,9 @@
-"""Every module-level private function in the package is used somewhere in it.
+"""Every module-level private function in the package is used somewhere in
+it, and every name a package module imports is used in that module.
 
-A helper that nothing calls is dead code; this finds one by reading the
-package source with the stdlib ``ast`` module, without importing it.
+A helper that nothing calls, or an import that nothing reads, is dead code;
+this finds one by reading the package source with the stdlib ``ast``
+module, without importing it.
 """
 
 import ast
@@ -35,3 +37,24 @@ def test_every_private_function_is_referenced():
     defined, referenced = _private_functions_and_references()
     unused = sorted(f"{module}: {name}" for name, module in defined.items() if name not in referenced)
     assert not unused, f"private functions nothing references: {unused}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads; lines marked ``# noqa`` are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa" not in lines[node.lineno - 1]:
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    unused = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(path)]
+    assert not unused, f"imports nothing reads: {unused}"

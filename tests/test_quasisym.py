@@ -16,7 +16,6 @@ from segal.quasisym import (
     circle_identity,
     circle_rotation,
     corner_dilatation,
-    corner_map,
     corner_transform,
     half_angle_piecewise,
     half_angle_smooth,
@@ -255,7 +254,7 @@ class TestCornerMap:
             lambda t: math.nan if 1.0 < t < 2.0 else base.psi(t), base.dpsi, 0.5, 2.0
         )
         with pytest.raises(InvalidPhi, match="theta=1.00"):
-            corner_map(phi, [1.0j])
+            corner_transform(phi)
 
     def test_half_angle_check_samples_the_linspace_angles(self):
         """The lift is checked at the angles of np.linspace(0, pi, 257), bit for bit."""
@@ -305,8 +304,10 @@ class TestCornerMap:
         assert corner_dilatation(half_angle_smooth()) == 5.0
 
     def test_corner_map_returns_images_and_k(self):
-        images, k = corner_map(half_angle_piecewise(), [1.0, -1.0, 4.0j])
-        assert k == 4.0
+        phi = half_angle_piecewise()
+        sigma = corner_transform(phi)
+        images = [sigma(z) for z in (1.0, -1.0, 4.0j)]
+        assert corner_dilatation(phi) == 4.0
         assert abs(images[0] - 1.0) < 1e-12
         assert abs(images[1] - 1j) < 1e-12
         assert abs(images[2] - 2.0 * cmath.exp(0.25j * math.pi)) < 1e-12
