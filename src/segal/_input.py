@@ -1,14 +1,16 @@
 """The input boundary: every file segal reads is opened, decoded and read as
 numbers here, so a float, a bool or a numeric string is never truncated or
 coerced, and every failure is a ``DomainError`` naming the file.  The
-modulus of a complex number from outside is taken here too, by
+rule for an integer, from a file or as a library argument, is ``integer``,
+and the modulus of a complex number from outside is taken by
 ``abs_or_inf``."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, TypeVar
+import operator
+from typing import Callable, Optional, TypeVar
 
 from .errors import DomainError, SegalError
 
@@ -61,11 +63,18 @@ def json_str(v, what: str) -> str:
     return v
 
 
-def json_int(v, what: str) -> int:
-    """A JSON integer; bools, strings and floats (2.0 too) are rejected."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DomainError(f"{what} must be an integer, not {v!r}")
-    return v
+def integer(v, what: str, least: Optional[int] = None) -> int:
+    """A Python or numpy integer as an int, at least ``least`` if given;
+    bools, strings and floats (2.0, nan and inf too) are rejected."""
+    try:
+        if isinstance(v, bool):
+            raise TypeError
+        n = operator.index(v)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, not {v!r}") from None
+    if least is not None and n < least:
+        raise DomainError(f"{what} must be at least {least}, got {n}")
+    return n
 
 
 def json_number(v, what: str) -> float:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
 from . import _FirstUseNumpy
-from ._input import abs_or_inf, json_int, json_list, json_number
+from ._input import abs_or_inf, integer, json_list, json_number
 from .errors import (
     DegenerateFrame,
     DomainError,
@@ -102,7 +101,10 @@ def abs_mu_from_K(K: float) -> float:
         raise OutOfDisc(f"distortion factor {K} is not finite")
     if K < 1.0:
         raise OutOfDisc(f"distortion factor {K} < 1")
-    return (K - 1.0) / (K + 1.0)
+    r = (K - 1.0) / (K + 1.0)
+    if r >= 1.0 - DISC_EDGE:
+        raise OutOfDisc(f"distortion factor {K} gives |mu| = {r:.12g}, too close to 1")
+    return r
 
 
 def _chart_phase(fz: complex, fzbar: complex) -> complex:
@@ -268,23 +270,12 @@ def _require_rectangle(x0: float, x1: float, y0: float, y1: float) -> None:
         raise GridMismatch("rectangle is empty or not finite")
 
 
-def _grid_counts(nx: int, ny: int) -> tuple[int, int]:
-    """The column and row counts as integers; a grid needs one cell or more."""
-    try:
-        nx, ny = operator.index(nx), operator.index(ny)
-    except TypeError:
-        raise GridMismatch(f"grid counts {nx!r}x{ny!r} are not integers") from None
-    if nx < 1 or ny < 1:
-        raise GridMismatch(f"a {nx}x{ny} grid has no cells")
-    return nx, ny
-
-
 def _cell_centers(
     x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the nx-by-ny cells of the rectangle: x values, y values."""
     _require_rectangle(x0, x1, y0, y1)
-    nx, ny = _grid_counts(nx, ny)
+    nx, ny = integer(nx, "nx", 1), integer(ny, "ny", 1)
     xs = x0 + (np.arange(nx) + 0.5) * ((x1 - x0) / nx)
     ys = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
     return xs, ys
@@ -335,7 +326,7 @@ class DilatationField:
     def constant(
         cls, value: complex, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
     ) -> "DilatationField":
-        nx, ny = _grid_counts(nx, ny)
+        nx, ny = integer(nx, "nx", 1), integer(ny, "ny", 1)
         return cls(x0, x1, y0, y1, np.full((ny, nx), complex(value)))
 
     @classmethod
@@ -385,7 +376,7 @@ class DilatationField:
             raise GridMismatch(f"field must be a JSON object, not {type(d).__name__}")
         if d.get("schema", FIELD_SCHEMA) != FIELD_SCHEMA:
             raise GridMismatch(f"unsupported schema {d.get('schema')!r}")
-        nx, ny = json_int(d["nx"], "nx"), json_int(d["ny"], "ny")
+        nx, ny = integer(d["nx"], "nx", 1), integer(d["ny"], "ny", 1)
         flat = json_list(d["values"], "values")
         if len(flat) != nx * ny:
             raise GridMismatch(f"expected {nx * ny} samples, found {len(flat)}")

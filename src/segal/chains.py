@@ -16,7 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._input import json_int
+from ._input import integer
 from .errors import DomainError, InternalInconsistency
 
 # ---------------------------------------------------------------------------
@@ -39,9 +39,7 @@ class FormalSimplex:
     omitted: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        json_int(self.dimension, "simplex dimension")
-        if self.dimension < 0:
-            raise InternalInconsistency("negative dimension")
+        self.__dict__["dimension"] = integer(self.dimension, "simplex dimension", 0)
         if any(not 0 <= v <= self.dimension for v in self.omitted):
             raise InternalInconsistency("omitted vertex out of range")
         if len(self.omitted) > self.dimension:
@@ -378,8 +376,7 @@ def check_identities(degree: int) -> dict[str, int]:
       on a_i x b_j, i, j <= 2 at every degree
     - ``symmetry``: the graded swap of a_i x b_j, i, j <= 3 at every degree
     """
-    if json_int(degree, "degree") < 0:
-        raise DomainError(f"degree must be non-negative, got {degree}")
+    degree = integer(degree, "degree", 0)
     failures = dict.fromkeys(
         ("chain_map", "term_counts", "associativity", "symmetry", "boundary_squares_to_zero"), 0
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from ._input import json_int, json_list, json_object, json_str
+from ._input import integer, json_list, json_object, json_str
 from .errors import DomainError, InternalInconsistency, SignatureMismatch
 
 Label = str
@@ -576,12 +576,12 @@ def _labels_from_json(v) -> tuple[Label, ...]:
 
 def _entry_from_json(e) -> CycleEntry:
     e = json_list(e, "cycle entry")
-    return CycleEntry(json_str(e[0], "interval direction"), json_int(e[1], "interval index"))
+    return CycleEntry(json_str(e[0], "interval direction"), integer(e[1], "interval index"))
 
 
 def _sig_from_json(d: dict) -> ObjectSignature:
     d = json_object(d, "boundary signature")
-    closed, open_ = (json_int(d[k], f"signature count {k}") for k in "CO")
+    closed, open_ = (integer(d[k], f"signature count {k}") for k in "CO")
     return ObjectSignature(closed, open_, *(_labels_from_json(d.get(k, [])) for k in "st"))
 
 
@@ -634,11 +634,11 @@ def octype_from_json(d: dict) -> OCType:
         n = cd.get("boundary_circles")
         comps.append(
             ComponentData(
-                genus=json_int(cd["genus"], "genus"),
-                closed_in=frozenset(json_int(i, "closed circle") for i in closed["closed_in"]),
-                closed_out=frozenset(json_int(i, "closed circle") for i in closed["closed_out"]),
+                genus=integer(cd["genus"], "genus"),
+                closed_in=frozenset(integer(i, "closed circle") for i in closed["closed_in"]),
+                closed_out=frozenset(integer(i, "closed circle") for i in closed["closed_out"]),
                 cycles=tuple(cycles),
-                boundary_circles=None if n is None else json_int(n, "boundary circle count"),
+                boundary_circles=None if n is None else integer(n, "boundary circle count"),
             )
         )
     return OCType(tuple(comps), _sig_from_json(d["in"]), _sig_from_json(d["out"]))

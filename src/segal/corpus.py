@@ -24,6 +24,7 @@ from .cobordism import (
     cycle_signatures,
     free_circle,
 )
+from ._input import integer
 from .errors import DomainError
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,10 @@ def random_octype(
     Signature labels are read off the generated cycles, so the D-brane
     conditions hold by construction.
     """
+    max_components = integer(max_components, "max_components", 1)
+    max_genus = integer(max_genus, "max_genus", 0)
+    max_closed = integer(max_closed, "max_closed", 0)
+    max_open = integer(max_open, "max_open", 0)
     n_comp = rng.randint(1, max_components)
     comps: list[dict] = [
         {"genus": rng.randint(0, max_genus), "cin": set(), "cout": set(), "cycles": []}
@@ -254,8 +259,7 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
 
 def generate_quads(seed: int, count: int) -> list[tuple[float, float, float, float]]:
     """Seeded marked quadruples in [-4, 4], sorted ascending, at least 0.05 apart."""
-    if count < 1:
-        raise DomainError(f"quad count must be at least 1, got {count}")
+    count = integer(count, "quad count", 1)
     rng = random.Random(seed)
     quads = []
     while len(quads) < count:

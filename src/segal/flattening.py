@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
 
 from . import _FirstUseNumpy
+from ._input import integer
 from .errors import (
     CurveEscape,
     DomainError,
-    GridMismatch,
     InternalInconsistency,
     InversionFailure,
     NonMonotone,
@@ -70,10 +70,8 @@ def order_step(p: OrderPair) -> OrderPair:
 
 def order_sequence(k: int) -> list[OrderPair]:
     """Orders of the first k+1 structure fields, starting from (inf, 0)."""
-    if k < 0:
-        raise DomainError("k must be non-negative")
     out = [OrderPair(INFINITE, 0)]
-    for _ in range(k):
+    for _ in range(integer(k, "k", 0)):
         out.append(order_step(out[-1]))
     return out
 
@@ -96,16 +94,12 @@ def _require_strip(window: tuple[float, float], y_max: float) -> None:
 
 @dataclass(frozen=True)
 class BoundaryGlueMap:
-    """Increasing smooth reparametrization of the boundary line.
-
-    The second derivative is optional; it is needed only by closed-form
-    cross-checks, not by the numeric pipeline.  All callables must accept
-    numpy arrays.
+    """Increasing smooth reparametrization of the boundary line, given by
+    rho and its derivative drho.  Both callables must accept numpy arrays.
     """
 
     rho: Callable
     drho: Callable
-    d2rho: Optional[Callable] = None
     x_lo: float = -1.5
     x_hi: float = 1.5
     y_max: float = 1.0
@@ -140,7 +134,6 @@ def glue_identity(**kw) -> BoundaryGlueMap:
     return BoundaryGlueMap(
         rho=lambda x: np.asarray(x, dtype=float) + 0.0,
         drho=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        d2rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         **kw,
     )
 
@@ -151,7 +144,6 @@ def glue_linear(k: float, **kw) -> BoundaryGlueMap:
     return BoundaryGlueMap(
         rho=lambda x: k * np.asarray(x, dtype=float),
         drho=lambda x: np.full_like(np.asarray(x, dtype=float), k),
-        d2rho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         **kw,
     )
 
@@ -163,7 +155,6 @@ def glue_sine(amplitude: float = 0.1, **kw) -> BoundaryGlueMap:
     return BoundaryGlueMap(
         rho=lambda x: np.asarray(x, dtype=float) + a * np.sin(np.asarray(x, dtype=float)),
         drho=lambda x: 1.0 + a * np.cos(np.asarray(x, dtype=float)),
-        d2rho=lambda x: -a * np.sin(np.asarray(x, dtype=float)),
         **kw,
     )
 
@@ -267,8 +258,7 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
     and solve the 2x2 change of basis back.  The flow derivative in t is the
     field itself, exactly, so only the x-derivative needs differencing.
     """
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise DomainError(f"n_steps must be a positive integer, got {n_steps!r}")
+    n_steps = integer(n_steps, "n_steps", 1)
     stencil, weights = np.array(_STENCIL), np.array(_FD_WEIGHTS)
 
     def func(pts: np.ndarray) -> np.ndarray:
@@ -304,7 +294,7 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
 def structure_field_chain(g: BoundaryGlueMap, k: int) -> list[StructureField]:
     """Fields for levels -1 .. k-1, i.e. the inputs of steps 0 .. k."""
     out = [base_structure_field(g)]
-    for _ in range(k):
+    for _ in range(integer(k, "k", 0)):
         out.append(next_structure_field(out[-1]))
     return out
 
@@ -499,9 +489,7 @@ def flatten_step(
     grid-size differencing error).  The inverse interpolates the grid with a
     not-a-knot bicubic spline, so each axis needs at least 4 nodes.
     """
-    for name, count in (("nx", nx), ("ny", ny)):
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 4:
-            raise GridMismatch(f"{name} must be an integer of at least 4, got {count!r}")
+    nx, ny = integer(nx, "nx", 4), integer(ny, "ny", 4)
     _require_strip(window, y_max)
     func = field.func if isinstance(field, StructureField) else field
     x_lo, x_hi = window
@@ -622,7 +610,8 @@ def verify_orders(g: BoundaryGlueMap, k_max: int) -> OrdersReport:
     infinite order.  Ladders shorten as k grows: deeper fields carry more
     integration noise, which would dominate the smallest samples.
     """
-    if not 0 <= k_max <= 2:
+    k_max = integer(k_max, "k_max", 0)
+    if k_max > 2:
         raise DomainError("k_max must be between 0 and 2")
     seq = order_sequence(k_max + 1)
     # For k_max < 2 the last level runs 512 inner steps; that counts only at

@@ -273,7 +273,10 @@ def module_rect(a: float, b: float) -> float:
         raise DomainError(f"rectangle sides {a} and {b} must be finite")
     if a <= 0 or b <= 0:
         raise DomainError("rectangle sides must be positive")
-    return a / b
+    m = a / b
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"rectangle module {a}/{b} = {m} is out of double-precision range")
+    return m
 
 
 def module_of_quad(q: QuadrilateralSpec) -> float:

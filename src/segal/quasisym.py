@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import _FirstUseNumpy
-from ._input import abs_or_inf
+from ._input import abs_or_inf, integer
 from .errors import DomainError, InvalidPhi, JacobianDegenerate, NonMonotone
 
 np = _FirstUseNumpy(globals())
@@ -51,7 +51,7 @@ class SampledIncreasingFunction:
     def from_callable(
         cls, f: Callable[[float], float], lo: float, hi: float, n: int
     ) -> "SampledIncreasingFunction":
-        _require_sample_count(n)
+        n = integer(n, "sample count", 1)
         xs = [lo + (hi - lo) * j / n for j in range(n + 1)]
         return cls(tuple(xs), tuple(f(x) for x in xs))
 
@@ -95,11 +95,6 @@ def qs_bound(h: SampledIncreasingFunction) -> float:
     return k
 
 
-def _require_sample_count(n: int) -> None:
-    if not n >= 1:
-        raise DomainError(f"sample count must be positive, got {n}")
-
-
 def sampled_identity(n: int = 256) -> SampledIncreasingFunction:
     return SampledIncreasingFunction.from_callable(lambda x: x, 0.0, 1.0, n)
 
@@ -108,14 +103,14 @@ def sampled_slope_break(k: float, n: int = 256) -> SampledIncreasingFunction:
     """h(x) = x for x <= 0 and k*x for x > 0, sampled on a symmetric grid."""
     if k <= 0:
         raise NonMonotone("slope must be positive")
-    _require_sample_count(n)
+    n = integer(n, "sample count", 1)
     xs = [j / n for j in range(-n, n + 1)]
     ys = [x if x <= 0 else k * x for x in xs]
     return SampledIncreasingFunction(tuple(xs), tuple(ys))
 
 
 def sampled_exp(t_max: float = 1.0, n: int = 256) -> SampledIncreasingFunction:
-    _require_sample_count(n)
+    n = integer(n, "sample count", 1)
     xs = [-t_max + 2.0 * t_max * j / (2 * n) for j in range(2 * n + 1)]
     try:
         ys = [math.exp(x) for x in xs]
@@ -351,7 +346,7 @@ def smooth_twist(phi: CircleDiffeo, r1: float, r2: float) -> tuple[TwistMap, Twi
     twist = TwistMap(phi, r1, r2, phase)
 
     thetas = [TWO_PI * j / 64 for j in range(64)]
-    radii = [r1 + (r2 - r1) * i / 32 for i in range(33)]
+    radii = [r1 + (r2 - r1) * (i / 32) for i in range(33)]
 
     # Compared at the angle level: the complex round trip through phase
     # recovery costs an ulp and the rim agreement is meant to be exact.

@@ -94,6 +94,23 @@ def test_K_roundtrip_bulk():
         assert abs(abs_mu_from_K(dilatation_K(mu)) - abs(mu)) <= 1e-12
 
 
+def test_abs_mu_from_K_returns_only_moduli_the_disc_rule_accepts():
+    # every decade up to 1e308, and densely where (K-1)/(K+1) meets 1 - 1e-9
+    Ks = [*np.geomspace(1.0, 1e308, 2000), *np.linspace(1.99e9, 2.01e9, 2001)]
+    accepted = 0
+    for K in map(float, Ks):
+        try:
+            r = abs_mu_from_K(K)
+        except OutOfDisc:
+            assert K > 1.99e9
+            continue
+        accepted += 1
+        assert dilatation_K(r) >= 1.0
+    assert accepted > 1000
+    with pytest.raises(OutOfDisc, match="too close to 1"):
+        abs_mu_from_K(1e308)
+
+
 def test_transform_trivial_cases():
     rng = random.Random(1)
     for _ in range(100):

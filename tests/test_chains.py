@@ -81,7 +81,7 @@ class TestFormalSimplex:
         assert s.face(1).face(2) == s.face(3).face(1)
 
     def test_invalid(self):
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(DomainError):
             FormalSimplex(-1, "a")
         with pytest.raises(InternalInconsistency):
             FormalSimplex(2, "a", frozenset({5}))

@@ -6,7 +6,6 @@ import pytest
 from segal.errors import (
     CurveEscape,
     DomainError,
-    GridMismatch,
     InternalInconsistency,
     InversionFailure,
     NonMonotone,
@@ -141,8 +140,9 @@ class TestTauMinus1:
 
 
 def closed_form_next(g, x, y):
-    """First transported field: (-a, 1 + a^2) with a = y rho''/rho'."""
-    a = y * float(g.d2rho(x)) / float(g.drho(x))
+    """First transported field of ``glue_sine(0.1)``: (-a, 1 + a^2) with
+    a = y rho''/rho' and rho'' = -0.1 sin x."""
+    a = y * (-0.1 * math.sin(x)) / float(g.drho(x))
     return (-a, 1.0 + a * a)
 
 
@@ -279,7 +279,7 @@ class TestFlattenStep:
 
     @pytest.mark.parametrize("grid", [{"nx": 3}, {"ny": 3}, {"nx": 2.5}, {"nx": 5, "ny": 3}])
     def test_rejects_grid_below_four_nodes_or_fractional(self, grid):
-        with pytest.raises(GridMismatch):
+        with pytest.raises(DomainError):
             flatten_step(base_structure_field(glue_sine(0.1)), **grid)
 
     def test_smallest_grid_runs(self):

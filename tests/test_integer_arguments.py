@@ -1,0 +1,107 @@
+"""Every count argument of the library follows one integer rule.
+
+A grid size, a sample count, a flattening level, a simplex dimension or a
+corpus bound accepts a Python or numpy integer.  A bool, a float (2.0, nan
+and inf too), a string, or a value below the argument's least value raises
+``DomainError`` with a message that starts with the argument's name.
+"""
+
+import math
+import random
+from functools import partial
+
+import numpy as np
+import pytest
+
+from segal import beltrami, chains, corpus, flattening, quasisym
+from segal.errors import DomainError
+
+_GLUE = flattening.glue_sine(0.1)
+_BASE = flattening.base_structure_field(_GLUE)
+_BOX = (0.0, 1.0, 0.0, 1.0)
+
+
+def _identity(x):
+    return x
+
+
+def _field_from_json(nx, ny):
+    """A 2x2 field document with its declared counts replaced."""
+    doc = beltrami.DilatationField.constant(0.1j, *_BOX, 2, 2).to_json()
+    return beltrami.DilatationField.from_json({**doc, "nx": nx, "ny": ny})
+
+
+def _octype(**bound):
+    return corpus.random_octype(random.Random(1), **bound)
+
+
+# name -> (the call with the count as its one argument, the name its
+# message starts with, the least value, a value it accepts)
+PARAMETERS = {
+    "order_sequence": (flattening.order_sequence, "k", 0, 2),
+    "structure_field_chain": (partial(flattening.structure_field_chain, _GLUE), "k", 0, 1),
+    "verify_orders": (partial(flattening.verify_orders, _GLUE), "k_max", 0, 0),
+    "next_structure_field": (partial(flattening.next_structure_field, _BASE), "n_steps", 1, 4),
+    "flatten_step-nx": (lambda n: flattening.flatten_step(_BASE, nx=n, ny=5), "nx", 4, 5),
+    "flatten_step-ny": (lambda n: flattening.flatten_step(_BASE, nx=5, ny=n), "ny", 4, 5),
+    "SampledIncreasingFunction.from_callable": (
+        lambda n: quasisym.SampledIncreasingFunction.from_callable(_identity, 0.0, 1.0, n),
+        "sample count",
+        1,
+        4,
+    ),
+    "sampled_identity": (quasisym.sampled_identity, "sample count", 1, 4),
+    "sampled_slope_break": (partial(quasisym.sampled_slope_break, 2.0), "sample count", 1, 4),
+    "sampled_exp": (partial(quasisym.sampled_exp, 1.0), "sample count", 1, 4),
+    "DilatationField.constant-nx": (
+        lambda n: beltrami.DilatationField.constant(0.1j, *_BOX, n, 2), "nx", 1, 2
+    ),
+    "DilatationField.constant-ny": (
+        lambda n: beltrami.DilatationField.constant(0.1j, *_BOX, 2, n), "ny", 1, 2
+    ),
+    "DilatationField.from_function-nx": (
+        lambda n: beltrami.DilatationField.from_function(lambda z: 0.1j, *_BOX, n, 2), "nx", 1, 2
+    ),
+    "DilatationField.from_function-ny": (
+        lambda n: beltrami.DilatationField.from_function(lambda z: 0.1j, *_BOX, 2, n), "ny", 1, 2
+    ),
+    "DilatationField.from_json-nx": (lambda n: _field_from_json(n, 2), "nx", 1, 2),
+    "DilatationField.from_json-ny": (lambda n: _field_from_json(2, n), "ny", 1, 2),
+    "SampledChartMap.from_callable-nx": (
+        lambda n: beltrami.SampledChartMap.from_callable(_identity, *_BOX, n, 2), "nx", 1, 2
+    ),
+    "SampledChartMap.from_callable-ny": (
+        lambda n: beltrami.SampledChartMap.from_callable(_identity, *_BOX, 2, n), "ny", 1, 2
+    ),
+    "FormalSimplex": (lambda d: chains.FormalSimplex(d, "a"), "simplex dimension", 0, 2),
+    "generator": (partial(chains.generator, "a"), "simplex dimension", 0, 2),
+    "check_identities": (chains.check_identities, "degree", 0, 2),
+    "generate_quads": (partial(corpus.generate_quads, 1), "quad count", 1, 2),
+    "random_octype-max_components": (
+        lambda n: _octype(max_components=n), "max_components", 1, 2
+    ),
+    "random_octype-max_genus": (lambda n: _octype(max_genus=n), "max_genus", 0, 2),
+    "random_octype-max_closed": (lambda n: _octype(max_closed=n), "max_closed", 0, 2),
+    "random_octype-max_open": (lambda n: _octype(max_open=n), "max_open", 0, 2),
+}
+
+NOT_INTEGERS = {"fraction": 2.5, "nan": math.nan, "inf": math.inf, "bool": True, "string": "3"}
+
+
+@pytest.mark.parametrize("kind", [*NOT_INTEGERS, "below-least"])
+@pytest.mark.parametrize("name", PARAMETERS)
+def test_rejects_a_non_integer_or_a_count_below_its_least(name, kind):
+    call, what, least, _valid = PARAMETERS[name]
+    value = least - 1 if kind == "below-least" else NOT_INTEGERS[kind]
+    with pytest.raises(DomainError, match=f"^{what} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("name", PARAMETERS)
+def test_accepts_a_numpy_integer(name):
+    call, _what, _least, valid = PARAMETERS[name]
+    call(np.int64(valid))
+
+
+def test_a_numpy_dimension_is_stored_as_an_int():
+    assert type(chains.FormalSimplex(np.int64(2), "a").dimension) is int

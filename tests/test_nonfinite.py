@@ -117,6 +117,8 @@ CASES = {
     "abs-mu-inf": lambda: beltrami.abs_mu_from_K(INF),
     "rect-nan": lambda: modulus.module_rect(NAN, 1.0),
     "rect-inf": lambda: modulus.module_rect(1.0, INF),
+    "rect-module-overflow": lambda: modulus.module_rect(1e308, 1e-308),
+    "rect-module-underflow": lambda: modulus.module_rect(1e-320, 1e10),
     "qc-K-nan": lambda: modulus.check_geometric_qc(NAN, []),
     "qc-K-inf": lambda: modulus.check_geometric_qc(INF, []),
     "qc-slack-nan": lambda: modulus.check_geometric_qc(2.0, [], slack=NAN),
@@ -164,8 +166,8 @@ MESSAGES = {
     "glue-values-overflow": "out of double-precision scale for this map",
     "field-point-nan": "is not finite",
     "field-point-huge": "out of double-precision scale",
-    "field-inner-steps-zero": "n_steps must be a positive integer",
-    "field-inner-steps-negative": "n_steps must be a positive integer",
+    "field-inner-steps-zero": "n_steps must be at least 1",
+    "field-inner-steps-negative": "n_steps must be at least 1",
     "flatten-window-empty": "is empty or not finite",
     "flatten-window-too-wide": "too wide for double precision",
     "flatten-window-reversed": "is empty or not finite",
@@ -194,7 +196,7 @@ FLOATS = (NAN, INF, -INF, 0.0, -1.0, 5e-324, 1e-200, 0.5, EDGE, -EDGE, 1e308, -1
 DRAWS = {
     "f": st.sampled_from(FLOATS),
     "c": st.sampled_from(FLOATS + (complex(1.5e308, 1.5e308),)),
-    "i": st.sampled_from((-1, 0, 1, 3)),
+    "i": st.sampled_from((-1, 0, 1, 3, 2.5, NAN, INF, True, "3", np.int64(3))),
 }
 
 

@@ -1,5 +1,6 @@
 """Every module-level private function in the package is used somewhere in
-it, and every name a package module imports is used in that module.
+it, and every name a package module, a test or a demo imports is used in
+that file.
 
 A helper that nothing calls, or an import that nothing reads, is dead code;
 this finds one by reading the package source with the stdlib ``ast``
@@ -12,6 +13,7 @@ from pathlib import Path
 import segal
 
 PACKAGE = Path(segal.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _private_functions_and_references() -> tuple[dict[str, str], set[str]]:
@@ -52,9 +54,11 @@ def _unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    where = f"{path.parent.name}/{path.name}"
+    return [f"{where}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
 def test_every_import_is_used():
-    unused = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(path)]
+    paths = [*PACKAGE.glob("*.py"), *(REPO / "tests").glob("*.py"), *(REPO / "demos").glob("*.py")]
+    unused = [entry for path in sorted(paths) for entry in _unused_imports(path)]
     assert not unused, f"imports nothing reads: {unused}"

@@ -86,7 +86,7 @@ class TestSampledBuilders:
     )
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_a_count_below_one(self, build, n):
-        with pytest.raises(DomainError, match=f"sample count must be positive, got {n}"):
+        with pytest.raises(DomainError, match=f"sample count must be at least 1, got {n}"):
             build(n)
 
     @pytest.mark.parametrize("t_max", [1000.0, -1000.0, 710.0])
