@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -400,7 +401,10 @@ def run_acceptance(
 ) -> list[CriterionResult]:
     """Run the corpus check and every requested criterion, in order.
 
-    Each bound is stated once, in its criterion.  ``indices`` names criteria
+    The corpus check runs in this process.  With two usable CPUs or more,
+    the criteria run in forked worker processes, and their checks come back
+    in table order, so the results are the same either way.  Each bound is
+    stated once, in its criterion.  ``indices`` names criteria
     of ``CRITERIA``, all of them when empty or None; any other index is a
     ``DomainError``, raised before the corpus loads.  ``scale`` only holds
     the second positional place for existing callers: any value but 1.0 is
@@ -417,11 +421,57 @@ def run_acceptance(
     # them (perfbench's tracer) sees every criterion it runs
     rows = [(0, "corpus-integrity", corpus_integrity)]
     rows += [row for row in CRITERIA if not indices or row[0] in indices]
+    outcomes = [corpus_integrity(data)] + _outcomes([fn for _, _, fn in rows[1:]], data)
     results = []
-    for idx, name, fn in rows:
-        checks, detail = fn(data)
+    for (idx, name, _), (checks, detail) in zip(rows, outcomes):
         judged = tuple(map(_judge, checks))
         first = checks[0]
         passed = all(c.passed for c in judged)
         results.append(CriterionResult(idx, name, passed, first.measured, first.bound, detail, judged))
     return results
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# A worker's criteria and corpus, set in each forked worker by the pool's
+# initializer.  Under fork its arguments are inherited, not pickled, so a
+# criterion runs there as the caller holds it, wrapped or monkeypatched, and
+# only its outcome, or its exception, is pickled back.
+_worker_jobs: tuple = ((), None)
+
+
+def _start_worker(fns: list, data: AcceptanceCorpus) -> None:
+    global _worker_jobs
+    _worker_jobs = fns, data
+    # An idle worker waits on its parent for the next job, so one whose
+    # parent was killed would wait for ever, holding the parent's stdout.
+    import multiprocessing.connection
+    import threading
+
+    def exit_with_parent() -> None:
+        multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _run_job(position: int) -> Outcome:
+    fns, data = _worker_jobs
+    return fns[position](data)
+
+
+def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
+    """Every ``fn(data)``, in order.  With two criteria or more and two usable
+    CPUs or more, they run in one forked worker process per CPU."""
+    workers = min(len(fns), _usable_cpus())
+    if workers < 2:
+        return [fn(data) for fn in fns]
+    import multiprocessing  # here, so a single criterion loads neither module
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, context, _start_worker, (fns, data)) as pool:
+        return list(pool.map(_run_job, range(len(fns))))

@@ -59,6 +59,7 @@ class FormalSimplex:
 
     def face(self, i: int) -> "FormalSimplex":
         """Omit the i-th remaining vertex."""
+        i = integer(i, "face index")
         if not 0 <= i <= self.degree:
             raise InternalInconsistency(f"no face {i} of a degree-{self.degree} simplex")
         v = self.vertices[i]
@@ -129,6 +130,7 @@ class ProductSimplex:
         so its later positions shift down by one.  The face of a valid path
         is valid, so it is built unchecked.
         """
+        m = integer(m, "face index")
         pairs = self.pairs
         if not 0 <= m < len(pairs) or len(pairs) < 2:
             raise InternalInconsistency(f"no face {m} of a degree-{self.degree} simplex")

@@ -178,9 +178,12 @@ def fmt(v) -> str:
 
 
 def jsonable(v):
-    """Payload value with every complex number as a [re, im] pair."""
+    """Payload value with every complex number as a [re, im] pair and every
+    non-finite float as None, so the JSON it dumps is strict."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return [jsonable(v.real), jsonable(v.imag)]
     if isinstance(v, dict):
         return {k: jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -194,10 +197,10 @@ def emit(args: argparse.Namespace, report: Report) -> int:
         payload = {"schema": report.schema, "version": __version__, **payload}
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         lines = report.lines
         if lines is None:
@@ -652,10 +655,6 @@ def _order_str(v) -> str:
     return str(v)
 
 
-def _order_json(v):
-    return None if v == flattening.INFINITE else v
-
-
 @command(
     "appb", "orders", "tabulate the vanishing-order recursion",
     arg("k", type=int, help="number of recursion steps to tabulate"),
@@ -666,7 +665,7 @@ def run_appb_orders(args) -> Report:
     if args.k > 200:
         raise DomainError("step count above 200 is not meaningful to print")
     seq = flattening.order_sequence(args.k)
-    steps = [{"k": i, "m": _order_json(p.m), "n": p.n} for i, p in enumerate(seq)]
+    steps = [{"k": i, "m": p.m, "n": p.n} for i, p in enumerate(seq)]
     lines = [f"{i}: m={_order_str(p.m)} n={_order_str(p.n)}" for i, p in enumerate(seq)]
     return Report({"steps": steps}, "segal.report.orders/1", lines)
 
@@ -690,9 +689,9 @@ def run_appb_flatten(args) -> Report:
         "fits": [
             {
                 "k": fit.k,
-                "fitted_m": _order_json(fit.fitted_m),
-                "fitted_n": _order_json(fit.fitted_n),
-                "predicted_m": _order_json(fit.predicted.m),
+                "fitted_m": fit.fitted_m,
+                "fitted_n": fit.fitted_n,
+                "predicted_m": fit.predicted.m,
                 "predicted_n": fit.predicted.n,
                 "ok": fit.ok,
             }

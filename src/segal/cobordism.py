@@ -291,8 +291,11 @@ def validate_type(t: OCType) -> ValidationReport:
                 v.append(f"unknown open {direction} interval identifier {idx}")
 
     for ci, comp in enumerate(t.components):
-        if comp.genus < 0:
-            v.append(f"component {ci}: negative genus")
+        try:
+            if integer(comp.genus, "genus") < 0:
+                v.append(f"component {ci}: negative genus")
+        except DomainError as e:
+            v.append(f"component {ci}: {e}")
         derived = comp.derived_boundary_count
         if comp.boundary_circles is not None and comp.boundary_circles != derived:
             v.append(

@@ -5,9 +5,11 @@ a FAIL line on the command line are the same event.
 """
 
 import math
+import os
 
 import pytest
 
+from segal import acceptance, cli, modulus
 from segal.acceptance import CRITERIA, Check, _judge, run_acceptance
 from segal.errors import DomainError
 
@@ -106,3 +108,68 @@ def test_unknown_indices_are_rejected_before_the_corpus_loads(tmp_path):
     # first can name the indices
     with pytest.raises(DomainError, match=r"^criterion indices out of range: \[0, 99\]$"):
         run_acceptance(str(tmp_path / "missing"), indices=[0, 3, 99])
+
+
+# ---------------------------------------------------------------------------
+# the worker path: with two usable CPUs or more, the criteria run in forked
+# worker processes, and nothing a caller sees may depend on it
+
+
+def _on_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: n)
+
+
+def test_workers_and_the_serial_loop_agree(monkeypatch, capsys):
+    original = acceptance.run_acceptance
+    seen = {}
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(
+            acceptance, "run_acceptance", lambda *a, **k: seen.setdefault(cpus, original(*a, **k))
+        )
+        assert cli.main(["accept", "--format", "json"]) == 0
+        seen[cpus, "json"] = capsys.readouterr().out
+    assert seen[1] == seen[2]
+    assert [r.line() for r in seen[1]] == [r.line() for r in seen[2]]
+    assert seen[1, "json"] == seen[2, "json"]
+
+
+def _row(index: int, fn) -> tuple:
+    """``CRITERIA`` with criterion ``index`` replaced by ``fn``."""
+    return tuple((i, name, fn if i == index else f) for i, name, f in CRITERIA)
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
+    def failing(data):
+        raise DomainError(f"raised in process {os.getpid()}")
+
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(acceptance, "CRITERIA", _row(9, failing))
+    with pytest.raises(DomainError, match=r"^raised in process \d+$") as err:
+        run_acceptance(indices=[3, 9])
+    assert type(err.value) is DomainError
+    assert str(err.value) != f"raised in process {os.getpid()}"
+
+
+def test_a_defect_is_caught_in_a_worker(monkeypatch, capsys):
+    original = modulus.module_sc
+    monkeypatch.setattr(modulus, "module_sc", lambda x: (1.0 + 1e-7) * original(x))
+    _on_cpus(monkeypatch, 2)
+    assert cli.main(["accept", "--only", "5,6"]) == 1
+    verdicts = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts == [["PASS", "0"], ["PASS", "5"], ["FAIL", "6"]]
+
+
+def test_a_single_criterion_runs_in_the_calling_process(monkeypatch):
+    pids = []
+    original = {i: f for i, _, f in CRITERIA}[8]
+
+    def recording(data):
+        pids.append(os.getpid())
+        return original(data)
+
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(acceptance, "CRITERIA", _row(8, recording))
+    (_, result) = run_acceptance(indices=[8])
+    assert result.passed
+    assert pids == [os.getpid()]

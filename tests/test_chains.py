@@ -125,6 +125,14 @@ class TestProductSimplex:
         with pytest.raises(InternalInconsistency):
             ProductSimplex(generator("a", 0), b.face(0), ((0, 1),)).face(0)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", math.nan])
+    def test_face_index_is_an_integer(self, index):
+        a, b = generator("a", 1), generator("b", 1)
+        s = ProductSimplex(a, b, ((0, 0), (1, 0), (1, 1)))
+        for simplex in (s, a):
+            with pytest.raises(DomainError, match="^face index must be an integer, not "):
+                simplex.face(index)
+
     def test_vertices_are_path_positions(self):
         a, b = generator("a", 2), generator("b", 1)
         s = ProductSimplex(a.face(0), b, ((1, 0), (2, 0), (2, 1)))

@@ -229,6 +229,15 @@ def test_golden_covers_every_subcommand_in_both_formats():
         assert modes == {True, False}, key
 
 
+def test_json_goldens_are_strict_json():
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for case in GOLDEN:
+        if "json" in case["argv"] and case["stdout"]:
+            json.loads(case["stdout"], parse_constant=reject)
+
+
 def test_golden_ids_unique():
     ids = [_case_id(c) for c in GOLDEN]
     assert len(ids) == len(set(ids))

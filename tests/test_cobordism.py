@@ -49,6 +49,12 @@ def test_builders_validate(builder):
     assert report.ok, report.violations
 
 
+@pytest.mark.parametrize("genus", [1.5, True, 1.0, "1"])
+def test_validate_reads_genus_by_the_integer_rule(genus):
+    report = validate_type(corpus.closed_surface(genus))
+    assert report.violations == (f"component 0: genus must be an integer, not {genus!r}",)
+
+
 def test_validate_flags_boundary_count_mismatch():
     comp = ComponentData(genus=0, cycles=(free_circle("a"),), boundary_circles=3)
     t = OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 0))
