@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import random
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -129,7 +130,7 @@ _PAIRS = 200
 
 def _small(t: cobordism.OCType) -> bool:
     """The size cap on seeded types: at most 4 components and 6 boundary circles."""
-    return len(t.components) <= 4 and sum(c.derived_boundary_count for c in t.components) <= 6
+    return len(t.components) <= 4 and sum(c.n for c in t.components) <= 6
 
 
 def _capped_triple(seed: int) -> tuple[cobordism.OCType, ...]:
@@ -446,6 +447,9 @@ _worker_jobs: tuple = ((), None)
 def _start_worker(fns: list, data: AcceptanceCorpus) -> None:
     global _worker_jobs
     _worker_jobs = fns, data
+    # Ctrl-C reaches the whole process group.  A worker then ends at once,
+    # without a traceback, and the parent alone reports the interrupt.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     # An idle worker waits on its parent for the next job, so one whose
     # parent was killed would wait for ever, holding the parent's stdout.
     import multiprocessing.connection

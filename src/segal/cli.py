@@ -794,6 +794,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SegalError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

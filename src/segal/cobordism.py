@@ -90,17 +90,13 @@ def free_circle(label: Label = DEFAULT_LABEL) -> BoundaryCycle:
 
 @dataclass(frozen=True)
 class ComponentData:
-    """One connected component of a surface type.
-
-    ``boundary_circles`` may be given explicitly (validation will cross-check
-    it) or left as None to be derived from the assigned boundary data.
-    """
+    """One connected component of a surface type.  Its boundary circles
+    are the ones it is assigned: closed in, closed out and cycles."""
 
     genus: int
     closed_in: frozenset[int] = frozenset()
     closed_out: frozenset[int] = frozenset()
     cycles: tuple[BoundaryCycle, ...] = ()
-    boundary_circles: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "closed_in", frozenset(self.closed_in))
@@ -108,14 +104,8 @@ class ComponentData:
         object.__setattr__(self, "cycles", tuple(self.cycles))
 
     @property
-    def derived_boundary_count(self) -> int:
-        return len(self.closed_in) + len(self.closed_out) + len(self.cycles)
-
-    @property
     def n(self) -> int:
-        if self.boundary_circles is not None:
-            return self.boundary_circles
-        return self.derived_boundary_count
+        return len(self.closed_in) + len(self.closed_out) + len(self.cycles)
 
     def canonical_key(self) -> tuple:
         return (
@@ -296,12 +286,6 @@ def validate_type(t: OCType) -> ValidationReport:
                 v.append(f"component {ci}: negative genus")
         except DomainError as e:
             v.append(f"component {ci}: {e}")
-        derived = comp.derived_boundary_count
-        if comp.boundary_circles is not None and comp.boundary_circles != derived:
-            v.append(
-                f"component {ci}: boundary count mismatch "
-                f"(claims n={comp.boundary_circles}, assigned {derived})"
-            )
         for ki, cyc in enumerate(comp.cycles):
             m = len(cyc.entries)
             want_arcs = m if m else 1
@@ -509,7 +493,6 @@ def disjoint_union(t1: OCType, t2: OCType) -> OCType:
                 BoundaryCycle(tuple(shift_entry(e) for e in cyc.entries), cyc.free_arc_labels)
                 for cyc in c.cycles
             ),
-            boundary_circles=c.boundary_circles,
         )
 
     return OCType(
@@ -634,14 +617,15 @@ def octype_from_json(d: dict) -> OCType:
         ]
         cycles += [free_circle(lab) for lab in _labels_from_json(cd.get("free_circles", []))]
         closed = {k: json_list(cd.get(k, []), k) for k in ("closed_in", "closed_out")}
-        n = cd.get("boundary_circles")
-        comps.append(
-            ComponentData(
-                genus=integer(cd["genus"], "genus"),
-                closed_in=frozenset(integer(i, "closed circle") for i in closed["closed_in"]),
-                closed_out=frozenset(integer(i, "closed circle") for i in closed["closed_out"]),
-                cycles=tuple(cycles),
-                boundary_circles=None if n is None else integer(n, "boundary circle count"),
-            )
+        comp = ComponentData(
+            genus=integer(cd["genus"], "genus"),
+            closed_in=frozenset(integer(i, "closed circle") for i in closed["closed_in"]),
+            closed_out=frozenset(integer(i, "closed circle") for i in closed["closed_out"]),
+            cycles=tuple(cycles),
         )
+        # an optional restatement of the count, which must be the assigned one
+        n = cd.get("boundary_circles", comp.n)
+        if integer(n, "boundary circle count") != comp.n:
+            raise DomainError(f"boundary_circles is {n}, but the component assigns {comp.n}")
+        comps.append(comp)
     return OCType(tuple(comps), _sig_from_json(d["in"]), _sig_from_json(d["out"]))

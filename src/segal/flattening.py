@@ -241,7 +241,6 @@ def _rk4_flow(
 
 
 _STENCIL = (-2.0, -1.0, 0.0, 1.0, 2.0)
-_FD_WEIGHTS = (1.0, -8.0, 0.0, 8.0, -1.0)
 _FD_H = 2e-3
 # RK4 steps of the inner flow behind each evaluation of a transported field.
 # The flow is smooth in t and runs for times below y_max, so 32 steps keep a
@@ -259,7 +258,7 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
     field itself, exactly, so only the x-derivative needs differencing.
     """
     n_steps = integer(n_steps, "n_steps", 1)
-    stencil, weights = np.array(_STENCIL), np.array(_FD_WEIGHTS)
+    stencil = np.array(_STENCIL)
 
     def func(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -273,7 +272,9 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
             starts = np.column_stack([x0, np.zeros_like(x0)])
             phi = _rk4_flow(prev.func, starts, tt, n_steps)
         phi = phi.reshape(n, 5, 2)
-        dphi_dx = np.tensordot(phi, weights, axes=([1], [0])) / (12.0 * _FD_H)
+        # elementwise, not a BLAS dot, so the digits do not depend on the host;
+        # products first, so a flow out of double-precision scale overflows
+        dphi_dx = (phi[:, 0] - 8.0 * phi[:, 1] + 8.0 * phi[:, 3] - phi[:, 4]) / (12.0 * _FD_H)
         center = phi[:, 2, :]
         v = prev.func(center)
         p1, q1 = dphi_dx[:, 0], dphi_dx[:, 1]
@@ -595,10 +596,16 @@ _SLOPE_TOL = 0.25
 
 
 def _fit_order(ys: np.ndarray, cs: np.ndarray) -> float:
+    """Least-squares slope of log c against log y, in closed form with
+    correctly rounded sums, so the digits do not depend on the host's BLAS."""
     if cs.max() < _ZERO_FLOOR:
         return INFINITE
-    slope = np.polyfit(np.log(ys), np.log(np.maximum(cs, 1e-300)), 1)[0]
-    return float(slope)
+    lx = [math.log(y) for y in ys.tolist()]
+    ly = [math.log(max(c, 1e-300)) for c in cs.tolist()]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    sxx = math.fsum((a - mx) ** 2 for a in lx)
+    return sxy / sxx
 
 
 def verify_orders(g: BoundaryGlueMap, k_max: int) -> OrdersReport:

@@ -135,6 +135,15 @@ class TestDispatchTable:
             assert (code, captured.err) == (1, "check failed: bad\n")
         assert captured.out == ""
 
+    def test_interrupt_exits_130_without_traceback(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        commands = [dataclasses.replace(c, run=interrupted) for c in cli.COMMANDS]
+        monkeypatch.setattr(cli, "COMMANDS", commands)
+        assert main(["accept"]) == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
 
 class TestExitCodes:
     def test_malformed_json_is_input_error(self, tmp_path, capsys):

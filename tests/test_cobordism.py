@@ -1,10 +1,13 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segal import corpus
+from segal._input import load_file
 from segal.cobordism import (
     BoundaryCycle,
     ComponentData,
@@ -55,11 +58,17 @@ def test_validate_reads_genus_by_the_integer_rule(genus):
     assert report.violations == (f"component 0: genus must be an integer, not {genus!r}",)
 
 
-def test_validate_flags_boundary_count_mismatch():
-    comp = ComponentData(genus=0, cycles=(free_circle("a"),), boundary_circles=3)
-    t = OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 0))
-    report = validate_type(t)
-    assert any("boundary count mismatch" in v for v in report.violations)
+def test_decoder_reads_boundary_circles_only_as_the_assigned_count(tmp_path):
+    doc = octype_to_json(corpus.free_disc())
+    doc["components"][0]["boundary_circles"] = 1
+    assert octype_from_json(doc) == corpus.free_disc()
+    doc["components"][0]["boundary_circles"] = 3
+    with pytest.raises(DomainError, match="boundary_circles is 3, but the component assigns 1"):
+        octype_from_json(doc)
+    path = tmp_path / "claims_three.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: "):
+        load_file(path, octype_from_json, "surface-type")
 
 
 def test_validate_flags_dbrane_mismatch():

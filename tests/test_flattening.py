@@ -377,3 +377,14 @@ class TestVerifyOrders:
     def test_rejects_large_k(self):
         with pytest.raises(DomainError):
             verify_orders(glue_sine(0.1), 3)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("k", sorted(flattening._LADDERS))
+    def test_fit_is_the_least_squares_slope(self, k, seed):
+        """The closed-form fit agrees with numpy's least-squares line,
+        kept here only as the reference."""
+        rng = np.random.default_rng(seed)
+        ys = np.array([2.0 ** (-j) for j in flattening._LADDERS[k]])
+        cs = rng.uniform(0.1, 10.0) * ys ** rng.uniform(0.5, 6.0) * rng.uniform(0.9, 1.1, ys.size)
+        want = np.polyfit(np.log(ys), np.log(cs), 1)[0]
+        assert flattening._fit_order(ys, cs) == pytest.approx(want, rel=1e-12)
