@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
-from ._input import json_list, json_number, json_object, load_file
+from ._input import integer, json_list, json_number, json_object, load_file
 from ._oracles import (
     dilatation_fd,
     glued_summary,
@@ -406,15 +406,17 @@ def run_acceptance(
     the criteria run in forked worker processes, and their checks come back
     in table order, so the results are the same either way.  Each bound is
     stated once, in its criterion.  ``indices`` names criteria
-    of ``CRITERIA``, all of them when empty or None; any other index is a
+    of ``CRITERIA``, all of them when empty or None; an index that is not
+    an integer (``_input.integer``) or not in the table is a
     ``DomainError``, raised before the corpus loads.  ``scale`` only holds
     the second positional place for existing callers: any value but 1.0 is
     a ``DomainError``.
     """
     if scale != 1.0:
         raise DomainError(f"acceptance bounds are fixed; scale must be 1.0, got {scale!r}")
+    indices = [integer(i, "criterion index") for i in (() if indices is None else indices)]
     known = {idx for idx, _, _ in CRITERIA}
-    bad = [i for i in indices or () if i not in known]
+    bad = [i for i in indices if i not in known]
     if bad:
         raise DomainError(f"criterion indices out of range: {bad}")
     data = load_corpus(corpus_dir)
@@ -475,6 +477,8 @@ def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
         return [fn(data) for fn in fns]
     import multiprocessing  # here, so a single criterion loads neither module
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy  # noqa: F401  (loaded before the fork, so no worker imports it)
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, context, _start_worker, (fns, data)) as pool:

@@ -12,6 +12,7 @@ import pytest
 from segal import acceptance, cli, modulus
 from segal.acceptance import CRITERIA, Check, _judge, run_acceptance
 from segal.errors import DomainError
+from test_imports import run_python
 
 _NAMES = ["corpus-integrity"] + [name for _, name, _ in CRITERIA]
 
@@ -173,3 +174,34 @@ def test_a_single_criterion_runs_in_the_calling_process(monkeypatch):
     (_, result) = run_acceptance(indices=[8])
     assert result.passed
     assert pids == [os.getpid()]
+
+
+# ---------------------------------------------------------------------------
+# numpy on the worker path: the parallel branch loads it before it forks, so
+# no worker imports it; the serial path of one criterion never loads it
+
+
+@pytest.mark.skipif(
+    acceptance._usable_cpus() < 2, reason="the criteria run in workers only on two usable CPUs"
+)
+def test_every_worker_starts_with_numpy_loaded():
+    out = run_python(
+        "import os, sys\n"
+        "from segal import acceptance\n"
+        "def probe(data):\n"
+        "    loaded = 'numpy' in sys.modules\n"
+        "    return [acceptance.Check('numpy-loaded', float(not loaded), 0.0, '<=')], str(os.getpid())\n"
+        "acceptance.CRITERIA = ((1, 'probe-a', probe), (2, 'probe-b', probe))\n"
+        "before = 'numpy' in sys.modules\n"
+        "results = acceptance.run_acceptance()\n"
+        "print(before, [r.passed for r in results[1:]], str(os.getpid()) in [r.detail for r in results])\n"
+    )
+    assert out.splitlines() == ["False [True, True] False"]
+
+
+def test_a_single_criterion_loads_no_numpy():
+    out = run_python(
+        "import sys, segal\n"
+        "print([r.passed for r in segal.run_acceptance(indices=[8])], 'numpy' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["[True, True] False"]

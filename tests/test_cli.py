@@ -422,3 +422,117 @@ class TestAcceptCommand:
     def test_bad_indices(self, capsys):
         assert main(["accept", "--only", "0,99"]) == 2
         assert main(["accept", "--only", "two"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the contract sweep: every number argument of every subcommand, fed values
+# at and past the edge of double precision and values that are no number
+
+
+SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "5e-324", "", "x"]
+
+# One valid invocation per subcommand.  Options are written --name=value and
+# positionals follow "--", so a value that starts with "-" reaches its
+# argument's parser instead of being read as a flag.
+SWEEP_BASES = {
+    ("types", "validate"): ["--", "{types}/cylinder.json"],
+    ("types", "compose"): ["--", "{types}/pants_split.json", "{types}/pants_join.json"],
+    ("types", "union"): ["--", "{types}/cylinder.json", "{types}/disc_out.json"],
+    ("types", "stability"): ["--", "{types}/pants_join.json"],
+    ("types", "random"): ["--seed=0"],
+    ("types", "enumerate"): [],
+    ("belt", "distance"): ["--mu", "0.1", "0.2j"],
+    ("belt", "transform"): ["--value=0.2", "--mu-f=0.3", "--fz=1"],
+    ("belt", "pullback"): ["--value=0.2", "--mu-g=0.1", "--u=1"],
+    ("belt", "sew"): ["--", "{field_a}", "{field_b}"],
+    ("belt", "acs"): ["--K=3"],
+    ("qs", "bound"): ["--fn=slope:2", "--n=64"],
+    ("qs", "corner"): [],
+    ("qs", "twist"): ["--r1=1", "--r2=2"],
+    ("module", "compute"): ["--", "2"],
+    ("module", "check-qc"): ["--generate", "--seed=0", "--count=4", "--K=2", "--slack=1e-6"],
+    ("chains", "product"): ["--", "2", "1"],
+    ("chains", "check"): ["--degree=3"],
+    ("appb", "orders"): ["--", "5"],
+    ("appb", "flatten"): ["--glue=identity", "--k=0", "--depth=0"],
+    (None, "accept"): ["--only=8"],
+}
+
+
+def _swept(cmd: cli.Command):
+    """Where a sweep value goes in ``cmd``'s base invocation: ("option", flag)
+    for an int or float option, ("positional", k) for the k-th positional
+    unless its help names a file."""
+    positionals = 0
+    for flags, options in cmd.args:
+        if flags[0].startswith("-"):
+            if options.get("type") in (int, float):
+                yield "option", max(flags, key=len)
+        else:
+            if options.get("type") in (int, float) or not options.get("help", "").endswith("file"):
+                yield "positional", positionals
+            positionals += 1
+
+
+def _substituted(base: list[str], where: tuple, value: str) -> list[str]:
+    kind, key = where
+    argv = list(base)
+    if kind == "positional":
+        argv[argv.index("--") + 1 + key] = value
+    else:
+        argv = [a for a in argv if not a.startswith(f"{key}=")]
+        argv.insert(0, f"{key}={value}")
+    return argv
+
+
+def strict_json(text: str):
+    """``text`` decoded as JSON; ``NaN``, ``Infinity`` and ``-Infinity`` are rejected."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_contract_sweep(tmp_path, capsys):
+    """Every number argument, and every positional that is not a file, takes
+    each sweep value in one valid invocation of its subcommand: the exit
+    code is 0, 1 or 2, nothing prints a traceback, and an exit-0 report is
+    strict JSON."""
+    from segal import beltrami
+
+    files = {"types": str(BUNDLED / "types")}
+    for name, x0 in (("field_a", 0.0), ("field_b", 1.0)):
+        field = beltrami.DilatationField.constant(0.2 + 0.1j, x0, x0 + 1.0, 0.0, 1.0, 4, 3)
+        (tmp_path / f"{name}.json").write_text(json.dumps(field.to_json()), encoding="utf-8")
+        files[name] = str(tmp_path / f"{name}.json")
+
+    broken = []
+    swept = 0
+    for cmd in COMMANDS:
+        head = [cmd.group, cmd.name] if cmd.group else [cmd.name]
+        base = [a.format(**files) for a in SWEEP_BASES[cmd.group, cmd.name]]
+        runs = [(None, base)] + [
+            (value, _substituted(base, where, value))
+            for where in _swept(cmd)
+            for value in SWEEP_VALUES
+        ]
+        for value, tail in runs:
+            argv = [*head, "--format=json", *tail]
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out, err = capsys.readouterr()
+            if value is None and code != 0:
+                broken.append(f"{argv}: the base invocation exits {code}")
+            elif code not in (0, 1, 2) or "Traceback" in err:
+                broken.append(f"{argv}: exit {code}, stderr {err!r}")
+            elif code == 0:
+                try:
+                    strict_json(out)
+                except ValueError as e:
+                    broken.append(f"{argv}: {e}")
+            swept += value is not None
+    assert not broken, "\n".join(broken)
+    assert swept == 15 * len(SWEEP_VALUES)  # 15 arguments take numbers

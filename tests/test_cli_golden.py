@@ -21,7 +21,7 @@ import pytest
 
 import segal
 from segal import beltrami, cli, cobordism, corpus
-from test_cli import REQUIRED_OPS
+from test_cli import REQUIRED_OPS, strict_json
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "cli_golden.json").read_text(encoding="utf-8"))
@@ -222,12 +222,9 @@ def test_golden_covers_every_subcommand_in_both_formats():
 
 
 def test_json_goldens_are_strict_json():
-    def reject(token):
-        raise ValueError(f"{token} is not JSON")
-
     for case in GOLDEN:
         if "json" in case["argv"] and case["stdout"]:
-            json.loads(case["stdout"], parse_constant=reject)
+            strict_json(case["stdout"])
 
 
 def test_golden_ids_unique():

@@ -1,7 +1,8 @@
 """Every count argument of the library follows one integer rule.
 
-A grid size, a sample count, a flattening level, a simplex dimension or a
-corpus bound accepts a Python or numpy integer.  A bool, a float (2.0, nan
+A grid size, a sample count, a flattening level, a simplex dimension, a
+corpus bound or an acceptance criterion index accepts a Python or numpy
+integer.  A bool, a float (2.0, nan
 and inf too), a string, or a value below the argument's least value raises
 ``DomainError`` with a message that starts with the argument's name.
 """
@@ -13,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from segal import beltrami, chains, corpus, flattening, quasisym
+from segal import acceptance, beltrami, chains, corpus, flattening, quasisym
 from segal.errors import DomainError
 
 _GLUE = flattening.glue_sine(0.1)
@@ -105,3 +106,22 @@ def test_accepts_a_numpy_integer(name):
 
 def test_a_numpy_dimension_is_stored_as_an_int():
     assert type(chains.FormalSimplex(np.int64(2), "a").dimension) is int
+
+
+# A criterion index has no least value: an integer outside ``CRITERIA`` keeps
+# its own message.  The corpus directory does not exist, so each rejection
+# comes before the corpus loads.
+@pytest.mark.parametrize("kind", [*NOT_INTEGERS, "whole-float"])
+def test_rejects_a_non_integer_criterion_index(kind, tmp_path):
+    value = 8.0 if kind == "whole-float" else NOT_INTEGERS[kind]
+    with pytest.raises(DomainError, match="^criterion index must be an integer, not "):
+        acceptance.run_acceptance(str(tmp_path / "missing"), indices=[3, value])
+
+
+def test_accepts_a_numpy_criterion_index(tmp_path):
+    with pytest.raises(DomainError, match=r"^criterion indices out of range: \[99\]$"):
+        acceptance.run_acceptance(str(tmp_path / "missing"), indices=[np.int64(99)])
+    with pytest.raises(DomainError, match=r"^criterion indices out of range: \[0, 99\]$"):
+        acceptance.run_acceptance(str(tmp_path / "missing"), indices=np.array([0, 3, 99]))
+    (_, result) = acceptance.run_acceptance(indices=[np.int64(8)])
+    assert (result.index, result.passed) == (8, True)
