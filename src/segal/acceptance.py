@@ -13,6 +13,7 @@ the test suite print identical one-line verdicts.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import operator
 import os
@@ -20,7 +21,7 @@ import random
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
 from ._input import integer, json_list, json_number, json_object, load_file
@@ -450,8 +451,10 @@ def _start_worker(fns: list, data: AcceptanceCorpus) -> None:
     global _worker_jobs
     _worker_jobs = fns, data
     # Ctrl-C reaches the whole process group.  A worker then ends at once,
-    # without a traceback, and the parent alone reports the interrupt.
+    # without a traceback, and the parent alone reports the interrupt; one
+    # held back during the fork (``_ctrl_c_held``) lands here.
     signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     # An idle worker waits on its parent for the next job, so one whose
     # parent was killed would wait for ever, holding the parent's stdout.
     import multiprocessing.connection
@@ -481,5 +484,37 @@ def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
     import numpy  # noqa: F401  (loaded before the fork, so no worker imports it)
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, context, _start_worker, (fns, data)) as pool:
-        return list(pool.map(_run_job, range(len(fns))))
+    pool = ProcessPoolExecutor(workers, context, _start_worker, (fns, data))
+    try:
+        with _ctrl_c_held():
+            jobs = [pool.submit(_run_job, i) for i in range(len(fns))]
+        return [job.result() for job in jobs]
+    finally:
+        # the pool cancels the jobs not started: one cancelled from this
+        # thread would race the pool marking it broken after a Ctrl-C
+        pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _ctrl_c_held() -> Iterator[None]:
+    """Hold a Ctrl-C back while the pool forks its workers.
+
+    A worker starts with SIGINT blocked and takes it once its initializer
+    has set the default action.  The main thread of this process notes it,
+    because another thread (numpy's OpenBLAS pool) may take it for the
+    process, and raises it after, not in the middle of a fork."""
+    import threading
+
+    noted = []
+    main = threading.current_thread() is threading.main_thread()
+    if main:
+        previous = signal.signal(signal.SIGINT, lambda *_: noted.append(True))
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        if main:
+            signal.signal(signal.SIGINT, previous)
+        if noted:  # also when a worker it ended has broken the pool
+            raise KeyboardInterrupt

@@ -33,7 +33,9 @@ from .errors import DomainError, InputError, SegalError
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# parsing helpers: an argument names one as its ``type``, so its value reaches
+# the handler parsed and a ``DomainError`` exits 2; ``--fn`` and ``--glue``
+# are parsed in their handlers, as each needs more than its own token
 
 
 def parse_complex(s: str) -> complex:
@@ -48,19 +50,39 @@ def parse_complex(s: str) -> complex:
         raise DomainError(f"cannot parse complex number from {s!r}")
 
 
-def parse_float(s: str, what: str) -> float:
+def real(what: str) -> Callable[[str], float]:
+    """The parser of one float; text that is not one is an error naming ``what``."""
+
+    def parse_real(s: str) -> float:
+        try:
+            return float(s)
+        except ValueError:
+            raise DomainError(f"cannot parse {what} from {s!r}")
+
+    return parse_real
+
+
+def labels(most: Optional[int] = None) -> Callable[[str], tuple[str, ...]]:
+    """The parser of comma-separated labels, each non-empty, at most ``most``."""
+
+    def parse_labels(text: str) -> tuple[str, ...]:
+        found = tuple(text.split(","))
+        if not all(found) or (most is not None and len(found) > most):
+            raise DomainError("labels must be non-empty strings")
+        return found
+
+    return parse_labels
+
+
+def parse_points(text: str) -> list[complex]:
+    return [parse_complex(p) for p in text.split(";")]
+
+
+def parse_indices(text: str) -> list[int]:
     try:
-        return float(s)
+        return [int(s) for s in text.split(",")]
     except ValueError:
-        raise DomainError(f"cannot parse {what} from {s!r}")
-
-
-def parse_labels(text: str, most: Optional[int] = None) -> tuple[str, ...]:
-    """Comma-separated labels, each non-empty, and at most ``most`` of them."""
-    labels = tuple(text.split(","))
-    if not all(labels) or (most is not None and len(labels) > most):
-        raise DomainError("labels must be non-empty strings")
-    return labels
+        raise DomainError(f"--only takes comma-separated integers, got {text!r}")
 
 
 def load_octype(path: str) -> cobordism.OCType:
@@ -112,7 +134,7 @@ def parse_profile(kind: str) -> quasisym.CircleDiffeo:
     if kind == "identity":
         return quasisym.circle_identity()
     if kind.startswith("rotation:"):
-        return quasisym.circle_rotation(parse_float(kind[9:], "rotation angle"))
+        return quasisym.circle_rotation(real("rotation angle")(kind[9:]))
     raise DomainError(
         f"unknown profile {kind!r}; use piecewise, smooth, identity, or rotation:ANGLE"
     )
@@ -122,9 +144,9 @@ def parse_sampled(kind: str, n: int) -> quasisym.SampledIncreasingFunction:
     if kind == "identity":
         return quasisym.sampled_identity(n)
     if kind.startswith("slope:"):
-        return quasisym.sampled_slope_break(parse_float(kind[6:], "slope"), n)
+        return quasisym.sampled_slope_break(real("slope")(kind[6:]), n)
     if kind.startswith("exp:"):
-        return quasisym.sampled_exp(parse_float(kind[4:], "window size"), n)
+        return quasisym.sampled_exp(real("window size")(kind[4:]), n)
     raise DomainError(f"unknown function {kind!r}; use identity, slope:K, or exp:T")
 
 
@@ -133,9 +155,9 @@ def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
     if kind == "identity":
         build, params = flattening.glue_identity, ()
     elif kind.startswith("linear:"):
-        build, params = flattening.glue_linear, (parse_float(kind[7:], "slope"),)
+        build, params = flattening.glue_linear, (real("slope")(kind[7:]),)
     elif kind.startswith("sine:"):
-        build, params = flattening.glue_sine, (parse_float(kind[5:], "amplitude"),)
+        build, params = flattening.glue_sine, (real("amplitude")(kind[5:]),)
     else:
         raise DomainError(f"unknown glue map {kind!r}; use identity, linear:K, or sine:A")
     try:
@@ -330,12 +352,11 @@ def run_types_random(args) -> Report:
 
 @command(
     "types", "enumerate", "count the bounded single-component type grammar",
-    arg("--labels", default="a,b", help="comma-separated interval labels"),
+    arg("--labels", type=labels(), default="a,b", help="comma-separated interval labels"),
 )
 def run_types_enumerate(args) -> Report:
-    labels = parse_labels(args.labels)
-    count = len(corpus.enumerate_small_types(labels))
-    payload = {"labels": list(labels), "count": count}
+    count = len(corpus.enumerate_small_types(args.labels))
+    payload = {"labels": list(args.labels), "count": count}
     return Report(payload, "segal.enumeration/1", [f"count: {count}"])
 
 
@@ -347,13 +368,12 @@ def run_types_enumerate(args) -> Report:
     "belt", "distance", "distance between two fields or two scalar values",
     arg("first", nargs="?", help="dilatation-field JSON file"),
     arg("second", nargs="?", help="dilatation-field JSON file"),
-    arg("--mu", nargs=2, metavar=("MU1", "MU2"), help="two scalar values"),
+    arg("--mu", type=parse_complex, nargs=2, metavar=("MU1", "MU2"), help="two scalar values"),
 )
 def run_belt_distance(args) -> Report:
     if args.mu:
-        mu1, mu2 = (parse_complex(s) for s in args.mu)
-        d = beltrami.teichmuller_distance(mu1, mu2)
-        ks = [beltrami.dilatation_K(mu1), beltrami.dilatation_K(mu2)]
+        d = beltrami.teichmuller_distance(*args.mu)
+        ks = [beltrami.dilatation_K(mu) for mu in args.mu]
         payload = {"kind": "scalar", "distance": d, "dilatations": ks}
         lines = [f"distance: {d!r}", f"K1: {ks[0]!r}", f"K2: {ks[1]!r}"]
     else:
@@ -368,41 +388,38 @@ def run_belt_distance(args) -> Report:
 @command(
     "belt", "transform", "push dilatation data through a chart change",
     arg("field", nargs="?", help="dilatation-field JSON file"),
-    arg("--value", help="transform one scalar instead of a field"),
-    arg("--mu-f", required=True, help="dilatation of the chart change"),
-    arg("--fz", required=True, help="holomorphic derivative at the point"),
-    arg("--fzbar", help="antiholomorphic derivative; default mu_f*fz"),
+    arg("--value", type=parse_complex, help="transform one scalar instead of a field"),
+    arg("--mu-f", type=parse_complex, required=True, help="dilatation of the chart change"),
+    arg("--fz", type=parse_complex, required=True, help="holomorphic derivative at the point"),
+    arg("--fzbar", type=parse_complex, help="antiholomorphic derivative; default mu_f*fz"),
     arg("-o", "--output", help="write the resulting field JSON here"),
 )
 def run_belt_transform(args) -> Report:
-    mu_f = parse_complex(args.mu_f)
-    fz = parse_complex(args.fz)
-    fzbar = parse_complex(args.fzbar) if args.fzbar else mu_f * fz
-    if args.value:
-        out = beltrami.transform_mu(parse_complex(args.value), mu_f, fz, fzbar)
+    chart = (args.mu_f, args.fz, args.mu_f * args.fz if args.fzbar is None else args.fzbar)
+    if args.value is not None:
+        out = beltrami.transform_mu(args.value, *chart)
         return Report({"value": out}, "segal.report.transform/1")
     if not args.field:
         raise DomainError("provide a field file or --value MU")
-    return field_report(beltrami.transform_field(load_field(args.field), mu_f, fz, fzbar))
+    return field_report(beltrami.transform_field(load_field(args.field), *chart))
 
 
 @command(
     "belt", "pullback", "pull dilatation data back along an overlap map",
     arg("field", nargs="?", help="dilatation-field JSON file"),
-    arg("--value", help="pull back one scalar instead of a field"),
-    arg("--mu-g", required=True, help="dilatation of the overlap map"),
-    arg("--u", required=True, help="derivative coefficient of the overlap map"),
+    arg("--value", type=parse_complex, help="pull back one scalar instead of a field"),
+    arg("--mu-g", type=parse_complex, required=True, help="dilatation of the overlap map"),
+    arg("--u", type=parse_complex, required=True,
+        help="derivative coefficient of the overlap map"),
     arg("-o", "--output", help="write the resulting field JSON here"),
 )
 def run_belt_pullback(args) -> Report:
-    mu_g = parse_complex(args.mu_g)
-    u = parse_complex(args.u)
-    if args.value:
-        out = beltrami.pullback_mu(parse_complex(args.value), mu_g, u)
+    if args.value is not None:
+        out = beltrami.pullback_mu(args.value, args.mu_g, args.u)
         return Report({"value": out}, "segal.report.pullback/1")
     if not args.field:
         raise DomainError("provide a field file or --value MU")
-    return field_report(beltrami.pullback_field(load_field(args.field), mu_g, u))
+    return field_report(beltrami.pullback_field(load_field(args.field), args.mu_g, args.u))
 
 
 @command(
@@ -419,28 +436,28 @@ def run_belt_sew(args) -> Report:
 
 @command(
     "belt", "acs", "convert between dilatation values, structure matrices, and frames",
-    arg("--mu", help="dilatation value to convert to a structure matrix"),
-    arg("--frame", nargs=2, metavar=("A", "B"), help="frame coefficients"),
-    arg("--K", help="dilatation bound to convert to |mu|"),
-    arg("--linear", nargs=2, metavar=("A", "B"), help="z and conj(z) coefficients"),
+    arg("--mu", type=parse_complex, help="dilatation value to convert to a structure matrix"),
+    arg("--frame", type=real("frame entry"), nargs=2, metavar=("A", "B"),
+        help="frame coefficients"),
+    arg("--K", type=real("dilatation"), help="dilatation bound to convert to |mu|"),
+    arg("--linear", type=parse_complex, nargs=2, metavar=("A", "B"),
+        help="z and conj(z) coefficients"),
 )
 def run_belt_acs(args) -> Report:
     if args.mu is not None:
-        mu = parse_complex(args.mu)
-        j = beltrami.acs_from_mu(mu)
+        j = beltrami.acs_from_mu(args.mu)
         payload = {
             "matrix": [[j.j11, j.j12], [j.j21, j.j22]],
             "mu": beltrami.mu_from_acs(j),
-            "dilatation": beltrami.dilatation_K(mu),
+            "dilatation": beltrami.dilatation_K(args.mu),
         }
     elif args.frame is not None:
-        j = beltrami.acs_from_frame(*(parse_float(s, "frame entry") for s in args.frame))
+        j = beltrami.acs_from_frame(*args.frame)
         payload = {"matrix": [[j.j11, j.j12], [j.j21, j.j22]], "mu": beltrami.mu_from_acs(j)}
     elif args.K is not None:
-        payload = {"abs_mu": beltrami.abs_mu_from_K(parse_float(args.K, "dilatation"))}
+        payload = {"abs_mu": beltrami.abs_mu_from_K(args.K)}
     elif args.linear is not None:
-        a, b = (parse_complex(s) for s in args.linear)
-        mu = beltrami.mu_of_linear(beltrami.LinearMapZZbar(a, b))
+        mu = beltrami.mu_of_linear(beltrami.LinearMapZZbar(*args.linear))
         payload = {"mu": mu, "dilatation": beltrami.dilatation_K(mu)}
     else:
         raise DomainError("provide one of --mu, --frame, --K, --linear")
@@ -467,18 +484,18 @@ def run_qs_bound(args) -> Report:
 
 @command(
     "qs", "corner", "radial square-root map with a boundary profile",
-    arg("--profile", default="piecewise", help="piecewise, smooth, identity, rotation:X"),
-    arg("--points", help="semicolon-separated complex points to map"),
+    arg("--profile", type=parse_profile, default="piecewise",
+        help="piecewise, smooth, identity, rotation:X"),
+    arg("--points", type=parse_points, default=(),
+        help="semicolon-separated complex points to map"),
 )
 def run_qs_corner(args) -> Report:
-    phi = parse_profile(args.profile)
-    k = quasisym.corner_dilatation(phi)
-    lo, hi = phi.derivative_range()
-    sigma = quasisym.corner_transform(phi)
-    pts = [parse_complex(p) for p in args.points.split(";")] if args.points else []
+    k = quasisym.corner_dilatation(args.profile)
+    lo, hi = args.profile.derivative_range()
+    sigma = quasisym.corner_transform(args.profile)
     rim = [complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8)) for j in range(8)]
     images = [sigma(z) for z in rim]
-    extra = [sigma(p) for p in pts]
+    extra = [sigma(p) for p in args.points]
     lines = [f"dilatation: {k!r}", f"derivative range: [{lo!r}, {hi!r}]"]
     lines += [f"rim {j}: {cfmt(z)}" for j, z in enumerate(images)]
     lines += [f"point {j}: {cfmt(z)}" for j, z in enumerate(extra)]
@@ -493,12 +510,13 @@ def run_qs_corner(args) -> Report:
 
 @command(
     "qs", "twist", "extend a circle map to an annulus, identity outside",
-    arg("--profile", default="smooth", help="piecewise, smooth, identity, rotation:X"),
+    arg("--profile", type=parse_profile, default="smooth",
+        help="piecewise, smooth, identity, rotation:X"),
     arg("--r1", type=float, default=1.0),
     arg("--r2", type=float, default=2.0),
 )
 def run_qs_twist(args) -> Report:
-    _twist, rep = quasisym.smooth_twist(parse_profile(args.profile), args.r1, args.r2)
+    _twist, rep = quasisym.smooth_twist(args.profile, args.r1, args.r2)
     return Report(dataclasses.asdict(rep), "segal.report.twist/1")
 
 
@@ -508,21 +526,23 @@ def run_qs_twist(args) -> Report:
 
 @command(
     "module", "compute", "conformal module at positions, of a quad, or of a rectangle",
-    arg("positions", nargs="*", help="normalized fourth-point positions, |x| > 1"),
-    arg("--quad", nargs=4, metavar=("Z0", "Z1", "Z2", "Z3"), help="marked points"),
-    arg("--rect", nargs=2, metavar=("A", "B"), help="rectangle side lengths"),
+    arg("positions", type=real("position"), nargs="*",
+        help="normalized fourth-point positions, |x| > 1"),
+    arg("--quad", type=real("marked point"), nargs=4, metavar=("Z0", "Z1", "Z2", "Z3"),
+        help="marked points"),
+    arg("--rect", type=real("rectangle side"), nargs=2, metavar=("A", "B"),
+        help="rectangle side lengths"),
 )
 def run_module_compute(args) -> Report:
     if args.quad:
-        q = modulus.QuadrilateralSpec(*(parse_float(s, "marked point") for s in args.quad))
+        q = modulus.QuadrilateralSpec(*args.quad)
         x = modulus.normalize_quad(q)
         m = modulus.module_of_quad(q)
         cr = modulus.cross_ratio(*q.vertices)
         payload = {"kind": "quad", "position": x, "module": m, "cross_ratio": cr}
         lines = [f"position: {x!r}", f"module: {m!r}", f"cross ratio: {cr!r}"]
     elif args.rect:
-        a, b = (parse_float(s, "rectangle side") for s in args.rect)
-        m = modulus.module_rect(a, b)
+        m = modulus.module_rect(*args.rect)
         payload = {"kind": "rect", "module": m}
         lines = [f"module: {m!r}"]
     else:
@@ -530,8 +550,7 @@ def run_module_compute(args) -> Report:
             raise DomainError("provide positions, --quad, or --rect")
         entries = []
         lines = []
-        for s in args.positions:
-            x = parse_float(s, "position")
+        for x in args.positions:
             m = modulus.module_sc(x)
             xr = modulus.rotated_position(x)
             mr = modulus.module_sc(xr)
@@ -591,7 +610,7 @@ def _simplex_str(s) -> str:
     "chains", "product", "shuffle product of two generators",
     arg("i", type=int, help="degree of the first generator"),
     arg("j", type=int, help="degree of the second generator"),
-    arg("--labels", default="a,b", help="labels LA,LB of the two generators"),
+    arg("--labels", type=labels(most=2), default="a,b", help="labels LA,LB of the two generators"),
     arg("--boundary", action="store_true", help="print the boundary of the product"),
     arg("--swapped", action="store_true", help="print the factor-swapped product"),
 )
@@ -601,7 +620,7 @@ def run_chains_product(args) -> Report:
     if args.i + args.j > 8:
         raise DomainError("total degree above 8 is too large to print")
     # one label names both generators
-    la, lb = (parse_labels(args.labels, most=2) * 2)[:2]
+    la, lb = (args.labels * 2)[:2]
     shown = chainalg.shuffle_product(
         chainalg.generator(la, args.i), chainalg.generator(lb, args.j)
     )
@@ -730,16 +749,10 @@ def run_appb_flatten(args) -> Report:
 @command(
     None, "accept", "run the full acceptance suite",
     arg("--corpus", help="directory with quads.json and types/*.json"),
-    arg("--only", help="comma-separated criterion indices to run"),
+    arg("--only", type=parse_indices, help="comma-separated criterion indices to run"),
 )
 def run_accept(args) -> Report:
-    indices = None
-    if args.only:
-        try:
-            indices = [int(s) for s in args.only.split(",")]
-        except ValueError:
-            raise DomainError(f"--only takes comma-separated integers, got {args.only!r}")
-    results = acceptance.run_acceptance(args.corpus, indices=indices)
+    results = acceptance.run_acceptance(args.corpus, indices=args.only)
     passed = all(r.passed for r in results)
     payload = {
         "results": [dataclasses.asdict(r) for r in results],
@@ -785,8 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return emit(args, args.run(args))
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

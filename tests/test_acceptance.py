@@ -4,15 +4,22 @@ The suite runs the same callables as `segal accept`, so a red test here and
 a FAIL line on the command line are the same event.
 """
 
+import contextlib
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 from segal import acceptance, cli, modulus
 from segal.acceptance import CRITERIA, Check, _judge, run_acceptance
 from segal.errors import DomainError
-from test_imports import run_python
+from test_imports import SRC, run_python
 
 _NAMES = ["corpus-integrity"] + [name for _, name, _ in CRITERIA]
 
@@ -146,10 +153,14 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
 
     _on_cpus(monkeypatch, 2)
     monkeypatch.setattr(acceptance, "CRITERIA", _row(9, failing))
+    handler = signal.getsignal(signal.SIGINT)
     with pytest.raises(DomainError, match=r"^raised in process \d+$") as err:
         run_acceptance(indices=[3, 9])
     assert type(err.value) is DomainError
     assert str(err.value) != f"raised in process {os.getpid()}"
+    # the Ctrl-C handler and signal mask of the fork window are restored
+    assert signal.getsignal(signal.SIGINT) is handler
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
 def test_a_defect_is_caught_in_a_worker(monkeypatch, capsys):
@@ -205,3 +216,87 @@ def test_a_single_criterion_loads_no_numpy():
         "print([r.passed for r in segal.run_acceptance(indices=[8])], 'numpy' in sys.modules)\n"
     )
     assert out.splitlines() == ["[True, True] False"]
+
+
+# ---------------------------------------------------------------------------
+# the worker processes end with their parent: ``segal accept`` runs in a
+# session of its own, with many short criteria, so that when the signal
+# comes the workers are busy, jobs are queued and results keep arriving
+
+BUSY_ACCEPT = (
+    "import os, sys, time\n"
+    "from segal import acceptance, cli\n"
+    "def busy(data):\n"
+    "    os.write(1, b'running\\n')\n"
+    "    time.sleep(0.01)\n"
+    "    return [acceptance.Check('busy', 0.0, 0.0, '<=')], ''\n"
+    "acceptance.CRITERIA = tuple((i, 'busy', busy) for i in range(1, 1001))\n"
+    "sys.exit(cli.main(['accept']))\n"
+)
+
+
+@contextlib.contextmanager
+def _busy_accept() -> Iterator[subprocess.Popen]:
+    """The busy ``segal accept``, once a criterion has started running; its
+    session is killed on the way out."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", BUSY_ACCEPT],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline() == "running\n"
+        yield proc
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+def _live(group: int) -> list[int]:
+    """The processes of ``group`` that have not exited.  A zombie has: when
+    its parent was killed, reaping it is up to whoever adopted it."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(pgrp) == group and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
+def _ends_within(group: int, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while _live(group):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+
+
+@needs_proc
+def test_ctrl_c_ends_every_process_without_a_traceback():
+    with _busy_accept() as proc:
+        os.killpg(proc.pid, signal.SIGINT)
+        _out, err = proc.communicate(timeout=10)
+        assert (proc.returncode, err) == (130, "interrupted\n")
+        assert _ends_within(proc.pid, 2.0)
+
+
+@needs_proc
+@pytest.mark.skipif(
+    acceptance._usable_cpus() < 2, reason="the criteria run in workers only on two usable CPUs"
+)
+def test_workers_end_with_a_killed_parent():
+    with _busy_accept() as proc:
+        proc.kill()
+        proc.wait(timeout=10)
+        assert _ends_within(proc.pid, 2.0)

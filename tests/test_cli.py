@@ -57,7 +57,7 @@ SPEC_SUBCOMMANDS = {
 
 # The number of parser actions and their digest (see ``argument_surface``);
 # a change to any subcommand's arguments or help text changes the digest.
-SURFACE = (149, "530f8f04b98c3d7313e89cf8897add817763aa81e2161de6c59b62cc0c81a17a")
+SURFACE = (149, "d239dbdaa3c7d84fde57f106535f563a0fd1a7b5fe6b9e6372a0995d1f57122e")
 
 # The errors that mean the input was unusable; every other one is a failed check.
 EXIT_2_ERRORS = {
@@ -115,6 +115,14 @@ class TestDispatchTable:
 
     def test_argument_surface_is_unchanged(self):
         assert argument_surface() == SURFACE
+
+    def test_every_parser_has_a_name(self):
+        """The surface digest names each declared parser; one without a name
+        (a ``functools.partial``) would put its address there."""
+        for cmd in COMMANDS:
+            for flags, options in cmd.args:
+                if "type" in options:
+                    assert options["type"].__name__.isidentifier(), (cmd.name, flags)
 
     def test_every_error_class_is_known(self):
         assert len(ERROR_CLASSES) == 16
@@ -425,15 +433,18 @@ class TestAcceptCommand:
 
 
 # ---------------------------------------------------------------------------
-# the contract sweep: every number argument of every subcommand, fed values
-# at and past the edge of double precision and values that are no number
+# the contract sweep: every argument that declares a parser, in every
+# subcommand, fed values at and past the edge of double precision and values
+# that are no number
 
 
 SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "5e-324", "", "x"]
 
 # One valid invocation per subcommand.  Options are written --name=value and
 # positionals follow "--", so a value that starts with "-" reaches its
-# argument's parser instead of being read as a flag.
+# argument's parser instead of being read as a flag.  An option that takes
+# several values gets the sweep value in each of them, and there argparse
+# reads "-inf" as a flag and exits 2 before any parser runs.
 SWEEP_BASES = {
     ("types", "validate"): ["--", "{types}/cylinder.json"],
     ("types", "compose"): ["--", "{types}/pants_split.json", "{types}/pants_join.json"],
@@ -460,29 +471,31 @@ SWEEP_BASES = {
 
 
 def _swept(cmd: cli.Command):
-    """Where a sweep value goes in ``cmd``'s base invocation: ("option", flag)
-    for an int or float option, ("positional", k) for the k-th positional
-    unless its help names a file."""
+    """Where a sweep value goes in ``cmd``'s base invocation, for each
+    argument that declares a parser: ("option", flag, nargs) for an option,
+    ("positional", k, None) for the k-th positional."""
     positionals = 0
     for flags, options in cmd.args:
         if flags[0].startswith("-"):
-            if options.get("type") in (int, float):
-                yield "option", max(flags, key=len)
+            if "type" in options:
+                yield "option", max(flags, key=len), options.get("nargs")
         else:
-            if options.get("type") in (int, float) or not options.get("help", "").endswith("file"):
-                yield "positional", positionals
+            if "type" in options:
+                yield "positional", positionals, None
             positionals += 1
 
 
 def _substituted(base: list[str], where: tuple, value: str) -> list[str]:
-    kind, key = where
+    kind, key, nargs = where
     argv = list(base)
     if kind == "positional":
         argv[argv.index("--") + 1 + key] = value
-    else:
-        argv = [a for a in argv if not a.startswith(f"{key}=")]
-        argv.insert(0, f"{key}={value}")
-    return argv
+        return argv
+    if nargs is None:
+        return [f"{key}={value}", *(a for a in argv if not a.startswith(f"{key}="))]
+    if key in argv:
+        del argv[argv.index(key) : argv.index(key) + 1 + nargs]
+    return [key, *[value] * nargs, *argv]
 
 
 def strict_json(text: str):
@@ -495,10 +508,9 @@ def strict_json(text: str):
 
 
 def test_contract_sweep(tmp_path, capsys):
-    """Every number argument, and every positional that is not a file, takes
-    each sweep value in one valid invocation of its subcommand: the exit
-    code is 0, 1 or 2, nothing prints a traceback, and an exit-0 report is
-    strict JSON."""
+    """Every argument that declares a parser takes each sweep value in one
+    valid invocation of its subcommand: the exit code is 0, 1 or 2, nothing
+    prints a traceback, and an exit-0 report is strict JSON."""
     from segal import beltrami
 
     files = {"types": str(BUNDLED / "types")}
@@ -535,4 +547,4 @@ def test_contract_sweep(tmp_path, capsys):
                     broken.append(f"{argv}: {e}")
             swept += value is not None
     assert not broken, "\n".join(broken)
-    assert swept == 15 * len(SWEEP_VALUES)  # 15 arguments take numbers
+    assert swept == 35 * len(SWEEP_VALUES)  # 35 arguments declare a parser
