@@ -13,7 +13,6 @@ the test suite print identical one-line verdicts.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import operator
 import os
@@ -21,7 +20,7 @@ import random
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
 from ._input import integer, json_list, json_number, json_object, load_file
@@ -452,8 +451,9 @@ def _start_worker(fns: list, data: AcceptanceCorpus) -> None:
     _worker_jobs = fns, data
     # Ctrl-C reaches the whole process group.  A worker then ends at once,
     # without a traceback, and the parent alone reports the interrupt; one
-    # held back during the fork (``_ctrl_c_held``) lands here.
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # held back while the pool forked lands here.  An ignored one stays so.
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     # An idle worker waits on its parent for the next job, so one whose
     # parent was killed would wait for ever, holding the parent's stdout.
@@ -478,43 +478,36 @@ def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
     workers = min(len(fns), _usable_cpus())
     if workers < 2:
         return [fn(data) for fn in fns]
-    import multiprocessing  # here, so a single criterion loads neither module
+    import multiprocessing  # here, so a single criterion loads none of them
+    import threading
     from concurrent.futures import ProcessPoolExecutor
 
     import numpy  # noqa: F401  (loaded before the fork, so no worker imports it)
 
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, context, _start_worker, (fns, data))
+    # A Ctrl-C is held back while the first submit forks the workers: each
+    # starts with SIGINT blocked and takes it once its initializer has set
+    # its action.  Here, where Python's own handler would raise it, it is
+    # noted instead, as another thread (numpy's OpenBLAS pool) may take it,
+    # and raised after the forks.  An ignored or caller-handled one is left.
+    noted = []
+    ours = (signal.getsignal(signal.SIGINT) is signal.default_int_handler
+            and threading.current_thread() is threading.main_thread())
+    if ours:
+        signal.signal(signal.SIGINT, lambda *_: noted.append(True))
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        with _ctrl_c_held():
+        try:
             jobs = [pool.submit(_run_job, i) for i in range(len(fns))]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            if ours:  # a SIGINT that was pending is noted before this swap
+                signal.signal(signal.SIGINT, signal.default_int_handler)
+            if noted:  # also in place of a broken pool from a worker it ended
+                raise KeyboardInterrupt
         return [job.result() for job in jobs]
     finally:
         # the pool cancels the jobs not started: one cancelled from this
         # thread would race the pool marking it broken after a Ctrl-C
         pool.shutdown(cancel_futures=True)
-
-
-@contextlib.contextmanager
-def _ctrl_c_held() -> Iterator[None]:
-    """Hold a Ctrl-C back while the pool forks its workers.
-
-    A worker starts with SIGINT blocked and takes it once its initializer
-    has set the default action.  The main thread of this process notes it,
-    because another thread (numpy's OpenBLAS pool) may take it for the
-    process, and raises it after, not in the middle of a fork."""
-    import threading
-
-    noted = []
-    main = threading.current_thread() is threading.main_thread()
-    if main:
-        previous = signal.signal(signal.SIGINT, lambda *_: noted.append(True))
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        if main:
-            signal.signal(signal.SIGINT, previous)
-        if noted:  # also when a worker it ended has broken the pool
-            raise KeyboardInterrupt

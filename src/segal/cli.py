@@ -50,15 +50,17 @@ def parse_complex(s: str) -> complex:
         raise DomainError(f"cannot parse complex number from {s!r}")
 
 
-def real(what: str) -> Callable[[str], float]:
-    """The parser of one float; text that is not one is an error naming ``what``."""
+def real(what: str, kind: Callable[[str], float] = float) -> Callable[[str], float]:
+    """The parser of one float, or of one ``kind`` such as ``int``; text that
+    is not one is an error naming ``what``."""
 
     def parse_real(s: str) -> float:
         try:
-            return float(s)
+            return kind(s)
         except ValueError:
             raise DomainError(f"cannot parse {what} from {s!r}")
 
+    parse_real.__name__ = f"parse_{kind.__name__}"
     return parse_real
 
 
@@ -339,7 +341,7 @@ def run_types_stability(args) -> Report:
 
 @command(
     "types", "random", "emit a seeded random type, optionally composable after a given one",
-    arg("--seed", type=int, default=0),
+    arg("--seed", type=real("seed", int), default=0),
     arg("--successor", help="emit a type composable after this one", default=None),
     arg("-o", "--output", help="write the type JSON here"),
 )
@@ -472,7 +474,8 @@ def run_belt_acs(args) -> Report:
     "qs", "bound", "quasisymmetry constant of an increasing function",
     arg("--fn", default="identity", help="identity, slope:K, or exp:T"),
     arg("--file", help="CSV file of x,y samples"),
-    arg("--n", type=int, default=256, help="sample count for built-in functions"),
+    arg("--n", type=real("sample count", int), default=256,
+        help="sample count for built-in functions"),
     arg("--inverted", action="store_true", help="bound the inverse instead"),
 )
 def run_qs_bound(args) -> Report:
@@ -512,8 +515,8 @@ def run_qs_corner(args) -> Report:
     "qs", "twist", "extend a circle map to an annulus, identity outside",
     arg("--profile", type=parse_profile, default="smooth",
         help="piecewise, smooth, identity, rotation:X"),
-    arg("--r1", type=float, default=1.0),
-    arg("--r2", type=float, default=2.0),
+    arg("--r1", type=real("twist radius r1"), default=1.0),
+    arg("--r2", type=real("twist radius r2"), default=2.0),
 )
 def run_qs_twist(args) -> Report:
     _twist, rep = quasisym.smooth_twist(args.profile, args.r1, args.r2)
@@ -534,6 +537,8 @@ def run_qs_twist(args) -> Report:
         help="rectangle side lengths"),
 )
 def run_module_compute(args) -> Report:
+    if bool(args.positions) + bool(args.quad) + bool(args.rect) > 1:
+        raise DomainError("give only one of positions, --quad, or --rect")
     if args.quad:
         q = modulus.QuadrilateralSpec(*args.quad)
         x = modulus.normalize_quad(q)
@@ -562,12 +567,12 @@ def run_module_compute(args) -> Report:
 
 @command(
     "module", "check-qc", "module distortion bounds under a horizontal stretch",
-    arg("--K", type=float, default=2.0, help="horizontal stretch factor"),
+    arg("--K", type=real("distortion factor"), default=2.0, help="horizontal stretch factor"),
     arg("--corpus", help="directory holding quads.json"),
     arg("--generate", action="store_true", help="generate quads instead of loading"),
-    arg("--seed", type=int, default=0),
-    arg("--count", type=int, default=50),
-    arg("--slack", type=float, default=1e-6),
+    arg("--seed", type=real("seed", int), default=0),
+    arg("--count", type=real("quad count", int), default=50),
+    arg("--slack", type=real("slack"), default=1e-6),
 )
 def run_module_check_qc(args) -> Report:
     if args.generate:
@@ -608,8 +613,8 @@ def _simplex_str(s) -> str:
 
 @command(
     "chains", "product", "shuffle product of two generators",
-    arg("i", type=int, help="degree of the first generator"),
-    arg("j", type=int, help="degree of the second generator"),
+    arg("i", type=real("degree", int), help="degree of the first generator"),
+    arg("j", type=real("degree", int), help="degree of the second generator"),
     arg("--labels", type=labels(most=2), default="a,b", help="labels LA,LB of the two generators"),
     arg("--boundary", action="store_true", help="print the boundary of the product"),
     arg("--swapped", action="store_true", help="print the factor-swapped product"),
@@ -643,7 +648,7 @@ def run_chains_product(args) -> Report:
 
 @command(
     "chains", "check", "sweep the product identities up to a degree",
-    arg("--degree", type=int, default=6, help="maximum total degree to sweep"),
+    arg("--degree", type=real("degree", int), default=6, help="maximum total degree to sweep"),
 )
 def run_chains_check(args) -> Report:
     deg = args.degree
@@ -676,7 +681,7 @@ def _order_str(v) -> str:
 
 @command(
     "appb", "orders", "tabulate the vanishing-order recursion",
-    arg("k", type=int, help="number of recursion steps to tabulate"),
+    arg("k", type=real("step count", int), help="number of recursion steps to tabulate"),
 )
 def run_appb_orders(args) -> Report:
     if args.k < 0:
@@ -692,9 +697,10 @@ def run_appb_orders(args) -> Report:
 @command(
     "appb", "flatten", "fit field vanishing orders; optionally flatten one chart",
     arg("--glue", default="sine:0.1", help="identity, linear:K, or sine:A"),
-    arg("--k", type=int, default=1, help="deepest field level to fit"),
+    arg("--k", type=real("field level", int), default=1, help="deepest field level to fit"),
     arg("--chart", action="store_true", help="also flatten one field and certify it"),
-    arg("--depth", type=int, default=0, help="field recursion depth for --chart"),
+    arg("--depth", type=real("recursion depth", int), default=0,
+        help="field recursion depth for --chart"),
 )
 def run_appb_flatten(args) -> Report:
     g = parse_glue(args.glue)

@@ -163,6 +163,28 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
+def test_an_ignored_ctrl_c_stays_ignored(monkeypatch):
+    """With SIGINT ignored, as under ``nohup``, a SIGINT to the caller or to
+    a worker, while the pool forks or after, ends nothing."""
+    caller = os.getpid()
+    original = {i: f for i, _, f in CRITERIA}[3]
+
+    def interrupting(data):
+        os.kill(caller, signal.SIGINT)
+        os.kill(os.getpid(), signal.SIGINT)
+        return original(data)
+
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(acceptance, "CRITERIA", _row(3, interrupting))
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        results = run_acceptance(indices=[3, 9])
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert all(r.passed for r in results)
+
+
 def test_a_defect_is_caught_in_a_worker(monkeypatch, capsys):
     original = modulus.module_sc
     monkeypatch.setattr(modulus, "module_sc", lambda x: (1.0 + 1e-7) * original(x))

@@ -57,7 +57,7 @@ SPEC_SUBCOMMANDS = {
 
 # The number of parser actions and their digest (see ``argument_surface``);
 # a change to any subcommand's arguments or help text changes the digest.
-SURFACE = (149, "d239dbdaa3c7d84fde57f106535f563a0fd1a7b5fe6b9e6372a0995d1f57122e")
+SURFACE = (149, "3bdff1fb52687de5818008655543fefe1959887f6469cc0a36eef81076c2ba32")
 
 # The errors that mean the input was unusable; every other one is a failed check.
 EXIT_2_ERRORS = {
