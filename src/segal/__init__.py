@@ -29,11 +29,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "acceptance": ("CriterionResult", "run_acceptance"),
     "beltrami": (
-        "ACSMatrix", "DilatationField", "LinearMapZZbar", "SampledChartMap",
-        "abs_mu_from_K", "acs_from_frame", "acs_from_mu", "dilatation_K",
-        "field_distance", "mu_from_acs", "mu_of_linear", "pullback_field",
-        "pullback_mu", "sew_sections", "teichmuller_distance", "transform_field",
-        "transform_mu",
+        "ACSMatrix", "DilatationField", "LinearMapZZbar", "abs_mu_from_K",
+        "acs_from_frame", "acs_from_mu", "dilatation_K", "field_distance",
+        "mu_from_acs", "mu_of_linear", "pullback_field", "pullback_mu",
+        "sew_sections", "teichmuller_distance", "transform_field", "transform_mu",
     ),
     "chains": (
         "Chain", "FormalSimplex", "ProductSimplex", "boundary", "check_associativity",

@@ -10,9 +10,10 @@ the acceptance runner, which replays every check at run time.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cobordism import OCType
+if TYPE_CHECKING:
+    from .cobordism import OCType
 
 # ---------------------------------------------------------------------------
 # cell-complex route for surface gluing

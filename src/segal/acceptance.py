@@ -22,15 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
+from . import _oracles, beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
 from ._input import integer, json_list, json_number, json_object, load_file
-from ._oracles import (
-    dilatation_fd,
-    glued_summary,
-    module_agm,
-    octype_summary,
-    wirtinger_fd,
-)
 from .errors import DomainError
 
 
@@ -184,7 +177,9 @@ def criterion_2_compose_oracle(data: AcceptanceCorpus) -> Outcome:
     seeded = (corpus.random_composable_pair(seed) for seed in range(_PAIRS))
     pairs += [(t1, t2) for t1, t2 in seeded if _small(t1) and _small(t2)]
     mismatches = sum(
-        octype_summary(cobordism.compose_types(t1, t2)) != glued_summary(t1, t2) for t1, t2 in pairs
+        _oracles.octype_summary(cobordism.compose_types(t1, t2))
+        != _oracles.glued_summary(t1, t2)
+        for t1, t2 in pairs
     )
     checks = [Check("mismatches", float(mismatches), 0.0, "<=")]
     return checks, f"{len(pairs)} glued pairs vs polygon-complex oracle, exact"
@@ -201,7 +196,7 @@ def criterion_3_dilatation(data: AcceptanceCorpus) -> Outcome:
     for _ in range(20):
         k = 1.0 + 9.0 * rng.random()
         f = lambda z, k=k: k * z.real + 1j * z.imag
-        fz, fzbar = wirtinger_fd(f, complex(0.3, 0.4), 1e-6)
+        fz, fzbar = _oracles.wirtinger_fd(f, complex(0.3, 0.4), 1e-6)
         worst_fd = max(worst_fd, abs(fzbar / fz - (k - 1.0) / (k + 1.0)))
     checks = [Check("round-trip", worst_rt, 1e-12, "<="), Check("stretch-fd", worst_fd, 1e-8, "<=")]
     return checks, f"10^4 samples; stretch FD dev {worst_fd:.2e} vs {checks[1].bound:.1e}"
@@ -245,7 +240,7 @@ def criterion_5_sewing_isometry(data: AcceptanceCorpus) -> Outcome:
 def criterion_6_module_numerics(data: AcceptanceCorpus) -> Outcome:
     positions = (1.5, 2.0, 3.0, 5.0, 10.0)
     worst_agm = max(
-        abs(modulus.module_sc(x) - module_agm(x)) for x in positions
+        abs(modulus.module_sc(x) - _oracles.module_agm(x)) for x in positions
     )
     worst_rec = max(
         abs(modulus.module_sc(x) * modulus.module_sc(modulus.rotated_position(x)) - 1.0)
@@ -298,7 +293,7 @@ def criterion_8_corner(data: AcceptanceCorpus) -> Outcome:
     worst_fd = 0.0
     for j in range(256):
         theta = 2.0 * math.pi * (j + 0.5) / 256
-        worst_fd = max(worst_fd, dilatation_fd(sigma, cmath.exp(1j * theta), 1e-6))
+        worst_fd = max(worst_fd, _oracles.dilatation_fd(sigma, cmath.exp(1j * theta), 1e-6))
     checks = [
         Check("fd-relative", abs(worst_fd - k) / k, 0.05, "<="),
         Check("profile-bound", abs(k - printed), 0.0, "<="),

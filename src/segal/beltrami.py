@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 from . import _FirstUseNumpy
 from ._input import abs_or_inf, integer, json_list, json_number
@@ -36,9 +36,6 @@ np = _FirstUseNumpy(globals())
 DISC_EDGE = 1e-9
 
 FIELD_SCHEMA = "segal.field/1"
-
-# central-difference step of SampledChartMap.from_callable without derivatives
-_FD_H = 1e-6
 
 
 def _require_in_disc(value: complex, name: str) -> complex:
@@ -270,17 +267,6 @@ def _require_rectangle(x0: float, x1: float, y0: float, y1: float) -> None:
         raise GridMismatch("rectangle is empty or not finite")
 
 
-def _cell_centers(
-    x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of the nx-by-ny cells of the rectangle: x values, y values."""
-    _require_rectangle(x0, x1, y0, y1)
-    nx, ny = integer(nx, "nx", 1), integer(ny, "ny", 1)
-    xs = x0 + (np.arange(nx) + 0.5) * ((x1 - x0) / nx)
-    ys = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
-    return xs, ys
-
-
 @dataclass(frozen=True)
 class DilatationField:
     """Cell-centered complex samples on an axis-aligned rectangle.
@@ -328,21 +314,6 @@ class DilatationField:
     ) -> "DilatationField":
         nx, ny = integer(nx, "nx", 1), integer(ny, "ny", 1)
         return cls(x0, x1, y0, y1, np.full((ny, nx), complex(value)))
-
-    @classmethod
-    def from_function(
-        cls,
-        f: Callable[[complex], complex],
-        x0: float,
-        x1: float,
-        y0: float,
-        y1: float,
-        nx: int,
-        ny: int,
-    ) -> "DilatationField":
-        xs, ys = _cell_centers(x0, x1, y0, y1, nx, ny)
-        vals = np.array([[complex(f(complex(x, y))) for x in xs] for y in ys])
-        return cls(x0, x1, y0, y1, vals)
 
     def value_at(self, x: float, y: float) -> complex:
         """Sample of the cell owning (x, y); cell boundaries belong to the
@@ -451,74 +422,3 @@ def sew_sections(
         vals = np.vstack([s1.values, s2.values])
         return DilatationField(s1.x0, s1.x1, s1.y0, s2.y1, vals)
     raise GridMismatch(f"seam must be 'x' or 'y', not {seam!r}")
-
-
-# ---------------------------------------------------------------------------
-# sampled chart maps
-
-
-@dataclass(frozen=True)
-class SampledChartMap:
-    """A plane map sampled with its Wirtinger derivatives on a cell grid."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    image: np.ndarray
-    fz: np.ndarray
-    fzbar: np.ndarray
-
-    def __post_init__(self):
-        _require_rectangle(self.x0, self.x1, self.y0, self.y1)
-        for name in ("image", "fz", "fzbar"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
-        if not (self.image.shape == self.fz.shape == self.fzbar.shape):
-            raise GridMismatch("image and derivative grids must share a shape")
-        if self.image.ndim != 2 or self.image.size == 0:
-            raise GridMismatch("image and derivative grids must be non-empty 2-d arrays")
-        if not all(np.isfinite(a).all() for a in (self.image, self.fz, self.fzbar)):
-            raise GridMismatch("image and derivative samples must be finite")
-        # |fz| > |fzbar| tells the Jacobian's sign without squares that could
-        # overflow; as in _chart_phase, an fz of infinite modulus has no phase
-        mod_fz = np.abs(self.fz)
-        if not (mod_fz > np.abs(self.fzbar)).all():
-            raise NotOrientationPreserving("Jacobian |fz|^2 - |fzbar|^2 <= 0 at a sample node")
-        if np.isinf(mod_fz).any():
-            raise GridMismatch("a derivative sample fz has modulus too large for double precision")
-
-    @classmethod
-    def from_callable(
-        cls,
-        f: Callable[[complex], complex],
-        x0: float,
-        x1: float,
-        y0: float,
-        y1: float,
-        nx: int,
-        ny: int,
-        derivatives: Optional[Callable[[complex], tuple[complex, complex]]] = None,
-    ) -> "SampledChartMap":
-        xs, ys = _cell_centers(x0, x1, y0, y1, nx, ny)
-        image = np.empty((ny, nx), dtype=complex)
-        fz = np.empty_like(image)
-        fzbar = np.empty_like(image)
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                z = complex(x, y)
-                image[i, j] = f(z)
-                if derivatives is not None:
-                    fz[i, j], fzbar[i, j] = derivatives(z)
-                else:
-                    dfx = (f(z + _FD_H) - f(z - _FD_H)) / (2.0 * _FD_H)
-                    dfy = (f(z + 1j * _FD_H) - f(z - 1j * _FD_H)) / (2.0 * _FD_H)
-                    fz[i, j] = 0.5 * (dfx - 1j * dfy)
-                    fzbar[i, j] = 0.5 * (dfx + 1j * dfy)
-        return cls(x0, x1, y0, y1, image, fz, fzbar)
-
-    def mu_field(self) -> DilatationField:
-        return DilatationField(self.x0, self.x1, self.y0, self.y1, self.fzbar / self.fz)
-
-    def u_grid(self) -> np.ndarray:
-        """Unit phases fz/conj(fz) at each node."""
-        return self.fz / np.conjugate(self.fz)

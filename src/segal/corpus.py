@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cobordism import (
-    BoundaryCycle,
-    ComponentData,
-    CycleEntry,
-    Label,
-    ObjectSignature,
-    OCType,
-    cycle_signatures,
-    free_circle,
-)
+from . import cobordism
 from ._input import integer
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .cobordism import BoundaryCycle, ComponentData, CycleEntry, Label, OCType
 
 # ---------------------------------------------------------------------------
 # standard types
@@ -33,77 +27,84 @@ from .errors import DomainError
 
 def disc_out(label: Label = "a") -> OCType:
     """Disc whose boundary is one outgoing interval plus one free arc."""
-    comp = ComponentData(
+    comp = cobordism.ComponentData(
         genus=0,
-        cycles=(BoundaryCycle((CycleEntry("out", 0),), (label,)),),
+        cycles=(cobordism.BoundaryCycle((cobordism.CycleEntry("out", 0),), (label,)),),
     )
-    sig = ObjectSignature(0, 1, (label,), (label,))
-    return OCType((comp,), ObjectSignature(0, 0), sig)
+    sig = cobordism.ObjectSignature(0, 1, (label,), (label,))
+    return cobordism.OCType((comp,), cobordism.ObjectSignature(0, 0), sig)
 
 
 def disc_in(label: Label = "a") -> OCType:
     """Disc whose boundary is one incoming interval plus one free arc."""
-    comp = ComponentData(
+    comp = cobordism.ComponentData(
         genus=0,
-        cycles=(BoundaryCycle((CycleEntry("in", 0),), (label,)),),
+        cycles=(cobordism.BoundaryCycle((cobordism.CycleEntry("in", 0),), (label,)),),
     )
-    sig = ObjectSignature(0, 1, (label,), (label,))
-    return OCType((comp,), sig, ObjectSignature(0, 0))
+    sig = cobordism.ObjectSignature(0, 1, (label,), (label,))
+    return cobordism.OCType((comp,), sig, cobordism.ObjectSignature(0, 0))
 
 
 def free_disc(label: Label = "a") -> OCType:
     """Disc with fully free boundary: the result of disc_out . disc_in."""
-    comp = ComponentData(genus=0, cycles=(free_circle(label),))
-    return OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 0))
+    comp = cobordism.ComponentData(genus=0, cycles=(cobordism.free_circle(label),))
+    empty = cobordism.ObjectSignature(0, 0)
+    return cobordism.OCType((comp,), empty, empty)
 
 
 def strip(source: Label = "a", target: Label = "b") -> OCType:
     """Rectangle: one incoming and one outgoing interval between two arcs."""
-    comp = ComponentData(
+    comp = cobordism.ComponentData(
         genus=0,
         cycles=(
-            BoundaryCycle(
-                (CycleEntry("in", 0), CycleEntry("out", 0)),
+            cobordism.BoundaryCycle(
+                (cobordism.CycleEntry("in", 0), cobordism.CycleEntry("out", 0)),
                 (source, target),
             ),
         ),
     )
-    sig = ObjectSignature(0, 1, (source,), (target,))
-    return OCType((comp,), sig, sig)
+    sig = cobordism.ObjectSignature(0, 1, (source,), (target,))
+    return cobordism.OCType((comp,), sig, sig)
 
 
 def cylinder() -> OCType:
     """Annulus from one incoming to one outgoing closed circle."""
-    comp = ComponentData(genus=0, closed_in=frozenset({0}), closed_out=frozenset({0}))
-    sig = ObjectSignature(1, 0)
-    return OCType((comp,), sig, sig)
+    comp = cobordism.ComponentData(genus=0, closed_in=frozenset({0}), closed_out=frozenset({0}))
+    sig = cobordism.ObjectSignature(1, 0)
+    return cobordism.OCType((comp,), sig, sig)
 
 
 def pants_split() -> OCType:
     """Pair of pants: one incoming circle, two outgoing."""
-    comp = ComponentData(
+    comp = cobordism.ComponentData(
         genus=0, closed_in=frozenset({0}), closed_out=frozenset({0, 1})
     )
-    return OCType((comp,), ObjectSignature(1, 0), ObjectSignature(2, 0))
+    return cobordism.OCType(
+        (comp,), cobordism.ObjectSignature(1, 0), cobordism.ObjectSignature(2, 0)
+    )
 
 
 def pants_join() -> OCType:
     """Pair of pants: two incoming circles, one outgoing."""
-    comp = ComponentData(
+    comp = cobordism.ComponentData(
         genus=0, closed_in=frozenset({0, 1}), closed_out=frozenset({0})
     )
-    return OCType((comp,), ObjectSignature(2, 0), ObjectSignature(1, 0))
+    return cobordism.OCType(
+        (comp,), cobordism.ObjectSignature(2, 0), cobordism.ObjectSignature(1, 0)
+    )
 
 
 def closed_surface(genus: int) -> OCType:
     """Closed component with no boundary at all (unstable for genus >= 0)."""
-    comp = ComponentData(genus=genus)
-    return OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 0))
+    comp = cobordism.ComponentData(genus=genus)
+    empty = cobordism.ObjectSignature(0, 0)
+    return cobordism.OCType((comp,), empty, empty)
 
 
 def free_annulus(label: Label = "a") -> OCType:
-    comp = ComponentData(genus=0, cycles=(free_circle(label), free_circle(label)))
-    return OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 0))
+    comp = cobordism.ComponentData(genus=0, cycles=(cobordism.free_circle(label),) * 2)
+    empty = cobordism.ObjectSignature(0, 0)
+    return cobordism.OCType((comp,), empty, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -114,39 +115,32 @@ _LABELS: tuple[Label, ...] = ("a", "b", "c")
 
 def _freeze(comps: list[dict]) -> tuple[ComponentData, ...]:
     """The generators' working component records as ComponentData values."""
-    return tuple([ComponentData(c["genus"], c["cin"], c["cout"], c["cycles"]) for c in comps])
+    return tuple(
+        [cobordism.ComponentData(c["genus"], c["cin"], c["cout"], c["cycles"]) for c in comps]
+    )
 
 
-def random_octype(
-    rng: random.Random,
-    max_components: int = 2,
-    max_genus: int = 2,
-    max_closed: int = 2,
-    max_open: int = 3,
-) -> OCType:
-    """A structurally valid random type.
+def random_octype(rng: random.Random) -> OCType:
+    """A structurally valid random type: 1 or 2 components of genus at most
+    2, at most 2 closed circles and at most 3 intervals each way.
 
     Signature labels are read off the generated cycles, so the D-brane
     conditions hold by construction.
     """
-    max_components = integer(max_components, "max_components", 1)
-    max_genus = integer(max_genus, "max_genus", 0)
-    max_closed = integer(max_closed, "max_closed", 0)
-    max_open = integer(max_open, "max_open", 0)
-    n_comp = rng.randint(1, max_components)
+    n_comp = rng.randint(1, 2)
     comps: list[dict] = [
-        {"genus": rng.randint(0, max_genus), "cin": set(), "cout": set(), "cycles": []}
+        {"genus": rng.randint(0, 2), "cin": set(), "cout": set(), "cycles": []}
         for _ in range(n_comp)
     ]
-    n_cin = rng.randint(0, max_closed)
-    n_cout = rng.randint(0, max_closed)
+    n_cin = rng.randint(0, 2)
+    n_cout = rng.randint(0, 2)
     for i in range(n_cin):
         rng.choice(comps)["cin"].add(i)
     for i in range(n_cout):
         rng.choice(comps)["cout"].add(i)
 
-    n_in = rng.randint(0, max_open)
-    n_out = rng.randint(0, max_open)
+    n_in = rng.randint(0, 3)
+    n_out = rng.randint(0, 3)
     pending = [("in", i) for i in range(n_in)] + [("out", i) for i in range(n_out)]
     rng.shuffle(pending)
     while pending:
@@ -156,13 +150,14 @@ def random_octype(
         # the arc after each entry; the last one closes the cycle on the first
         first = rng.choice(_LABELS)
         arcs = [rng.choice(_LABELS) for _ in batch[1:]] + [first]
-        comp["cycles"].append(BoundaryCycle(tuple(CycleEntry(*e) for e in batch), tuple(arcs)))
+        entries = tuple(cobordism.CycleEntry(*e) for e in batch)
+        comp["cycles"].append(cobordism.BoundaryCycle(entries, tuple(arcs)))
     for comp in comps:
         for _ in range(rng.randint(0, 1)):
-            comp["cycles"].append(free_circle(rng.choice(_LABELS)))
+            comp["cycles"].append(cobordism.free_circle(rng.choice(_LABELS)))
 
     frozen = _freeze(comps)
-    return OCType(frozen, *cycle_signatures(frozen, n_cin, n_cout))
+    return cobordism.OCType(frozen, *cobordism.cycle_signatures(frozen, n_cin, n_cout))
 
 
 def random_successor(rng: random.Random, first: OCType) -> OCType:
@@ -192,9 +187,11 @@ def random_successor(rng: random.Random, first: OCType) -> OCType:
         # target-label, interval, source-label.  A fresh outgoing interval
         # bridges each consecutive pair.
         for pos, idx in enumerate(batch):
-            entries += [CycleEntry("in", idx), CycleEntry("out", next(fresh_out))]
+            entries += [
+                cobordism.CycleEntry("in", idx), cobordism.CycleEntry("out", next(fresh_out))
+            ]
             arcs += [sig.source_labels[idx], sig.target_labels[batch[(pos + 1) % len(batch)]]]
-        rng.choice(comps)["cycles"].append(BoundaryCycle(tuple(entries), tuple(arcs)))
+        rng.choice(comps)["cycles"].append(cobordism.BoundaryCycle(tuple(entries), tuple(arcs)))
 
     n_cout = rng.randint(0, 2)
     for i in range(n_cout):
@@ -202,11 +199,11 @@ def random_successor(rng: random.Random, first: OCType) -> OCType:
     # A spare purely outgoing cycle now and then.
     if rng.random() < 0.5:
         lab = rng.choice(_LABELS)
-        e = CycleEntry("out", next(fresh_out))
-        rng.choice(comps)["cycles"].append(BoundaryCycle((e,), (lab,)))
+        e = cobordism.CycleEntry("out", next(fresh_out))
+        rng.choice(comps)["cycles"].append(cobordism.BoundaryCycle((e,), (lab,)))
 
     frozen = _freeze(comps)
-    return OCType(frozen, *cycle_signatures(frozen, sig.closed_count, n_cout))
+    return cobordism.OCType(frozen, *cobordism.cycle_signatures(frozen, sig.closed_count, n_cout))
 
 
 def random_composable_pair(seed: int) -> tuple[OCType, OCType]:
@@ -232,15 +229,16 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
         raise DomainError(f"labels must be distinct, got {','.join(labels)}")
     cycles: list[tuple[BoundaryCycle, ...]] = [()]
     for l in labels:
-        cycles.append((free_circle(l),))
+        cycles.append((cobordism.free_circle(l),))
     for d in ("in", "out"):
         for l in labels:
-            cycles.append((BoundaryCycle((CycleEntry(d, 0),), (l,)),))
+            cycles.append((cobordism.BoundaryCycle((cobordism.CycleEntry(d, 0),), (l,)),))
     seen = set()
     for d1, d2 in (("in", "in"), ("out", "out"), ("in", "out")):
         for l1 in labels:
             for l2 in labels:
-                c = BoundaryCycle((CycleEntry(d1, 0), CycleEntry(d2, int(d1 == d2))), (l1, l2))
+                entries = (cobordism.CycleEntry(d1, 0), cobordism.CycleEntry(d2, int(d1 == d2)))
+                c = cobordism.BoundaryCycle(entries, (l1, l2))
                 if c.canonical() not in seen:
                     seen.add(c.canonical())
                     cycles.append((c,))
@@ -248,8 +246,11 @@ def enumerate_small_types(labels: Sequence[Label] = ("a", "b")) -> list[OCType]:
     out: list[OCType] = []
     for genus, n_cin, n_cout in itertools.product((0, 1), repeat=3):
         for cyc in cycles:
-            comp = ComponentData(genus, frozenset(range(n_cin)), frozenset(range(n_cout)), cyc)
-            out.append(OCType((comp,), *cycle_signatures((comp,), n_cin, n_cout)))
+            comp = cobordism.ComponentData(
+                genus, frozenset(range(n_cin)), frozenset(range(n_cout)), cyc
+            )
+            sigs = cobordism.cycle_signatures((comp,), n_cin, n_cout)
+            out.append(cobordism.OCType((comp,), *sigs))
     return out
 
 

@@ -10,7 +10,6 @@ from segal.beltrami import (
     ACSMatrix,
     DilatationField,
     LinearMapZZbar,
-    SampledChartMap,
     abs_mu_from_K,
     acs_from_frame,
     acs_from_mu,
@@ -298,9 +297,8 @@ def test_field_grid_mismatch():
 
 
 def test_field_json_roundtrip():
-    f = DilatationField.from_function(
-        lambda z: 0.4 * z / (1 + abs(z)), -1, 2, 0, 1, 5, 3
-    )
+    z = np.linspace(-0.7, 1.7, 5) + 1j * np.linspace(1 / 6, 5 / 6, 3)[:, None]
+    f = DilatationField(-1, 2, 0, 1, 0.4 * z / (1 + abs(z)))
     d = f.to_json()
     assert d["schema"] == "segal.field/1"
     g = DilatationField.from_json(json.loads(json.dumps(d)))
@@ -347,6 +345,38 @@ def test_sew_along_x_and_y():
         sew_sections(a, DilatationField.constant(0.2, 1, 2, 0, 1, 4, 5), "x")
     with pytest.raises(GridMismatch):
         sew_sections(a, DilatationField.constant(0.2, 1, 3, 0, 1, 4, 4), "x")
+
+
+def test_sew_along_y_stacks_rows():
+    below = DilatationField(0, 1, 0, 1, np.array([[0.1, 0.2], [0.3, 0.4]]))
+    above = DilatationField(0, 1, 1, 2, np.array([[0.5, 0.6], [0.7, 0.8]]))
+    s = sew_sections(below, above, "y")
+    assert (s.nx, s.ny, s.dy) == (2, 4, below.dy)
+    assert np.array_equal(s.values, np.vstack([below.values, above.values]))
+    assert s.value_at(0.75, 1.25) == 0.6
+
+
+# a field that does not continue a 4x4 field on the unit square upwards
+NOT_ABOVE = {
+    "gap": (DilatationField.constant(0.2, 0, 1, 1.5, 2.5, 4, 4), "do not meet along y"),
+    "columns": (DilatationField.constant(0.2, 0, 1, 1, 2, 5, 4), "column counts differ"),
+    "x-range": (DilatationField.constant(0.2, 0, 2, 1, 2, 4, 4), "x-ranges"),
+    "cell-height": (DilatationField.constant(0.2, 0, 1, 1, 3, 4, 4), "cell heights differ"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_ABOVE)
+def test_sew_along_y_rejects_a_field_that_does_not_continue_the_grid(case):
+    above, message = NOT_ABOVE[case]
+    below = DilatationField.constant(0.1, 0, 1, 0, 1, 4, 4)
+    with pytest.raises(GridMismatch, match=message):
+        sew_sections(below, above, "y")
+
+
+def test_sew_rejects_an_unknown_seam():
+    a = DilatationField.constant(0.1, 0, 1, 0, 1, 4, 4)
+    with pytest.raises(GridMismatch, match="seam must be 'x' or 'y', not 'z'"):
+        sew_sections(a, a, "z")
 
 
 def random_field(rng, x0, x1, y0, y1, nx, ny):
@@ -422,39 +452,7 @@ def test_scalar_and_field_pullbacks_reject_phases_alike(u):
 
 
 # ---------------------------------------------------------------------------
-# sampled chart maps
-
-
-def test_chart_map_stretch_mu():
-    chart = SampledChartMap.from_callable(
-        lambda z: complex(2 * z.real, z.imag), -1, 1, 0.5, 1.5, 6, 6
-    )
-    mu = chart.mu_field()
-    assert np.abs(mu.values - (1 / 3)).max() <= 1e-8
-    assert np.abs(np.abs(chart.u_grid()) - 1).max() <= 1e-12
-
-
-def test_chart_map_rejects_folds():
-    with pytest.raises(NotOrientationPreserving):
-        SampledChartMap.from_callable(lambda z: z.conjugate(), 0, 1, 0, 1, 3, 3)
-
-
-def test_chart_map_analytic_derivatives():
-    chart = SampledChartMap.from_callable(
-        lambda z: z + 0.2 * z.conjugate() ** 2,
-        -0.5,
-        0.5,
-        -0.5,
-        0.5,
-        4,
-        4,
-        derivatives=lambda z: (1.0, 0.4 * z.conjugate()),
-    )
-    fd = SampledChartMap.from_callable(
-        lambda z: z + 0.2 * z.conjugate() ** 2, -0.5, 0.5, -0.5, 0.5, 4, 4
-    )
-    assert np.abs(chart.fz - fd.fz).max() <= 1e-8
-    assert np.abs(chart.fzbar - fd.fzbar).max() <= 1e-8
+# finite-difference oracle
 
 
 def test_fd_dilatation_oracle_on_stretch():

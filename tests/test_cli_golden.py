@@ -15,7 +15,7 @@ import subprocess
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 
@@ -55,8 +55,8 @@ def _corpus(root: Path, quads: str, bad_type: Optional[str] = None) -> str:
     return str(root)
 
 
-def _field(x0: float, nx: int, mu: complex) -> dict:
-    return beltrami.DilatationField.constant(mu, x0, x0 + 1.0, 0.0, 1.0, nx, 3).to_json()
+def _field(x0: float, nx: int, mu: complex, y0: float = 0.0) -> dict:
+    return beltrami.DilatationField.constant(mu, x0, x0 + 1.0, y0, y0 + 1.0, nx, 3).to_json()
 
 
 # Files that differ from a bundled type or a field in one entry:
@@ -127,6 +127,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "field_c": _write_json(tmp / "c.json", _field(0.0, 4, 0.1 - 0.2j)),
         "field_fine": _write_json(tmp / "fine.json", _field(0.0, 5, 0.1 - 0.2j)),
         "field_far": _write_json(tmp / "far.json", _field(3.0, 4, 0.1 - 0.2j)),
+        # sits above field_a, sharing its top edge
+        "field_above": _write_json(tmp / "above.json", _field(0.0, 4, 0.1 - 0.2j, y0=1.0)),
         # inside the disc, but 1 - their pseudo-distance rounds to 0
         "field_edge": _write_json(tmp / "edge.json", _field(0.0, 2, 0.9999999989)),
         "field_edge_neg": _write_json(tmp / "edge_neg.json", _field(0.0, 2, -0.9999999989)),
@@ -194,9 +196,34 @@ def inputs(tmp_path_factory) -> dict[str, str]:
     return write_inputs(tmp_path_factory.mktemp("golden"))
 
 
+@pytest.fixture(scope="module")
+def recorded(inputs) -> Iterator[tuple[set[str], set[str]]]:
+    """The operations of ``REQUIRED_OPS`` called so far, and the ids of the
+    golden cases run so far.  Once the input files are written, every
+    operation is wrapped wherever a segal module holds it, for as long as
+    this module's tests run."""
+    called: set[str] = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for op in REQUIRED_OPS:
+            mod_name, fn_name = op.split(".")
+            original = getattr(getattr(segal, mod_name), fn_name)
+
+            def wrapper(*args, _op=op, _original=original, **kwargs):
+                called.add(_op)
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "segal" or name.startswith("segal."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            patch.setattr(module, attr, wrapper)
+        yield called, set()
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
-def test_golden(case, inputs, capsys):
+def test_golden(case, inputs, recorded, capsys):
     got = invoke(case["argv"], inputs, capsys)
+    recorded[1].add(_case_id(case))
     assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
 
 
@@ -232,27 +259,15 @@ def test_golden_ids_unique():
     assert len(ids) == len(set(ids))
 
 
-def test_every_required_operation_is_called(inputs, capsys, monkeypatch):
-    """Each operation in ``REQUIRED_OPS`` runs in some golden case.  Every one
-    is wrapped wherever a segal module holds it, and the golden cases run
-    until each wrapper has been called."""
-    called: set[str] = set()
-    for op in REQUIRED_OPS:
-        mod_name, fn_name = op.split(".")
-        original = getattr(getattr(segal, mod_name), fn_name)
-
-        def wrapper(*args, _op=op, _original=original, **kwargs):
-            called.add(_op)
-            return _original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "segal" or name.startswith("segal."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
+def test_every_required_operation_is_called(inputs, recorded, capsys):
+    """Each operation in ``REQUIRED_OPS`` runs in some golden case.  The calls
+    are recorded while ``test_golden`` runs; a case it did not run, as under
+    ``-k``, runs here until every operation has been called."""
+    called, ran = recorded
     for case in GOLDEN:
         if called == REQUIRED_OPS:
             break
-        invoke(case["argv"], inputs, capsys)
+        if _case_id(case) not in ran:
+            invoke(case["argv"], inputs, capsys)
     never = sorted(REQUIRED_OPS - called)
     assert not never, f"required operations no golden case calls: {never}"

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import re
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -296,16 +298,10 @@ def test_json_roundtrip_random(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 4),
-    st.integers(0, 3),
-    st.integers(0, 4),
-    st.integers(0, 6),
-)
-def test_json_roundtrip_beyond_acceptance_cap(seed, components, genus, closed, open_):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_json_roundtrip_beyond_acceptance_cap(seed, draws):
     rng = random.Random(seed)
-    t1 = corpus.random_octype(rng, components, genus, closed, open_)
+    t1 = reduce(disjoint_union, [corpus.random_octype(rng) for _ in range(draws)])
     t2 = corpus.random_successor(rng, t1)
     t3 = corpus.random_successor(rng, t2)
     for t in (t1, t2, t3, compose_types(t1, t2), compose_types(t2, t3)):
@@ -313,6 +309,42 @@ def test_json_roundtrip_beyond_acceptance_cap(seed, components, genus, closed, o
         back = octype_from_json(doc)
         assert back == t
         assert octype_to_json(back) == doc
+
+
+@cache
+def _octype_draws():
+    """random_octype's first 2000 draws from one seeded stream."""
+    rng = random.Random(7)
+    return [corpus.random_octype(rng) for _ in range(2000)]
+
+
+# quantity -> (its value on a type, the least and the most random_octype draws)
+OCTYPE_BOUNDS = {
+    "components": (lambda t: len(t.components), 1, 2),
+    "genus": (lambda t: max(c.genus for c in t.components), 0, 2),
+    "closed-in": (lambda t: t.in_signature.closed_count, 0, 2),
+    "closed-out": (lambda t: t.out_signature.closed_count, 0, 2),
+    "intervals-in": (lambda t: t.in_signature.open_count, 0, 3),
+    "intervals-out": (lambda t: t.out_signature.open_count, 0, 3),
+}
+
+
+@pytest.mark.parametrize("quantity", OCTYPE_BOUNDS)
+def test_random_octype_draws_reach_its_bounds_and_no_further(quantity):
+    of, least, most = OCTYPE_BOUNDS[quantity]
+    values = [of(t) for t in _octype_draws()]
+    assert (min(values), max(values)) == (least, most)
+
+
+def test_random_octype_draws_valid_types_from_a_fixed_stream():
+    """The draws are valid, and a seed gives the same 500 types as it did
+    when the bounds were keyword options with these defaults."""
+    types = _octype_draws()[:500]
+    assert all(validate_type(t).ok for t in types)
+    docs = json.dumps([octype_to_json(t) for t in types], sort_keys=True)
+    assert hashlib.sha256(docs.encode()).hexdigest() == (
+        "9b79da3cc3566fc871614d944c764132d4bce02cc412a365e399d03fb77884b8"
+    )
 
 
 def test_enumerate_small_types_needs_distinct_labels():

@@ -9,6 +9,7 @@ Conformal modules and the pointwise commands (``belt acs``, ``belt distance
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ PUBLIC = [
     "ComponentData", "CriterionResult", "CycleEntry", "DEFAULT_RECT_ASPECTS",
     "DilatationField", "FlattenedChart", "FormalSimplex", "INFINITE", "LinearMapZZbar",
     "OCType", "ObjectSignature", "OrderPair", "ProductSimplex", "QuadrilateralSpec",
-    "SampledChartMap", "SampledIncreasingFunction", "StructureField", "abs_mu_from_K",
+    "SampledIncreasingFunction", "StructureField", "abs_mu_from_K",
     "acs_from_frame", "acs_from_mu", "base_structure_field", "boundary", "bump",
     "check_associativity", "check_chain_map", "check_geometric_qc", "check_identities",
     "check_symmetry",
@@ -81,15 +82,53 @@ def test_building_the_parser_runs_no_library_module():
 
 
 def test_module_quadrature_loads_neither_numpy_nor_scipy():
+    """The AGM oracle runs no other ``segal`` module: ``cobordism`` stays unrun."""
     out = run_python(
-        "import sys, segal; from segal import _oracles; "
-        "v = segal.module_sc(2.0); "
+        "import importlib.util, sys, segal; from segal import _oracles; "
+        "err = abs(segal.module_sc(2.0) - _oracles.module_agm(2.0)); "
         "print('numpy' in sys.modules, 'scipy' in sys.modules, "
-        "abs(v - _oracles.module_agm(2.0)))"
+        "isinstance(sys.modules['segal.cobordism'], importlib.util._LazyModule), err)"
     )
-    numpy_loaded, scipy_loaded, err = out.split()
-    assert (numpy_loaded, scipy_loaded) == ("False", "False")
+    numpy_loaded, scipy_loaded, cobordism_lazy, err = out.split()
+    assert (numpy_loaded, scipy_loaded, cobordism_lazy) == ("False", "False", "True")
     assert float(err) <= 1e-8
+
+
+# A Ctrl-C raised while a module's code first runs, as
+# (module, a command that runs it first through another module).
+INTERRUPTED_LOADS = [
+    ("segal.cobordism", ["types", "random", "--seed", "1"]),
+    ("segal.corpus", ["module", "check-qc", "--generate"]),
+    ("segal.cobordism", ["accept", "--only", "6"]),
+    ("segal._oracles", ["accept", "--only", "6"]),
+]
+
+
+@pytest.mark.parametrize(
+    "module, argv", INTERRUPTED_LOADS, ids=[f"{m}-{a[0]}" for m, a in INTERRUPTED_LOADS]
+)
+def test_ctrl_c_while_a_module_first_runs_exits_130(module, argv):
+    """A module reads a sibling's names through the module object, so an
+    interrupt raised while the sibling first runs reaches ``main`` as it is;
+    inside a ``from .sibling import name`` statement it was lost, and the
+    statement failed with an ``ImportError``."""
+    code = textwrap.dedent(
+        f"""
+        import sys, segal, segal.cli
+        loader = object.__getattribute__(sys.modules[{module!r}], "__spec__").loader
+        real = loader.exec_module
+
+        def interrupt(module):
+            loader.exec_module = real
+            raise KeyboardInterrupt
+
+        loader.exec_module = interrupt
+        sys.exit(segal.cli.main({argv!r}))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (130, "interrupted\n")
 
 
 def test_chart_flattening_never_loads_scipy():

@@ -26,9 +26,8 @@ TYPE_DOCS = [
     cobordism.octype_to_json(t)
     for t in (corpus.cylinder(), corpus.pants_split(), corpus.strip(), corpus.disc_out())
 ]
-FIELD_DOC = DilatationField.from_function(
-    lambda z: 0.3 * z / (1 + abs(z)), -1.0, 1.0, 0.0, 1.0, 3, 2
-).to_json()
+_Z = np.linspace(-2 / 3, 2 / 3, 3) + 1j * np.array([[0.25], [0.75]])
+FIELD_DOC = DilatationField(-1.0, 1.0, 0.0, 1.0, 0.3 * _Z / (1 + abs(_Z))).to_json()
 
 # Small integers only: a signature count is also a loop bound in validation.
 JSON_VALUES = st.recursive(

@@ -9,6 +9,7 @@ from segal._oracles import module_agm
 from segal.errors import DegenerateQuad, DomainError
 from segal.modulus import (
     QuadrilateralSpec,
+    _adaptive_kronrod,
     check_geometric_qc,
     cross_ratio,
     module_of_quad,
@@ -127,6 +128,22 @@ def test_module_matches_agm_oracle(x):
 def test_module_matches_agm_oracle_at_the_edge(x):
     """Both routes keep full precision within 1e-8 of the edge |u| = 1."""
     assert abs(module_sc(x) - module_agm(x)) <= 1e-14
+
+
+def test_quadrature_bisects_a_narrow_peak():
+    """A peak of width 1e-3 makes the scheme bisect, which no module
+    position does: the first rule call and 13 bisections of two calls each
+    reach the closed-form integral."""
+    eps, calls = 1e-3, []
+
+    def peak(us):
+        calls.append(len(us))
+        return [1.0 / (eps * eps + (u - 0.3) ** 2) for u in us]
+
+    value, _err = _adaptive_kronrod(peak, [0.0, 1.0])
+    exact = (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps
+    assert len(calls) == 27
+    assert value == pytest.approx(exact, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

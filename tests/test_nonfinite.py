@@ -19,18 +19,14 @@ from segal.errors import SegalError
 NAN, INF = math.nan, math.inf
 
 
-def _chart(x0=0.0, x1=1.0, image=0.5, fz=1.0):
-    """A constant 2x2 sampled chart map with one argument replaced."""
-    image, fz, fzbar = (np.full((2, 2), complex(v)) for v in (image, fz, 0.0))
-    return beltrami.SampledChartMap(x0, x1, 0.0, 1.0, image, fz, fzbar)
-
-
 def _flatten(**strip):
     """flatten_step of the identity glue's base field on the given strip."""
     field = flattening.base_structure_field(flattening.glue_identity())
     return flattening.flatten_step(field, **strip)
 
 
+# a 2x1 field document
+_FIELD_DOC = beltrami.DilatationField(0, 1, 0, 1, np.array([[0.1, 0.2]])).to_json()
 _GLUE = flattening.glue_sine(0.1)
 _BASE = flattening.base_structure_field(_GLUE)
 _TRANSPORTED = flattening.next_structure_field(_BASE)
@@ -100,11 +96,6 @@ CASES = {
     "transform-field-fz-inf": lambda: beltrami.transform_field(
         beltrami.DilatationField.constant(0.1, 0, 1, 0, 1, 2, 2), 0.2, complex(INF, 0.0), 0.0
     ),
-    "chart-image-nan": lambda: _chart(image=NAN),
-    "chart-fz-nan": lambda: _chart(fz=NAN),
-    "chart-fz-inf": lambda: _chart(fz=INF),
-    "chart-rect-nan": lambda: _chart(x1=NAN),
-    "chart-rect-reversed": lambda: _chart(x0=1.0, x1=0.0),
     "pullback-u-nan": lambda: beltrami.pullback_mu(0.1, 0.0, complex(NAN, 0.0)),
     "corner-point-nan": lambda: quasisym.corner_transform(quasisym.half_angle_piecewise())(NAN),
     "circle-point-inf": lambda: quasisym.circle_identity()(complex(INF, 0.0)),
@@ -122,23 +113,26 @@ CASES = {
     "qc-K-nan": lambda: modulus.check_geometric_qc(NAN, []),
     "qc-K-inf": lambda: modulus.check_geometric_qc(INF, []),
     "qc-slack-nan": lambda: modulus.check_geometric_qc(2.0, [], slack=NAN),
-    # grids with no cells
-    "chart-empty-grid": lambda: beltrami.SampledChartMap(0, 1, 0, 1, *(np.zeros((0, 2)),) * 3),
-    "chart-callable-no-columns": lambda: beltrami.SampledChartMap.from_callable(
-        lambda z: z, 0, 1, 0, 1, 0, 2
+    "field-value-nan-inside": lambda: beltrami.DilatationField(
+        0, 1, 0, 1, np.array([[0.1, 0.2], [0.3, complex(0.0, NAN)]])
     ),
-    "field-function-no-columns": lambda: beltrami.DilatationField.from_function(
-        lambda z: 0j, 0, 1, 0, 1, 0, 2
+    "field-rect-reversed": lambda: beltrami.DilatationField(1, 0, 0, 1, np.zeros((2, 2))),
+    "field-rect-flat": lambda: beltrami.DilatationField(0, 1, 1, 1, np.zeros((2, 2))),
+    "field-constant-value-nan": lambda: beltrami.DilatationField.constant(NAN, 0, 1, 0, 1, 2, 2),
+    "field-constant-rect-inf": lambda: beltrami.DilatationField.constant(0.1, 0, INF, 0, 1, 2, 2),
+    "field-json-sample-nan": lambda: beltrami.DilatationField.from_json(
+        {**_FIELD_DOC, "values": [[0.1, 0.0], [NAN, 0.0]]}
     ),
-    # grid counts that are not integers
-    "field-function-fractional-columns": lambda: beltrami.DilatationField.from_function(
-        lambda z: 0j, 0, 1, 0, 1, 2.5, 2
+    "field-json-rect-inf": lambda: beltrami.DilatationField.from_json({**_FIELD_DOC, "y1": INF}),
+    # a grid with no cells, and a cell count that is not an integer
+    "field-empty-grid": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((0, 2))),
+    "field-no-columns": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((2, 0))),
+    "field-one-dimensional": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros(2)),
+    "field-constant-no-columns": lambda: beltrami.DilatationField.constant(
+        0.1, 0, 1, 0, 1, 0, 2
     ),
     "field-constant-fractional-columns": lambda: beltrami.DilatationField.constant(
         0.1, 0, 1, 0, 1, 2.5, 2
-    ),
-    "chart-callable-fractional-columns": lambda: beltrami.SampledChartMap.from_callable(
-        lambda z: z, 0, 1, 0, 1, 2.5, 2
     ),
     # chain coefficients that are not rational numbers
     "chain-coefficient-nan": lambda: chains.Chain.of(chains.generator("a", 1), NAN),
@@ -179,6 +173,15 @@ MESSAGES = {
     "flatten-height-subnormal": "out of double-precision scale",
     "flatten-height-tiny": "out of double-precision scale",
     "flatten-height-huge": "too large to resolve",
+    "field-value-nan-inside": "samples are not finite",
+    "field-rect-reversed": "rectangle is empty or not finite",
+    "field-rect-flat": "rectangle is empty or not finite",
+    "field-json-sample-nan": "samples are not finite",
+    "field-json-rect-inf": "rectangle is empty or not finite",
+    "field-empty-grid": "values must be a non-empty 2-d array",
+    "field-no-columns": "values must be a non-empty 2-d array",
+    "field-one-dimensional": "values must be a non-empty 2-d array",
+    "field-constant-no-columns": "nx must be at least 1",
 }
 
 
@@ -204,12 +207,6 @@ def _constant(value):
     return beltrami.DilatationField.constant(value, 0.0, 1.0, 0.0, 1.0, 2, 2)
 
 
-def _chart_map(x0, x1, image, fz, fzbar):
-    """A 2x2 sampled chart map with constant image and derivatives."""
-    image, fz, fzbar = (np.full((2, 2), complex(v)) for v in (image, fz, fzbar))
-    return beltrami.SampledChartMap(x0, x1, 0.0, 1.0, image, fz, fzbar)
-
-
 def _identity(x):
     return x
 
@@ -229,16 +226,26 @@ NUMERIC = {
     "acs_from_frame": (beltrami.acs_from_frame, "ff"),
     "acs_from_mu": (beltrami.acs_from_mu, "c"),
     "DilatationField.constant": (beltrami.DilatationField.constant, "cffffii"),
-    "DilatationField.from_function": (
-        lambda *box: beltrami.DilatationField.from_function(lambda z: 0.1j, *box), "ffffii"
+    "DilatationField": (
+        lambda value, *box: beltrami.DilatationField(*box, np.full((2, 2), value)), "cffff"
+    ),
+    "DilatationField.from_json": (
+        lambda re, im, *box: beltrami.DilatationField.from_json(
+            {**_FIELD_DOC, **dict(zip(("x0", "x1", "y0", "y1"), box)), "values": [[re, im]] * 2}
+        ),
+        "fffff",
     ),
     "DilatationField.value_at": (_constant(0.1).value_at, "ff"),
     "transform_field": (lambda *chart: beltrami.transform_field(_constant(0.1), *chart), "ccc"),
     "pullback_field": (lambda *chart: beltrami.pullback_field(_constant(0.1), *chart), "cc"),
     "field_distance": (lambda a, b: beltrami.field_distance(_constant(a), _constant(b)), "cc"),
-    "SampledChartMap": (_chart_map, "ffccc"),
-    "SampledChartMap.from_callable": (
-        lambda *box: beltrami.SampledChartMap.from_callable(_identity, *box), "ffffii"
+    "sew_sections": (
+        lambda x0, x1, x2: beltrami.sew_sections(
+            beltrami.DilatationField.constant(0.1, x0, x1, 0.0, 1.0, 2, 2),
+            beltrami.DilatationField.constant(0.2, x1, x2, 0.0, 1.0, 2, 2),
+            "x",
+        ),
+        "fff",
     ),
     "QuadrilateralSpec": (modulus.QuadrilateralSpec, "ffff"),
     "QuadrilateralSpec.scaled": (modulus.QuadrilateralSpec(-1.0, 0.0, 1.0, 3.0).scaled, "f"),
