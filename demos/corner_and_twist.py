@@ -25,8 +25,7 @@ from segal import (
 def main():
     for name, phi in (("piecewise", half_angle_piecewise()),
                       ("smooth", half_angle_smooth())):
-        lo, hi = phi.derivative_range()
-        k = corner_dilatation(phi)
+        lo, hi, k = phi.deriv_min, phi.deriv_max, corner_dilatation(phi)
         print(f"{name} profile: derivative in [{lo:.3f}, {hi:.3f}], K = {k}")
     print()
 

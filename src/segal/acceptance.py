@@ -287,8 +287,7 @@ def criterion_7_geometric_qc(data: AcceptanceCorpus) -> Outcome:
 def criterion_8_corner(data: AcceptanceCorpus) -> Outcome:
     phi = quasisym.half_angle_piecewise()
     k = quasisym.corner_dilatation(phi)
-    lo, hi = phi.derivative_range()
-    printed = max(0.5 * hi, 2.0 / lo)
+    printed = max(0.5 * phi.deriv_max, 2.0 / phi.deriv_min)
     sigma = quasisym.corner_transform(phi)
     worst_fd = 0.0
     for j in range(256):

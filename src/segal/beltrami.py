@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 from . import _FirstUseNumpy
 from ._input import abs_or_inf, integer, json_list, json_number
@@ -207,12 +207,6 @@ class ACSMatrix:
             raise InvalidACS(f"J*J differs from -I by {err * s * s:.3g}")
         if self.j21 - self.j12 <= 0.0:
             raise InvalidACS("J is negatively oriented")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.j11, self.j12], [self.j21, self.j22]])
-
-    def apply(self, v: Sequence[float]) -> tuple[float, float]:
-        return (self.j11 * v[0] + self.j12 * v[1], self.j21 * v[0] + self.j22 * v[1])
 
 
 def acs_from_frame(A: float, B: float) -> ACSMatrix:

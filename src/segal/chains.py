@@ -3,8 +3,7 @@
 Spaces are formal: a generator stands for a map of a standard simplex into
 some space, and products are formal pairs.  What is verified is the
 simplicial combinatorics: face bookkeeping, signs, the chain-map identity
-and associativity.  No floats anywhere in this module: a coefficient is an
-``int`` while it is integral and a ``Fraction`` otherwise.
+and associativity.  Coefficients are integers, as for chains over Z.
 """
 
 from __future__ import annotations
@@ -13,11 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Union
 
 from ._input import integer
-from .errors import DomainError, InternalInconsistency
+from .errors import InternalInconsistency
 
 # ---------------------------------------------------------------------------
 # simplices
@@ -160,23 +158,12 @@ class ProductSimplex:
 # chains
 
 
-def _exact(c) -> Union[int, Fraction]:
-    """``c`` as an exact coefficient: an ``int`` while integral, else a ``Fraction``."""
-    if type(c) is int:
-        return c
-    try:
-        c = Fraction(c)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"chain coefficient must be a finite rational number, not {c!r}") from None
-    return int(c) if c.denominator == 1 else c
-
-
 class Chain:
-    """Finite formal sum of simplices with exact rational coefficients.
+    """Finite formal sum of simplices with integer coefficients.
 
     Built from a dict or from (simplex, coefficient) pairs; coefficients of
-    a repeated simplex are summed and zero terms dropped.  A coefficient is
-    kept as an ``int`` while it is integral and as a ``Fraction`` otherwise.
+    a repeated simplex are summed and zero terms dropped.  A numpy integer
+    coefficient is kept as an ``int``.
     """
 
     __slots__ = ("terms",)
@@ -187,10 +174,10 @@ class Chain:
         merged: dict = {}
         for s, c in terms or ():
             if type(c) is not int:
-                c = _exact(c)
+                c = integer(c, "chain coefficient")
             if c:
                 merged[s] = merged.get(s, 0) + c
-        self.terms = {s: c if type(c) is int else _exact(c) for s, c in merged.items() if c}
+        self.terms = {s: c for s, c in merged.items() if c}
 
     @classmethod
     def of(cls, s: Simplex, coeff=1) -> "Chain":
@@ -203,7 +190,7 @@ class Chain:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Chain":
-        k = _exact(scalar)
+        k = integer(scalar, "chain scalar")
         return Chain((s, k * c) for s, c in self.terms.items())
 
     def __neg__(self) -> "Chain":
@@ -221,7 +208,7 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Simplex, Union[int, Fraction]]]:
+    def sorted_terms(self) -> list[tuple[Simplex, int]]:
         return sorted(self.terms.items(), key=lambda item: item[0].key())
 
     def __repr__(self):

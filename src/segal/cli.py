@@ -168,6 +168,14 @@ def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
         raise DomainError(f"glue map {kind!r}: {e}")
 
 
+def only_one(given: dict[str, bool]) -> None:
+    """Reject an invocation that gives more than one of these inputs, as a
+    command reads only one of them."""
+    if sum(given.values()) > 1:
+        *rest, last = given
+        raise DomainError(f"give only one of {', '.join(rest)}{',' * (len(rest) > 1)} or {last}")
+
+
 # ---------------------------------------------------------------------------
 # output
 
@@ -373,6 +381,7 @@ def run_types_enumerate(args) -> Report:
     arg("--mu", type=parse_complex, nargs=2, metavar=("MU1", "MU2"), help="two scalar values"),
 )
 def run_belt_distance(args) -> Report:
+    only_one({"field files": args.first is not None, "--mu": args.mu is not None})
     if args.mu:
         d = beltrami.teichmuller_distance(*args.mu)
         ks = [beltrami.dilatation_K(mu) for mu in args.mu]
@@ -397,6 +406,7 @@ def run_belt_distance(args) -> Report:
     arg("-o", "--output", help="write the resulting field JSON here"),
 )
 def run_belt_transform(args) -> Report:
+    only_one({"a field file": args.field is not None, "--value": args.value is not None})
     chart = (args.mu_f, args.fz, args.mu_f * args.fz if args.fzbar is None else args.fzbar)
     if args.value is not None:
         out = beltrami.transform_mu(args.value, *chart)
@@ -416,6 +426,7 @@ def run_belt_transform(args) -> Report:
     arg("-o", "--output", help="write the resulting field JSON here"),
 )
 def run_belt_pullback(args) -> Report:
+    only_one({"a field file": args.field is not None, "--value": args.value is not None})
     if args.value is not None:
         out = beltrami.pullback_mu(args.value, args.mu_g, args.u)
         return Report({"value": out}, "segal.report.pullback/1")
@@ -446,6 +457,7 @@ def run_belt_sew(args) -> Report:
         help="z and conj(z) coefficients"),
 )
 def run_belt_acs(args) -> Report:
+    only_one({f"--{k}": getattr(args, k) is not None for k in ("mu", "frame", "K", "linear")})
     if args.mu is not None:
         j = beltrami.acs_from_mu(args.mu)
         payload = {
@@ -472,14 +484,19 @@ def run_belt_acs(args) -> Report:
 
 @command(
     "qs", "bound", "quasisymmetry constant of an increasing function",
-    arg("--fn", default="identity", help="identity, slope:K, or exp:T"),
+    arg("--fn", help="identity, slope:K, or exp:T; default identity"),
     arg("--file", help="CSV file of x,y samples"),
-    arg("--n", type=real("sample count", int), default=256,
-        help="sample count for built-in functions"),
+    arg("--n", type=real("sample count", int),
+        help="sample count for built-in functions; default 256"),
     arg("--inverted", action="store_true", help="bound the inverse instead"),
 )
 def run_qs_bound(args) -> Report:
-    h = load_sampled_csv(args.file) if args.file else parse_sampled(args.fn, args.n)
+    only_one({"--file": args.file is not None, "--fn/--n": (args.fn, args.n) != (None, None)})
+    if args.file is not None:
+        h = load_sampled_csv(args.file)
+    else:
+        n = 256 if args.n is None else args.n
+        h = parse_sampled("identity" if args.fn is None else args.fn, n)
     if args.inverted:
         h = h.inverted()
     return Report({"bound": quasisym.qs_bound(h), "samples": len(h.xs)}, "segal.report.qsbound/1")
@@ -494,7 +511,7 @@ def run_qs_bound(args) -> Report:
 )
 def run_qs_corner(args) -> Report:
     k = quasisym.corner_dilatation(args.profile)
-    lo, hi = args.profile.derivative_range()
+    lo, hi = args.profile.deriv_min, args.profile.deriv_max
     sigma = quasisym.corner_transform(args.profile)
     rim = [complex(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8)) for j in range(8)]
     images = [sigma(z) for z in rim]
@@ -537,8 +554,9 @@ def run_qs_twist(args) -> Report:
         help="rectangle side lengths"),
 )
 def run_module_compute(args) -> Report:
-    if bool(args.positions) + bool(args.quad) + bool(args.rect) > 1:
-        raise DomainError("give only one of positions, --quad, or --rect")
+    only_one(
+        {"positions": bool(args.positions), "--quad": bool(args.quad), "--rect": bool(args.rect)}
+    )
     if args.quad:
         q = modulus.QuadrilateralSpec(*args.quad)
         x = modulus.normalize_quad(q)
@@ -570,13 +588,17 @@ def run_module_compute(args) -> Report:
     arg("--K", type=real("distortion factor"), default=2.0, help="horizontal stretch factor"),
     arg("--corpus", help="directory holding quads.json"),
     arg("--generate", action="store_true", help="generate quads instead of loading"),
-    arg("--seed", type=real("seed", int), default=0),
-    arg("--count", type=real("quad count", int), default=50),
+    arg("--seed", type=real("seed", int), help="seed for --generate; default 0"),
+    arg("--count", type=real("quad count", int), help="quad count for --generate; default 50"),
     arg("--slack", type=real("slack"), default=1e-6),
 )
 def run_module_check_qc(args) -> Report:
+    only_one({"--corpus": args.corpus is not None, "--generate": args.generate})
+    if not args.generate and (args.seed is not None or args.count is not None):
+        raise DomainError("give --seed and --count only with --generate")
     if args.generate:
-        quads = corpus.generate_quads(args.seed, args.count)
+        count = 50 if args.count is None else args.count
+        quads = corpus.generate_quads(args.seed or 0, count)
     else:
         quads = acceptance.load_corpus(args.corpus).quads
     specs = [modulus.QuadrilateralSpec(*q) for q in quads]
@@ -624,6 +646,7 @@ def run_chains_product(args) -> Report:
         raise DomainError("degrees must be non-negative")
     if args.i + args.j > 8:
         raise DomainError("total degree above 8 is too large to print")
+    only_one({"--boundary": args.boundary, "--swapped": args.swapped})
     # one label names both generators
     la, lb = (args.labels * 2)[:2]
     shown = chainalg.shuffle_product(
@@ -699,14 +722,17 @@ def run_appb_orders(args) -> Report:
     arg("--glue", default="sine:0.1", help="identity, linear:K, or sine:A"),
     arg("--k", type=real("field level", int), default=1, help="deepest field level to fit"),
     arg("--chart", action="store_true", help="also flatten one field and certify it"),
-    arg("--depth", type=real("recursion depth", int), default=0,
-        help="field recursion depth for --chart"),
+    arg("--depth", type=real("recursion depth", int),
+        help="field recursion depth for --chart; default 0"),
 )
 def run_appb_flatten(args) -> Report:
     g = parse_glue(args.glue)
     if not 0 <= args.k <= 2:
         raise DomainError("--k must be between 0 and 2")
-    if not 0 <= args.depth <= 2:
+    if args.depth is not None and not args.chart:
+        raise DomainError("give --depth only with --chart")
+    depth = args.depth or 0
+    if not 0 <= depth <= 2:
         raise DomainError("--depth must be between 0 and 2")
     report = flattening.verify_orders(g, args.k)
     payload = {
@@ -729,7 +755,7 @@ def run_appb_flatten(args) -> Report:
         orders = (fit.fitted_m, fit.fitted_n, fit.predicted.m, fit.predicted.n)
         lines.append(",".join([str(fit.k), *map(_order_str, orders), fmt(fit.ok)]))
     if args.chart:
-        field = flattening.structure_field_chain(g, args.depth)[-1]
+        field = flattening.structure_field_chain(g, depth)[-1]
         chart = flattening.flatten_step(field, window=g.window, y_max=0.75 * g.y_max)
         rep = chart.report
         x_probe = 0.5 * (rep.x_valid[0] + rep.x_valid[1])
@@ -737,7 +763,7 @@ def run_appb_flatten(args) -> Report:
         payload["chart"] = {**dataclasses.asdict(rep), "tau_probe": [x_probe, tau[0], tau[1]]}
         lines += [
             "",
-            f"chart depth: {args.depth}",
+            f"chart depth: {depth}",
             f"boundary max dev: {rep.boundary_max_dev!r}",
             f"min jacobian: {rep.min_jacobian!r}",
             f"pushforward max dev: {rep.pushforward_max_dev!r}",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import _FirstUseNumpy
 from ._input import integer
@@ -472,7 +472,7 @@ def _curve_grid(
 
 
 def flatten_step(
-    field: Union[StructureField, Callable],
+    field: StructureField,
     window: tuple[float, float] = (-1.5, 1.5),
     y_max: float = 1.0,
     nx: int = 97,
@@ -492,7 +492,7 @@ def flatten_step(
     """
     nx, ny = integer(nx, "nx", 4), integer(ny, "ny", 4)
     _require_strip(window, y_max)
-    func = field.func if isinstance(field, StructureField) else field
+    func = field.func
     x_lo, x_hi = window
     xs = np.linspace(x_lo, x_hi, nx)
     ts = np.linspace(0.0, y_max, ny)

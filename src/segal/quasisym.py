@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import _FirstUseNumpy
 from ._input import abs_or_inf, integer
@@ -124,7 +124,7 @@ def sampled_exp(t_max: float = 1.0, n: int = 256) -> SampledIncreasingFunction:
 
 
 def _point_modulus(z: complex) -> float:
-    """|z| of a point a circle or corner map acts on, which must be finite."""
+    """|z| of a point the corner map acts on, which must be finite."""
     if not cmath.isfinite(z):
         raise DomainError(f"point {z!r} is not finite")
     r = abs_or_inf(z)
@@ -135,34 +135,21 @@ def _point_modulus(z: complex) -> float:
 
 @dataclass(frozen=True)
 class CircleDiffeo:
-    """Orientation-preserving circle map given by a lift and its derivative.
-
-    deriv_min/deriv_max are exact bounds when the builder knows them;
-    otherwise they are estimated from 4096 equally spaced samples.
-    """
+    """Orientation-preserving circle map given by a lift, its derivative and
+    exact bounds deriv_min <= psi' <= deriv_max."""
 
     psi: Callable[[float], float]
     dpsi: Callable[[float], float]
-    deriv_min: Optional[float] = None
-    deriv_max: Optional[float] = None
+    deriv_min: float
+    deriv_max: float
 
     def __post_init__(self):
         winding = self.psi(TWO_PI) - self.psi(0.0)
         if not abs(winding - TWO_PI) <= 1e-9:
             raise InvalidPhi(f"lift advances by {winding:.12g}, expected 2*pi")
-        lo, hi = self.derivative_range()
+        lo, hi = self.deriv_min, self.deriv_max
         if not 0.0 < lo <= hi < math.inf:
             raise InvalidPhi(f"derivative range [{lo:.6g}, {hi:.6g}] is not positive and finite")
-
-    def derivative_range(self) -> tuple[float, float]:
-        if self.deriv_min is not None and self.deriv_max is not None:
-            return self.deriv_min, self.deriv_max
-        step = TWO_PI / 4096
-        vals = [self.dpsi(j * step) for j in range(4096)]
-        # min and max skip a NaN that does not come first
-        if not all(map(math.isfinite, vals)):
-            raise InvalidPhi("derivative is not finite at every sampled angle")
-        return min(vals), max(vals)
 
     def angle(self, theta: float) -> float:
         """Lift evaluated with 2*pi-periodic extension."""
@@ -170,13 +157,6 @@ class CircleDiffeo:
             raise DomainError(f"angle {theta!r} is not finite")
         k = math.floor(theta / TWO_PI)
         return self.psi(theta - k * TWO_PI) + k * TWO_PI
-
-    def __call__(self, w: complex) -> complex:
-        r = _point_modulus(w)
-        if r == 0.0:
-            raise DomainError("circle map undefined at 0")
-        theta = cmath.phase(w) % TWO_PI
-        return cmath.exp(1j * self.angle(theta))
 
 
 def circle_identity() -> CircleDiffeo:
@@ -268,8 +248,7 @@ def corner_dilatation(phi: CircleDiffeo) -> float:
     the tangential stretch psi'(theta)/sqrt(r), so the pointwise distortion
     is max(2 psi', 1/(2 psi')), independent of r.
     """
-    lo, hi = phi.derivative_range()
-    return max(2.0 * hi, 1.0 / (2.0 * lo))
+    return max(2.0 * phi.deriv_max, 1.0 / (2.0 * phi.deriv_min))
 
 
 # ---------------------------------------------------------------------------

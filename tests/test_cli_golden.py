@@ -109,10 +109,11 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     named_circle = _bundled_type("cylinder")
     named_circle["components"][0]["closed_in"] = ["x", 0]
     (tmp / "broken.json").write_text('{"components": \n', encoding="utf-8")
-    (tmp / "h.csv").write_text(
-        "\n".join(["x,y"] + [f"{i / 8},{(i / 8) ** 3 + i / 8}" for i in range(-8, 9)]),
-        encoding="utf-8",
-    )
+    samples = ["x,y"] + [f"{i / 8},{(i / 8) ** 3 + i / 8}" for i in range(-8, 9)]
+    (tmp / "h.csv").write_text("\n".join(samples), encoding="utf-8")
+    # the same samples with a blank line between rows
+    (tmp / "blank_lines.csv").write_text("\n\n".join(samples), encoding="utf-8")
+    (tmp / "two_rows.csv").write_text("x,y\n0,0\n1,1\n", encoding="utf-8")
     (tmp / "bad.csv").write_text("0,0\n1,not-a-number\n", encoding="utf-8")
     (tmp / "latin1.csv").write_bytes(b"x,y\n0,0\n\xff,1\n")
     # two samples closer than the 1e-9 * span match tolerance
@@ -145,6 +146,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "list_json": _write_json(tmp / "list.json", [1, 2]),
         "broken_json": str(tmp / "broken.json"),
         "csv": str(tmp / "h.csv"),
+        "blank_lines_csv": str(tmp / "blank_lines.csv"),
+        "two_rows_csv": str(tmp / "two_rows.csv"),
         "bad_csv": str(tmp / "bad.csv"),
         "close_csv": str(tmp / "close.csv"),
         "overflow_csv": str(tmp / "overflow.csv"),

@@ -16,6 +16,7 @@ from segal.flattening import (
     INFINITE,
     BoundaryGlueMap,
     OrderPair,
+    StructureField,
     base_structure_field,
     flatten_step,
     glue_identity,
@@ -195,9 +196,7 @@ class TestStructureFields:
 class TestFlattenStep:
     def test_standard_field_gives_identity(self):
         chart = flatten_step(
-            lambda pts: np.column_stack(
-                [np.zeros(len(pts)), np.ones(len(pts))]
-            ),
+            StructureField(lambda pts: np.column_stack([np.zeros(len(pts)), np.ones(len(pts))])),
             nx=33,
             ny=33,
         )
@@ -235,33 +234,33 @@ class TestFlattenStep:
             [np.full(len(pts), -2.0), np.ones(len(pts))]
         )
         with pytest.raises(CurveEscape):
-            flatten_step(tilted, nx=17, ny=9)
+            flatten_step(StructureField(tilted), nx=17, ny=9)
 
     def test_vertical_escape(self):
         fast = lambda pts: np.column_stack(
             [np.zeros(len(pts)), np.full(len(pts), 3.0)]
         )
         with pytest.raises(CurveEscape):
-            flatten_step(fast, nx=9, ny=9)
+            flatten_step(StructureField(fast), nx=9, ny=9)
 
     def test_degenerate_second_component(self):
         bad = lambda pts: np.column_stack([np.zeros(len(pts)), pts[:, 0]])
         with pytest.raises(DomainError):
-            flatten_step(bad, nx=9, ny=9)
+            flatten_step(StructureField(bad), nx=9, ny=9)
 
     def test_folding_grid_detected(self):
         squeeze = lambda pts: np.column_stack(
             [-3.0 * np.tanh(50.0 * (pts[:, 0] - 0.3)), np.ones(len(pts))]
         )
         with pytest.raises(InversionFailure):
-            flatten_step(squeeze, nx=33, ny=17)
+            flatten_step(StructureField(squeeze), nx=33, ny=17)
 
     def test_non_finite_curve_point_escapes(self):
         holed = lambda pts: np.column_stack(
             [np.zeros(len(pts)), np.where(pts[:, 1] > 0.5, np.nan, 1.0)]
         )
         with pytest.raises(CurveEscape, match="non-finite"):
-            flatten_step(holed, nx=9, ny=9)
+            flatten_step(StructureField(holed), nx=9, ny=9)
 
     def test_substep_cap_escapes(self, monkeypatch):
         monkeypatch.setattr(flattening, "_MAX_SUBSTEPS", 8)
@@ -269,7 +268,7 @@ class TestFlattenStep:
             [-3.0 * np.tanh(50.0 * (pts[:, 0] - 0.3)), np.ones(len(pts))]
         )
         with pytest.raises(CurveEscape, match="passed 8 substeps"):
-            flatten_step(squeeze, nx=33, ny=17)
+            flatten_step(StructureField(squeeze), nx=33, ny=17)
 
     def test_delta_outside_certified_rectangle(self):
         g = glue_sine(0.1)
