@@ -41,7 +41,7 @@ def main():
 
     # one flattening step in full: integrate curves, invert the grid
     field = next_structure_field(base_structure_field(g))
-    chart = flatten_step(field, y_max=0.75)
+    chart = flatten_step(field)
     rep = chart.report
     print(f"boundary row deviation: {rep.boundary_max_dev}")
     print(f"minimum grid Jacobian: {rep.min_jacobian:.6f}")

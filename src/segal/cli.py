@@ -756,7 +756,7 @@ def run_appb_flatten(args) -> Report:
         lines.append(",".join([str(fit.k), *map(_order_str, orders), fmt(fit.ok)]))
     if args.chart:
         field = flattening.structure_field_chain(g, depth)[-1]
-        chart = flattening.flatten_step(field, window=g.window, y_max=0.75 * g.y_max)
+        chart = flattening.flatten_step(field)
         rep = chart.report
         x_probe = 0.5 * (rep.x_valid[0] + rep.x_valid[1])
         tau = flattening.tau_minus1(g, [(x_probe, 0.0)])[0]

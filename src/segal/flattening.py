@@ -9,6 +9,9 @@ lines, improving the pair (m, n).  The recursion on (m, n) is exact integer
 bookkeeping; the maps themselves are built numerically on a grid, with
 numpy alone: a fixed-step RK4 curve grid and a not-a-knot cubic spline
 inverse.
+
+The strip is fixed: x in [-1.5, 1.5], y in [0, 1].  A chart covers its
+lower 0.75 on a 97 x 97 grid.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ from .errors import (
 np = _FirstUseNumpy(globals())
 
 INFINITE = math.inf
+
+# the boundary strip, and the height and grid of a chart on it
+X_LO, X_HI, Y_MAX = -1.5, 1.5, 1.0
+CHART_HEIGHT = 0.75
+GRID = 97
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +88,6 @@ def order_sequence(k: int) -> list[OrderPair]:
 # glue maps
 
 
-def _require_strip(window: tuple[float, float], y_max: float) -> None:
-    """The rule for a boundary strip: a nonempty window of finite ends and
-    finite width, and a positive finite height."""
-    x_lo, x_hi = window
-    if not -math.inf < x_lo < x_hi < math.inf:
-        raise DomainError(f"window {window!r} is empty or not finite")
-    if x_hi - x_lo == math.inf:
-        raise DomainError(f"window {window!r} is too wide for double precision")
-    if not 0 < y_max < math.inf:
-        raise DomainError(f"y_max must be positive and finite, got {y_max!r}")
-
-
 @dataclass(frozen=True)
 class BoundaryGlueMap:
     """Increasing smooth reparametrization of the boundary line, given by
@@ -100,62 +96,44 @@ class BoundaryGlueMap:
 
     rho: Callable
     drho: Callable
-    x_lo: float = -1.5
-    x_hi: float = 1.5
-    y_max: float = 1.0
 
     def __post_init__(self):
-        _require_strip((self.x_lo, self.x_hi), self.y_max)
-        xs = np.linspace(self.x_lo, self.x_hi, 512)
-        if not np.all(np.diff(xs) > 0):
-            raise DomainError(
-                f"window {self.window!r} is out of double-precision scale: "
-                f"its 512 samples are not distinct"
-            )
+        xs = np.linspace(X_LO, X_HI, 512)
         try:
             with np.errstate(over="raise"):
                 dv = np.asarray(self.drho(xs), dtype=float)
                 vals = np.asarray(self.rho(xs), dtype=float)
         except FloatingPointError as e:
-            raise DomainError(
-                f"window {self.window!r} is out of double-precision scale for this map: {e}"
-            ) from None
+            raise DomainError(f"out of double-precision scale on the strip: {e}") from None
         if not 1e-6 < dv.min() <= dv.max() < math.inf:
             raise NonMonotone(f"derivative reaches {dv.min():.3g}")
         if not np.all(np.diff(vals) > 0) or not np.isfinite(vals).all():
             raise NonMonotone("sampled values not strictly increasing")
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.x_lo, self.x_hi)
 
-
-def glue_identity(**kw) -> BoundaryGlueMap:
+def glue_identity() -> BoundaryGlueMap:
     return BoundaryGlueMap(
         rho=lambda x: np.asarray(x, dtype=float) + 0.0,
         drho=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        **kw,
     )
 
 
-def glue_linear(k: float, **kw) -> BoundaryGlueMap:
+def glue_linear(k: float) -> BoundaryGlueMap:
     if not 0 < k < math.inf:
         raise NonMonotone("slope must be positive")
     return BoundaryGlueMap(
         rho=lambda x: k * np.asarray(x, dtype=float),
         drho=lambda x: np.full_like(np.asarray(x, dtype=float), k),
-        **kw,
     )
 
 
-def glue_sine(amplitude: float = 0.1, **kw) -> BoundaryGlueMap:
+def glue_sine(amplitude: float = 0.1) -> BoundaryGlueMap:
     a = float(amplitude)
     if not abs(a) < 1.0:
         raise NonMonotone("amplitude must have magnitude below 1")
     return BoundaryGlueMap(
         rho=lambda x: np.asarray(x, dtype=float) + a * np.sin(np.asarray(x, dtype=float)),
         drho=lambda x: 1.0 + a * np.cos(np.asarray(x, dtype=float)),
-        **kw,
     )
 
 
@@ -164,10 +142,10 @@ def tau_minus1(g: BoundaryGlueMap, points: Sequence) -> list[tuple[float, float]
     out = []
     for p in points:
         x, y = float(p[0]), float(p[1])
-        if not g.x_lo <= x <= g.x_hi:
-            raise OutOfWindow(f"x={x:.6g} outside [{g.x_lo}, {g.x_hi}]")
-        if not 0.0 <= y <= g.y_max:
-            raise OutOfWindow(f"y={y:.6g} outside [0, {g.y_max}]")
+        if not X_LO <= x <= X_HI:
+            raise OutOfWindow(f"x={x:.6g} outside [{X_LO}, {X_HI}]")
+        if not 0.0 <= y <= Y_MAX:
+            raise OutOfWindow(f"y={y:.6g} outside [0, {Y_MAX}]")
         out.append((float(g.rho(x)), y))
     return out
 
@@ -187,18 +165,6 @@ class StructureField:
 
     func: Callable[[np.ndarray], np.ndarray]
     exact_flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def at(self, x: float, y: float) -> tuple[float, float]:
-        """The field at one point, which must be finite and keep the field's
-        arithmetic within double precision."""
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(f"point ({x!r}, {y!r}) is not finite")
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                v = self.func(np.array([[x, y]], dtype=float))[0]
-        except FloatingPointError as e:
-            raise DomainError(f"point ({x!r}, {y!r}) is out of double-precision scale: {e}") from None
-        return float(v[0]), float(v[1])
 
 
 def base_structure_field(g: BoundaryGlueMap) -> StructureField:
@@ -243,7 +209,7 @@ def _rk4_flow(
 _STENCIL = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _FD_H = 2e-3
 # RK4 steps of the inner flow behind each evaluation of a transported field.
-# The flow is smooth in t and runs for times below y_max, so 32 steps keep a
+# The flow is smooth in t and runs for times below Y_MAX, so 32 steps keep a
 # depth-2 field within 4e-12 of a 1024-step flow, at about a 30th of the cost.
 _INNER_STEPS = 32
 
@@ -471,32 +437,23 @@ def _curve_grid(
         n, coarse = 2 * n, fine
 
 
-def flatten_step(
-    field: StructureField,
-    window: tuple[float, float] = (-1.5, 1.5),
-    y_max: float = 1.0,
-    nx: int = 97,
-    ny: int = 97,
-) -> FlattenedChart:
+def flatten_step(field: StructureField) -> FlattenedChart:
     """Integrate the curve grid of a structure field and invert it.
 
-    Curves start at boundary samples and run for times up to y_max with
-    fixed-step RK4, step doubling to 1e-10.  Curves may bulge past the
-    launch span by a tenth of its width, and rise to twice y_max, before
+    The grid has 97 curves, started on the boundary at x in [-1.5, 1.5], and
+    97 times in [0, 0.75] (GRID, X_LO, X_HI and CHART_HEIGHT); fixed-step RK4
+    runs them, step doubling to 1e-10.  Curves may bulge past the window by
+    a tenth of its width, and rise to twice the chart height, before
     counting as escaped; the certified rectangle reflects actual curve
-    extents, so the allowance never inflates it.  The report checks the defining
-    properties: identity on the boundary row, positive grid Jacobian, and
-    pushforward of the field to the vertical unit at interior nodes (up to
-    grid-size differencing error).  The inverse interpolates the grid with a
-    not-a-knot bicubic spline, so each axis needs at least 4 nodes.
+    extents, so the allowance never inflates it.  The report checks the
+    defining properties: identity on the boundary row, positive grid
+    Jacobian, and pushforward of the field to the vertical unit at interior
+    nodes (up to grid-size differencing error).  The inverse interpolates
+    the grid with a not-a-knot bicubic spline.
     """
-    nx, ny = integer(nx, "nx", 4), integer(ny, "ny", 4)
-    _require_strip(window, y_max)
     func = field.func
-    x_lo, x_hi = window
-    xs = np.linspace(x_lo, x_hi, nx)
-    ts = np.linspace(0.0, y_max, ny)
-    y_cap = 2.0 * y_max
+    xs = np.linspace(X_LO, X_HI, GRID)
+    ts = np.linspace(0.0, CHART_HEIGHT, GRID)
 
     starts = np.column_stack([xs, np.zeros_like(xs)])
     probe = func(starts)
@@ -505,32 +462,21 @@ def flatten_step(
 
     grid, substeps, field_evals, step_error = _curve_grid(func, starts, ts)
 
-    x_pad = 0.1 * (x_hi - x_lo)
-    if grid[:, :, 0].min() < x_lo - x_pad - 1e-9 or grid[:, :, 0].max() > x_hi + x_pad + 1e-9:
+    x_pad = 0.1 * (X_HI - X_LO)
+    if grid[:, :, 0].min() < X_LO - x_pad - 1e-9 or grid[:, :, 0].max() > X_HI + x_pad + 1e-9:
         raise CurveEscape("an integral curve left the window horizontally")
-    if grid[:, :, 1].min() < -1e-9 or grid[:, :, 1].max() > y_cap + 1e-9:
+    if grid[:, :, 1].min() < -1e-9 or grid[:, :, 1].max() > 2.0 * CHART_HEIGHT + 1e-9:
         raise CurveEscape("an integral curve left the strip vertically")
 
-    # A finite window or height can still be out of double-precision scale
-    # (near 5e-324 or 1e308); the grid arithmetic then overflows or divides
-    # by zero, which is an input error.
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report = _grid_report(func, xs, ts, grid)
-            spline = _GridSpline(ts, xs, grid)
-    except FloatingPointError as e:
-        raise DomainError(
-            f"window {window!r} with y_max {y_max!r} is out of double-precision scale: {e}"
-        ) from None
     return FlattenedChart(
         xs=xs,
         ts=ts,
         grid=grid,
-        report=report,
+        report=_grid_report(func, xs, ts, grid),
         substeps=substeps,
         field_evals=field_evals,
         step_error=step_error,
-        _spline=spline,
+        _spline=_GridSpline(ts, xs, grid),
     )
 
 
@@ -627,7 +573,7 @@ def verify_orders(g: BoundaryGlueMap, k_max: int) -> OrdersReport:
     # the same orders as 128 steps (n within 0.006) at a 15th of the cost.
     fields = structure_field_chain(g, k_max)
     fields.append(next_structure_field(fields[-1], n_steps=512 if k_max < 2 else _INNER_STEPS))
-    x0 = g.x_lo + 0.77 * (g.x_hi - g.x_lo)
+    x0 = X_LO + 0.77 * (X_HI - X_LO)
 
     fits = []
     for k in range(k_max + 1):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestOrderRecursion:
 class TestGlueMap:
     def test_sine_valid(self):
         g = glue_sine(0.1)
-        assert g.drho(np.linspace(g.x_lo, g.x_hi, 512)).min() > 0.8
+        assert g.drho(np.linspace(flattening.X_LO, flattening.X_HI, 512)).min() > 0.8
 
     def test_rejects_unit_amplitude(self):
         with pytest.raises(NonMonotone):
@@ -103,9 +104,43 @@ class TestGlueMap:
         with pytest.raises(NonMonotone):
             glue_linear(-1.0)
 
-    def test_rejects_empty_window(self):
-        with pytest.raises(DomainError):
-            glue_identity(x_lo=1.0, x_hi=0.0)
+    def test_rejects_derivative_below_threshold(self):
+        with pytest.raises(NonMonotone, match="derivative reaches 1e-07"):
+            glue_linear(1e-7)
+
+    def test_rejects_values_not_increasing(self):
+        with pytest.raises(NonMonotone, match="sampled values not strictly increasing"):
+            BoundaryGlueMap(rho=np.zeros_like, drho=np.ones_like)
+
+    def test_overflow_on_the_strip_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="out of double-precision scale on the strip"):
+            glue_linear(1.5e308)
+
+    def test_samples_the_fixed_strip(self):
+        seen = []
+
+        def drho(x):
+            seen.append(x)
+            return np.ones_like(x)
+
+        BoundaryGlueMap(rho=lambda x: x + 0.0, drho=drho)
+        (xs,) = seen
+        assert (len(xs), xs[0], xs[-1]) == (512, flattening.X_LO, flattening.X_HI)
+
+
+@pytest.mark.parametrize(
+    "fn, params",
+    [
+        (flatten_step, ["field"]),
+        (BoundaryGlueMap, ["rho", "drho"]),
+        (glue_identity, []),
+        (glue_linear, ["k"]),
+        (glue_sine, ["amplitude"]),
+    ],
+    ids=["flatten_step", "BoundaryGlueMap", "glue_identity", "glue_linear", "glue_sine"],
+)
+def test_strip_is_not_a_parameter(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
 
 
 class TestTauMinus1:
@@ -140,6 +175,11 @@ class TestTauMinus1:
 # structure fields
 
 
+def at(field, x, y):
+    """The field's vector at the one point (x, y)."""
+    return field.func(np.array([[x, y]]))[0]
+
+
 def closed_form_next(g, x, y):
     """First transported field of ``glue_sine(0.1)``: (-a, 1 + a^2) with
     a = y rho''/rho' and rho'' = -0.1 sin x."""
@@ -150,7 +190,7 @@ def closed_form_next(g, x, y):
 class TestStructureFields:
     def test_base_field_values(self):
         g = glue_sine(0.1)
-        v = base_structure_field(g).at(0.3, 0.7)
+        v = at(base_structure_field(g), 0.3, 0.7)
         assert v[0] == 0.0
         assert v[1] == pytest.approx(1.0 + 0.1 * math.cos(0.3), abs=1e-15)
 
@@ -158,7 +198,7 @@ class TestStructureFields:
         g = glue_sine(0.1)
         v0 = next_structure_field(base_structure_field(g))
         for x, y in [(0.3, 0.2), (-0.8, 0.5), (1.1, 0.05), (0.0, 0.9)]:
-            got = v0.at(x, y)
+            got = at(v0, x, y)
             want = closed_form_next(g, x, y)
             assert got[0] == pytest.approx(want[0], abs=1e-8)
             assert got[1] == pytest.approx(want[1], abs=1e-8)
@@ -170,15 +210,15 @@ class TestStructureFields:
         via_exact = next_structure_field(base)
         via_rk4 = next_structure_field(base_no_exact, n_steps=512)
         for x, y in [(0.25, 0.3), (-0.6, 0.8)]:
-            a = via_exact.at(x, y)
-            b = via_rk4.at(x, y)
+            a = at(via_exact, x, y)
+            b = at(via_rk4, x, y)
             assert a[0] == pytest.approx(b[0], abs=1e-9)
             assert a[1] == pytest.approx(b[1], abs=1e-9)
 
     def test_boundary_row_is_vertical_unit(self):
         g = glue_sine(0.1)
         v0 = next_structure_field(base_structure_field(g))
-        v = v0.at(0.4, 0.0)
+        v = at(v0, 0.4, 0.0)
         assert v[0] == pytest.approx(0.0, abs=1e-12)
         assert v[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -196,9 +236,7 @@ class TestStructureFields:
 class TestFlattenStep:
     def test_standard_field_gives_identity(self):
         chart = flatten_step(
-            StructureField(lambda pts: np.column_stack([np.zeros(len(pts)), np.ones(len(pts))])),
-            nx=33,
-            ny=33,
+            StructureField(lambda pts: np.column_stack([np.zeros(len(pts)), np.ones(len(pts))]))
         )
         assert chart.report.boundary_max_dev == 0.0
         assert chart.report.pushforward_max_dev < 1e-9
@@ -211,7 +249,7 @@ class TestFlattenStep:
         chart = flatten_step(base_structure_field(g))
         assert chart.report.boundary_max_dev == 0.0
         assert chart.report.min_jacobian > 0.5
-        for u, v in [(0.3, 0.5), (-0.7, 0.8), (1.0, 0.25)]:
+        for u, v in [(0.3, 0.5), (-0.7, 0.6), (1.0, 0.25)]:
             x, t = chart.delta(u, v)
             assert x == pytest.approx(u, abs=1e-6)
             assert t == pytest.approx(v / float(g.drho(u)), abs=1e-6)
@@ -221,10 +259,23 @@ class TestFlattenStep:
         chart = flatten_step(base_structure_field(g))
         assert chart.report.pushforward_max_dev < 1e-3
 
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_linear_glue_chart_is_a_vertical_scaling(self, k):
+        chart = flatten_step(base_structure_field(glue_linear(k)))
+        assert chart.report.boundary_max_dev == 0.0
+        assert chart.report.min_jacobian == pytest.approx(k, rel=1e-12)
+        for u, v in [(0.3, 0.3), (-1.2, 0.1), (1.4, 0.35)]:
+            x, t = chart.delta(u, v)
+            assert x == pytest.approx(u, abs=1e-9)
+            assert t == pytest.approx(v / k, abs=1e-9)
+
     def test_forward_grid_row_zero(self):
         g = glue_sine(0.1)
-        chart = flatten_step(base_structure_field(g), nx=17, ny=9)
-        for i in range(17):
+        chart = flatten_step(base_structure_field(g))
+        assert chart.grid.shape == (flattening.GRID, flattening.GRID, 2)
+        assert (chart.xs[0], chart.xs[-1]) == (flattening.X_LO, flattening.X_HI)
+        assert (chart.ts[0], chart.ts[-1]) == (0.0, flattening.CHART_HEIGHT)
+        for i in range(flattening.GRID):
             u, v = chart.forward(i, 0)
             assert v == 0.0
             assert u == pytest.approx(chart.xs[i], abs=1e-15)
@@ -233,34 +284,34 @@ class TestFlattenStep:
         tilted = lambda pts: np.column_stack(
             [np.full(len(pts), -2.0), np.ones(len(pts))]
         )
-        with pytest.raises(CurveEscape):
-            flatten_step(StructureField(tilted), nx=17, ny=9)
+        with pytest.raises(CurveEscape, match="left the window horizontally"):
+            flatten_step(StructureField(tilted))
 
     def test_vertical_escape(self):
         fast = lambda pts: np.column_stack(
             [np.zeros(len(pts)), np.full(len(pts), 3.0)]
         )
-        with pytest.raises(CurveEscape):
-            flatten_step(StructureField(fast), nx=9, ny=9)
+        with pytest.raises(CurveEscape, match="left the strip vertically"):
+            flatten_step(StructureField(fast))
 
     def test_degenerate_second_component(self):
         bad = lambda pts: np.column_stack([np.zeros(len(pts)), pts[:, 0]])
-        with pytest.raises(DomainError):
-            flatten_step(StructureField(bad), nx=9, ny=9)
+        with pytest.raises(DomainError, match="not bounded below"):
+            flatten_step(StructureField(bad))
 
     def test_folding_grid_detected(self):
         squeeze = lambda pts: np.column_stack(
             [-3.0 * np.tanh(50.0 * (pts[:, 0] - 0.3)), np.ones(len(pts))]
         )
-        with pytest.raises(InversionFailure):
-            flatten_step(StructureField(squeeze), nx=33, ny=17)
+        with pytest.raises(InversionFailure, match="grid Jacobian reaches"):
+            flatten_step(StructureField(squeeze))
 
     def test_non_finite_curve_point_escapes(self):
         holed = lambda pts: np.column_stack(
             [np.zeros(len(pts)), np.where(pts[:, 1] > 0.5, np.nan, 1.0)]
         )
         with pytest.raises(CurveEscape, match="non-finite"):
-            flatten_step(StructureField(holed), nx=9, ny=9)
+            flatten_step(StructureField(holed))
 
     def test_substep_cap_escapes(self, monkeypatch):
         monkeypatch.setattr(flattening, "_MAX_SUBSTEPS", 8)
@@ -268,23 +319,13 @@ class TestFlattenStep:
             [-3.0 * np.tanh(50.0 * (pts[:, 0] - 0.3)), np.ones(len(pts))]
         )
         with pytest.raises(CurveEscape, match="passed 8 substeps"):
-            flatten_step(StructureField(squeeze), nx=33, ny=17)
+            flatten_step(StructureField(squeeze))
 
     def test_delta_outside_certified_rectangle(self):
         g = glue_sine(0.1)
-        chart = flatten_step(base_structure_field(g), nx=17, ny=9)
+        chart = flatten_step(base_structure_field(g))
         with pytest.raises(OutOfWindow):
             chart.delta(5.0, 0.5)
-
-    @pytest.mark.parametrize("grid", [{"nx": 3}, {"ny": 3}, {"nx": 2.5}, {"nx": 5, "ny": 3}])
-    def test_rejects_grid_below_four_nodes_or_fractional(self, grid):
-        with pytest.raises(DomainError):
-            flatten_step(base_structure_field(glue_sine(0.1)), **grid)
-
-    def test_smallest_grid_runs(self):
-        chart = flatten_step(base_structure_field(glue_sine(0.1)), nx=4, ny=4)
-        assert chart.grid.shape == (4, 4, 2)
-        assert chart.report.min_jacobian > 0.5
 
 
 @pytest.fixture(scope="module", params=[0, 1], ids=["depth0", "depth1"])
@@ -292,7 +333,7 @@ def sine_chart(request):
     """The chart of ``appb flatten --chart`` at the given depth."""
     g = glue_sine(0.1)
     field = structure_field_chain(g, request.param)[-1]
-    return flatten_step(field, window=g.window, y_max=0.75)
+    return flatten_step(field)
 
 
 class TestChartInverse:

@@ -41,8 +41,6 @@ PARAMETERS = {
     "structure_field_chain": (partial(flattening.structure_field_chain, _GLUE), "k", 0, 1),
     "verify_orders": (partial(flattening.verify_orders, _GLUE), "k_max", 0, 0),
     "next_structure_field": (partial(flattening.next_structure_field, _BASE), "n_steps", 1, 4),
-    "flatten_step-nx": (lambda n: flattening.flatten_step(_BASE, nx=n, ny=5), "nx", 4, 5),
-    "flatten_step-ny": (lambda n: flattening.flatten_step(_BASE, nx=5, ny=n), "ny", 4, 5),
     "SampledIncreasingFunction.from_callable": (
         lambda n: quasisym.SampledIncreasingFunction.from_callable(_identity, 0.0, 1.0, n),
         "sample count",

@@ -6,8 +6,6 @@ error.  A hypothesis property drives every number-taking callable of
 finite values too."""
 
 import math
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,24 +17,12 @@ from segal.errors import SegalError
 NAN, INF = math.nan, math.inf
 
 
-def _flatten(**strip):
-    """flatten_step of the identity glue's base field on the given strip."""
-    field = flattening.base_structure_field(flattening.glue_identity())
-    return flattening.flatten_step(field, **strip)
-
-
 # a 2x1 field document
 _FIELD_DOC = beltrami.DilatationField(0, 1, 0, 1, np.array([[0.1, 0.2]])).to_json()
 _GLUE = flattening.glue_sine(0.1)
 _BASE = flattening.base_structure_field(_GLUE)
 _TRANSPORTED = flattening.next_structure_field(_BASE)
-_CHART = flattening.flatten_step(_BASE, nx=5, ny=5)
-
-
-def _glue(make, *args):
-    """The glue map ``make`` returns, with the last three arguments its strip."""
-    *params, x_lo, x_hi, y_max = args
-    return make(*params, x_lo=x_lo, x_hi=x_hi, y_max=y_max)
+_CHART = flattening.flatten_step(_BASE)
 
 
 CASES = {
@@ -55,39 +41,26 @@ CASES = {
     "glue-linear-nan": lambda: flattening.glue_linear(NAN),
     "glue-linear-inf": lambda: flattening.glue_linear(INF),
     "glue-sine-nan": lambda: flattening.glue_sine(NAN),
-    "glue-window-inf": lambda: flattening.glue_identity(x_hi=INF),
-    "glue-height-nan": lambda: flattening.glue_identity(y_max=NAN),
-    "glue-window-too-wide": lambda: flattening.glue_identity(x_lo=-1e308, x_hi=1e308),
-    "glue-window-subnormal": lambda: flattening.glue_identity(x_lo=5e-324, x_hi=1e-323),
-    "glue-values-overflow": lambda: flattening.glue_linear(1e308, x_lo=0.0, x_hi=1e308),
+    "glue-sine-inf": lambda: flattening.glue_sine(INF),
+    "glue-linear-negative-inf": lambda: flattening.glue_linear(-INF),
+    "glue-values-overflow": lambda: flattening.glue_linear(1.5e308),
+    # a glue map given directly by rho and drho, sampled on the fixed strip
+    "glue-map-derivative-nan": lambda: flattening.BoundaryGlueMap(
+        lambda x: x, lambda x: np.full_like(x, NAN)
+    ),
+    "glue-map-derivative-inf": lambda: flattening.BoundaryGlueMap(
+        lambda x: x, lambda x: np.full_like(x, INF)
+    ),
+    "glue-map-values-nan": lambda: flattening.BoundaryGlueMap(
+        lambda x: np.full_like(x, NAN), np.ones_like
+    ),
+    "glue-map-values-overflow": lambda: flattening.BoundaryGlueMap(
+        lambda x: 1e308 * x * 10.0, np.ones_like
+    ),
     "order-pair-m-nan": lambda: flattening.OrderPair(NAN, 0),
     "order-pair-n-inf": lambda: flattening.OrderPair(1, INF),
-    "field-point-nan": lambda: _TRANSPORTED.at(NAN, INF),
-    "field-point-huge": lambda: _TRANSPORTED.at(0.0, 1e308),
     "field-inner-steps-zero": lambda: flattening.next_structure_field(_TRANSPORTED, 0),
     "field-inner-steps-negative": lambda: flattening.next_structure_field(_TRANSPORTED, -1),
-    # strips that are empty, reversed, not finite, or out of double-precision scale
-    **{
-        f"flatten-window-{name}": partial(_flatten, window=window)
-        for name, window in (
-            ("empty", (0.0, 0.0)),
-            ("too-wide", (-1e308, 1e308)),
-            ("reversed", (1.0, -1.0)),
-            ("nan", (NAN, 1.0)),
-            ("subnormal", (5e-324, 1e-323)),
-        )
-    },
-    **{
-        f"flatten-height-{name}": partial(_flatten, y_max=y_max)
-        for name, y_max in (
-            ("zero", 0.0),
-            ("inf", INF),
-            ("negative-inf", -INF),
-            ("subnormal", 5e-324),
-            ("tiny", 1e-200),
-            ("huge", 1e308),
-        )
-    },
     "linear-map-nan": lambda: beltrami.LinearMapZZbar(NAN, 0.0),
     "linear-map-inf": lambda: beltrami.LinearMapZZbar(INF, 0.0),
     "transform-fz-nan": lambda: beltrami.transform_mu(0.1, 0.0, NAN, 0.0),
@@ -154,24 +127,15 @@ MESSAGES = {
     "circle-winding-inf": "rotation angle must be finite, got inf",
     "circle-derivative-bounds-nan": r"derivative range \[nan, nan\] is not positive and finite",
     "linear-map-inf": "coefficients must be finite",
-    "glue-window-too-wide": "too wide for double precision",
-    "glue-window-subnormal": "out of double-precision scale: its 512 samples",
-    "glue-values-overflow": "out of double-precision scale for this map",
-    "field-point-nan": "is not finite",
-    "field-point-huge": "out of double-precision scale",
+    "glue-values-overflow": "out of double-precision scale on the strip",
+    "glue-sine-inf": "amplitude must have magnitude below 1",
+    "glue-linear-negative-inf": "slope must be positive",
+    "glue-map-derivative-nan": "derivative reaches nan",
+    "glue-map-derivative-inf": "derivative reaches inf",
+    "glue-map-values-nan": "sampled values not strictly increasing",
+    "glue-map-values-overflow": "out of double-precision scale on the strip",
     "field-inner-steps-zero": "n_steps must be at least 1",
     "field-inner-steps-negative": "n_steps must be at least 1",
-    "flatten-window-empty": "is empty or not finite",
-    "flatten-window-too-wide": "too wide for double precision",
-    "flatten-window-reversed": "is empty or not finite",
-    "flatten-window-nan": "is empty or not finite",
-    "flatten-window-subnormal": "out of double-precision scale",
-    "flatten-height-zero": "y_max must be positive and finite",
-    "flatten-height-inf": "y_max must be positive and finite",
-    "flatten-height-negative-inf": "y_max must be positive and finite",
-    "flatten-height-subnormal": "out of double-precision scale",
-    "flatten-height-tiny": "out of double-precision scale",
-    "flatten-height-huge": "too large to resolve",
     "field-value-nan-inside": "samples are not finite",
     "field-rect-reversed": "rectangle is empty or not finite",
     "field-rect-flat": "rectangle is empty or not finite",
@@ -279,24 +243,16 @@ NUMERIC = {
     "TwistMap.angle": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0].angle, "ff"),
     "OrderPair": (flattening.OrderPair, "ff"),
     "order_sequence": (flattening.order_sequence, "i"),
-    "glue_identity": (partial(_glue, flattening.glue_identity), "fff"),
-    "glue_linear": (partial(_glue, flattening.glue_linear), "ffff"),
-    "glue_sine": (partial(_glue, flattening.glue_sine), "ffff"),
+    "glue_linear": (flattening.glue_linear, "f"),
+    "glue_sine": (flattening.glue_sine, "f"),
     "tau_minus1": (lambda x, y: flattening.tau_minus1(_GLUE, [(x, y)]), "ff"),
-    "StructureField.at": (_BASE.at, "ff"),
-    "StructureField.at-transported": (_TRANSPORTED.at, "ff"),
     "next_structure_field": (
-        lambda n: flattening.next_structure_field(_TRANSPORTED, n).at(0.5, 0.5), "i"
+        lambda n: flattening.next_structure_field(_TRANSPORTED, n).func(np.array([[0.5, 0.5]])),
+        "i",
     ),
     "structure_field_chain": (lambda k: flattening.structure_field_chain(_GLUE, k), "i"),
     "verify_orders": (lambda k: flattening.verify_orders(_GLUE, k), "i"),
     "FlattenedChart.delta": (_CHART.delta, "ff"),
-    "flatten_step": (
-        lambda x_lo, x_hi, y_max: flattening.flatten_step(
-            _BASE, (x_lo, x_hi), y_max, nx=5, ny=5
-        ),
-        "fff",
-    ),
 }
 
 
