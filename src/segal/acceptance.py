@@ -382,6 +382,13 @@ CRITERIA: tuple[tuple[int, str, Callable[[AcceptanceCorpus], Outcome]], ...] = (
     (12, "smooth-twist-boundaries", criterion_12_smooth_twist),
 )
 
+# The criteria a pool starts first, heaviest first.  Warm CPU per criterion
+# on a 2-CPU Xeon (one process, interleaved minima; the parent side of
+# BENCH_31.json): 0.31 s for criterion 1, 0.28 s for 2, 0.08 s for 11 and
+# 0.04 s for 10, at most 0.02 s for each other.  In table order 11 started
+# last of the long jobs, and one worker ran it on while the other idled.
+HEAVIEST = (1, 2, 11, 10)
+
 
 _HOLDS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
@@ -424,7 +431,7 @@ def run_acceptance(
     # them (perfbench's tracer) sees every criterion it runs
     rows = [(0, "corpus-integrity", corpus_integrity)]
     rows += [row for row in CRITERIA if not indices or row[0] in indices]
-    outcomes = [corpus_integrity(data)] + _outcomes([fn for _, _, fn in rows[1:]], data)
+    outcomes = [corpus_integrity(data)] + _outcomes(rows[1:], data)
     results = []
     for (idx, name, _), (checks, detail) in zip(rows, outcomes):
         judged = tuple(map(_judge, checks))
@@ -472,9 +479,11 @@ def _run_job(position: int) -> Outcome:
     return fns[position](data)
 
 
-def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
-    """Every ``fn(data)``, in order.  With two criteria or more and two usable
-    CPUs or more, they run in one forked worker process per CPU."""
+def _outcomes(rows: list, data: AcceptanceCorpus) -> list[Outcome]:
+    """Every row's ``fn(data)``, in row order.  With two criteria or more and
+    two usable CPUs or more, they run in one forked worker process per CPU,
+    and the ``HEAVIEST`` are started first."""
+    fns = [fn for _, _, fn in rows]
     workers = min(len(fns), _usable_cpus())
     if workers < 2:
         return [fn(data) for fn in fns]
@@ -484,6 +493,9 @@ def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
 
     import numpy  # noqa: F401  (loaded before the fork, so no worker imports it)
 
+    # the HEAVIEST in their order, then the rest in table order
+    rank = {idx: r for r, idx in enumerate(HEAVIEST)}
+    order = sorted(range(len(rows)), key=lambda i: rank.get(rows[i][0], len(rank)))
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, context, _start_worker, (fns, data))
     # A Ctrl-C is held back while the first submit forks the workers: each
@@ -499,7 +511,9 @@ def _outcomes(fns: list, data: AcceptanceCorpus) -> list[Outcome]:
     held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         try:
-            jobs = [pool.submit(_run_job, i) for i in range(len(fns))]
+            jobs = [None] * len(rows)  # by table position, as results are returned
+            for i in order:
+                jobs[i] = pool.submit(_run_job, i)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
             if ours:  # a SIGINT that was pending is noted before this swap

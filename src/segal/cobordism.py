@@ -34,9 +34,13 @@ class ObjectSignature:
     source_labels: tuple[Label, ...] = ()
     target_labels: tuple[Label, ...] = ()
 
+    # Here and in the classes below, a value that already has its field's
+    # exact type (tuple, frozenset) is kept: converting it would return it.
     def __post_init__(self):
-        object.__setattr__(self, "source_labels", tuple(self.source_labels))
-        object.__setattr__(self, "target_labels", tuple(self.target_labels))
+        if type(self.source_labels) is not tuple:
+            object.__setattr__(self, "source_labels", tuple(self.source_labels))
+        if type(self.target_labels) is not tuple:
+            object.__setattr__(self, "target_labels", tuple(self.target_labels))
 
     def describe(self) -> str:
         return f"({self.closed_count} closed, {self.open_count} open)"
@@ -63,8 +67,10 @@ class BoundaryCycle:
     free_arc_labels: tuple[Label, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "free_arc_labels", tuple(self.free_arc_labels))
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        if type(self.free_arc_labels) is not tuple:
+            object.__setattr__(self, "free_arc_labels", tuple(self.free_arc_labels))
 
     @property
     def is_free_circle(self) -> bool:
@@ -99,9 +105,12 @@ class ComponentData:
     cycles: tuple[BoundaryCycle, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "closed_in", frozenset(self.closed_in))
-        object.__setattr__(self, "closed_out", frozenset(self.closed_out))
-        object.__setattr__(self, "cycles", tuple(self.cycles))
+        if type(self.closed_in) is not frozenset:
+            object.__setattr__(self, "closed_in", frozenset(self.closed_in))
+        if type(self.closed_out) is not frozenset:
+            object.__setattr__(self, "closed_out", frozenset(self.closed_out))
+        if type(self.cycles) is not tuple:
+            object.__setattr__(self, "cycles", tuple(self.cycles))
 
     @property
     def n(self) -> int:
@@ -136,7 +145,12 @@ class OCType:
     out_signature: ObjectSignature
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        if type(self.components) is not tuple:
+            object.__setattr__(self, "components", tuple(self.components))
+
+    def __getstate__(self) -> dict:
+        # a pickle or a copy leaves the arc table (``_arcs``) behind
+        return {k: v for k, v in vars(self).items() if k != "_arcs"}
 
     def canonical(self) -> tuple:
         return tuple(sorted(c.canonical_key() for c in self.components))
@@ -325,19 +339,89 @@ def validate_type(t: OCType) -> ValidationReport:
 
 
 class _UnionFind:
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def find(self, k):
-        while self.parent[k] != k:
-            self.parent[k] = self.parent[self.parent[k]]
-            k = self.parent[k]
+    def find(self, k: int) -> int:
+        parent = self.parent
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
         return k
 
-    def union(self, a, b):
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+
+class _ArcTable:
+    """One type's free arcs, numbered in component, cycle and position order.
+
+    Arc ``a`` is the free arc after one cycle entry: ``label[a]`` is its
+    label, ``component[a]`` its component, ``ahead[a]`` the entry that ends
+    it and ``succ[a]`` the arc after that entry.  ``cycles`` lists every
+    cycle, free circles too, as (component, cycle, its first arc).
+    ``ending[d]`` lists the arcs that end at an entry of direction d,
+    ``first[d][i]`` is the arc after the first entry of interval i of
+    direction d, and ``owner[d][c]`` the component that holds closed circle
+    c of direction d (the last, if several do).
+    """
+
+    __slots__ = ("cycles", "component", "label", "ahead", "succ", "ending", "first", "owner")
+
+    def __init__(self, t: OCType):
+        cycles: list[tuple[int, BoundaryCycle, int]] = []
+        component: list[int] = []
+        label: list[Label] = []
+        ahead: list[CycleEntry] = []
+        succ: list[int] = []
+        ending: dict[str, list[int]] = {"in": [], "out": []}
+        first: dict[str, dict[int, int]] = {"in": {}, "out": {}}
+        owner_in: dict[int, int] = {}
+        owner_out: dict[int, int] = {}
+        for ci, comp in enumerate(t.components):
+            for c in comp.closed_in:
+                owner_in[c] = ci
+            for c in comp.closed_out:
+                owner_out[c] = ci
+            for ki, cyc in enumerate(comp.cycles):
+                lo = len(label)
+                cycles.append((ci, cyc, lo))
+                entries = cyc.entries
+                if not entries:
+                    continue
+                m = len(entries)
+                label += cyc.free_arc_labels[:m]
+                if len(label) < lo + m:
+                    raise DomainError(
+                        f"cannot compose: component {ci} cycle {ki} has "
+                        f"{len(cyc.free_arc_labels)} free arcs for {m} entries"
+                    )
+                ahead += entries[1:]
+                ahead.append(entries[0])
+                succ += range(lo + 1, lo + m)
+                succ.append(lo)
+                component += [ci] * m
+                before = lo + m - 1  # the arc that ends at each entry
+                for a, e in enumerate(entries, lo):
+                    d = e.direction
+                    if d in first:
+                        first[d].setdefault(e.index, a)
+                        ending[d].append(before)
+                    before = a
+        self.cycles, self.component, self.label, self.ahead, self.succ = (
+            cycles, component, label, ahead, succ
+        )
+        self.ending, self.first, self.owner = ending, first, {"in": owner_in, "out": owner_out}
+
+
+def _arcs(t: OCType) -> _ArcTable:
+    """The arc table of t, built on first use and kept on t beside its
+    fields, where equality, hashing, ``repr`` and the JSON form never look."""
+    table = t.__dict__.get("_arcs")
+    if table is None:
+        table = t.__dict__["_arcs"] = _ArcTable(t)
+    return table
 
 
 def _splice(walk: list[tuple[Label, Optional[CycleEntry]]]) -> BoundaryCycle:
@@ -348,8 +432,10 @@ def _splice(walk: list[tuple[Label, Optional[CycleEntry]]]) -> BoundaryCycle:
     two surviving entries becomes one free arc and must carry one label; a
     walk with no surviving entry closes up into a free circle.
     """
-    first = next((i for i, (_, e) in enumerate(walk) if e is not None), None)
-    if first is None:
+    for first, (_, e) in enumerate(walk):
+        if e is not None:
+            break
+    else:
         labels = {lab for lab, _ in walk}
         if len(labels) != 1:
             raise InternalInconsistency(f"free circle with mixed labels {sorted(labels)}")
@@ -361,7 +447,7 @@ def _splice(walk: list[tuple[Label, Optional[CycleEntry]]]) -> BoundaryCycle:
     for lab, e in walk[first + 1 :] + walk[: first + 1]:
         run.append(lab)
         if e is not None:
-            if len(set(run)) != 1:
+            if len(run) > 1 and len(set(run)) != 1:
                 raise InternalInconsistency(f"spliced arcs carry mixed labels {run}")
             entries.append(prev)
             arcs.append(lab)
@@ -374,92 +460,119 @@ def compose_types(t1: OCType, t2: OCType) -> OCType:
 
     Raises SignatureMismatch unless ``t1.out_signature == t2.in_signature``
     and DomainError when a glued circle or interval lies on no component.
-    Components are merged by union-find across the glued circles, then the
-    glued intervals.  Each orbit of free arcs is walked once, crossing every
-    glued interval to the arc after its partner, and ``_splice`` turns the
-    walk into one boundary circle.  The genus of each new component is read
-    off chi = 2 - 2g - n, where chi is the sum over its old components less
-    one per glued interval.  Components come out in union-find root order.
+    The two arc tables are joined, t2's arcs and components numbered after
+    t1's.  Components are merged by union-find across the glued circles,
+    then the glued intervals.  Each orbit of free arcs is walked once,
+    crossing every glued interval to the arc after its partner, and
+    ``_splice`` turns the walk into one boundary circle; a cycle with
+    nothing glued on it is its own orbit.  The genus of each new component
+    is read off chi = 2 - 2g - n, where chi is the sum over its old
+    components less one per glued interval.  Components come out in
+    union-find root order.
     """
     if t1.out_signature != t2.in_signature:
         raise SignatureMismatch(
             f"cannot compose: out {t1.out_signature.describe()} != in {t2.in_signature.describe()}"
         )
 
-    sides = (t1, t2)
+    tables = (_arcs(t1), _arcs(t2))
     glued = ("out", "in")  # the boundary direction each side gives up
 
-    # Each glued circle -> its owner (side, component); each glued interval
-    # -> its first entry (side, component, cycle, position).
-    where: dict[tuple[int, str, int], tuple[int, ...]] = {}
-    for w, t in enumerate(sides):
-        for ci, comp in enumerate(t.components):
-            for c in comp.closed_out if w == 0 else comp.closed_in:
-                where[(w, "circle", c)] = (w, ci)
-            for ki, cyc in enumerate(comp.cycles):
-                for pi, e in enumerate(cyc.entries):
-                    if e.direction == glued[w]:
-                        where.setdefault((w, "interval", e.index), (w, ci, ki, pi))
-
-    def locate(w: int, kind: str, i: int) -> tuple[int, ...]:
-        try:
-            return where[(w, kind, i)]
-        except KeyError:
+    def locate(w: int, kind: str, i: int) -> int:
+        """The component of a glued circle, or the arc after a glued
+        interval's first entry, numbered within side w."""
+        found = (tables[w].owner if kind == "circle" else tables[w].first)[glued[w]].get(i)
+        if found is None:
             raise DomainError(
                 f"cannot compose: {glued[w]} {kind} {i} of the "
                 f"{('first', 'second')[w]} type lies on no component"
-            ) from None
+            )
+        return found
 
-    uf = _UnionFind([(w, ci) for w, t in enumerate(sides) for ci in range(len(t.components))])
+    comps = t1.components + t2.components
+    c1, n1 = len(t1.components), len(tables[0].label)
+    uf = _UnionFind(len(comps))
     for c in range(t1.out_signature.closed_count):
-        uf.union(locate(0, "circle", c), locate(1, "circle", c))
+        uf.union(locate(0, "circle", c), c1 + locate(1, "circle", c))
+    glued_on = []  # t1's component of each glued interval
     for o in range(t1.out_signature.open_count):
-        uf.union(locate(0, "interval", o)[:2], locate(1, "interval", o)[:2])
+        glued_on.append(tables[0].component[locate(0, "interval", o)])
+        uf.union(glued_on[-1], c1 + tables[1].component[locate(1, "interval", o)])
+    roots = [uf.find(k) for k in range(len(comps))]
 
-    # Per union-find class: chi, and the closed circles and cycles it keeps.
-    chi: dict[tuple[int, int], int] = {}
-    kept: dict[tuple[int, int], tuple[set[int], set[int], list[BoundaryCycle]]] = {}
-    seen: set[tuple[int, int, int, int]] = set()
-    for w, t in enumerate(sides):
-        for ci, comp in enumerate(t.components):
-            root = uf.find((w, ci))
-            chi[root] = chi.get(root, 0) + euler_characteristic(comp)
-            closed_in, closed_out, cycles = kept.setdefault(root, (set(), set(), []))
-            closed_in.update(comp.closed_in if w == 0 else ())
-            closed_out.update(comp.closed_out if w == 1 else ())
-            for ki, cyc in enumerate(comp.cycles):
-                if cyc.is_free_circle:
-                    cycles.append(cyc)
-                for pi in range(len(cyc.entries)):
-                    arc = (w, ci, ki, pi)
-                    walk: list[tuple[Label, Optional[CycleEntry]]] = []
-                    while arc not in seen:
-                        seen.add(arc)
-                        aw, aci, aki, api = arc
-                        here = sides[aw].components[aci].cycles[aki]
-                        nxt = (api + 1) % len(here.entries)
-                        e = here.entries[nxt]
-                        if e.direction == glued[aw]:
-                            e, arc = None, locate(1 - aw, "interval", e.index)
-                        else:
-                            arc = (aw, aci, aki, nxt)
-                        walk.append((here.free_arc_labels[api], e))
-                    if walk:
-                        cycles.append(_splice(walk))
-    for o in range(t1.out_signature.open_count):
-        chi[uf.find(locate(0, "interval", o)[:2])] -= 1
+    # The joined table.  An arc that ends at a glued entry has no entry ahead
+    # and goes on after the partner's first entry; where the partner is
+    # missing it goes to an extra arc past the end, marked seen, so the walk
+    # that reaches it stops and ``locate`` names the missing interval.
+    label = tables[0].label + tables[1].label
+    ahead: list[Optional[CycleEntry]] = tables[0].ahead + tables[1].ahead
+    succ = tables[0].succ + [n1 + a for a in tables[1].succ]
+    seen = bytearray(len(label))
+    lost: list[tuple[int, int]] = []
+    for w, off, other_off in ((0, 0, n1), (1, n1, 0)):
+        partners = tables[1 - w].first[glued[1 - w]]
+        for a in tables[w].ending[glued[w]]:
+            i = ahead[off + a].index
+            ahead[off + a] = None
+            p = partners.get(i)
+            if p is None:
+                succ[off + a] = len(seen)
+                seen.append(1)
+                lost.append((1 - w, i))
+            else:
+                succ[off + a] = other_off + p
 
+    # The cycles each union-find class keeps, walked from each arc in turn.
+    kept: dict[int, list[BoundaryCycle]] = {r: [] for r in roots}
+    n_arcs = len(label)
+    for w, off in ((0, 0), (1, n1)):
+        for ci, cyc, lo in tables[w].cycles:
+            cycles = kept[roots[w * c1 + ci]]
+            m = len(cyc.entries)
+            if not m:
+                cycles.append(cyc)
+            elif None not in ahead[off + lo : off + lo + m]:
+                # nothing glued on it: its walk would give the cycle back,
+                # turned on by one entry
+                e, labs = cyc.entries, cyc.free_arc_labels
+                cycles.append(
+                    cyc if m == len(labs) == 1 else BoundaryCycle(e[1:] + e[:1], labs[1:m] + labs[:1])
+                )
+                continue
+            for arc in range(off + lo, off + lo + m):
+                if seen[arc]:
+                    continue
+                walk: list[tuple[Label, Optional[CycleEntry]]] = []
+                while not seen[arc]:
+                    seen[arc] = 1
+                    walk.append((label[arc], ahead[arc]))
+                    arc = succ[arc]
+                if arc >= n_arcs:
+                    side, i = lost[arc - n_arcs]
+                    locate(side, "interval", i)
+                cycles.append(_splice(walk))
+
+    glued_at = [roots[k] for k in glued_on]
     new_components = []
     for root in sorted(kept):
-        closed_in, closed_out, cycles = kept[root]
+        # chi and the closed circles of the class; t1 keeps its incoming
+        # circles, t2 its outgoing ones
+        chi, closed_in, closed_out = -glued_at.count(root), frozenset(), frozenset()
+        for k, comp in enumerate(comps):
+            if roots[k] == root:
+                chi += euler_characteristic(comp)
+                if k < c1:
+                    closed_in |= comp.closed_in
+                else:
+                    closed_out |= comp.closed_out
+        cycles = kept[root]
         n = len(closed_in) + len(closed_out) + len(cycles)
-        num = 2 - chi[root] - n
+        num = 2 - chi - n
         if num < 0 or num % 2:
             raise InternalInconsistency(
-                f"glued component has chi={chi[root]}, n={n}: no admissible genus"
+                f"glued component has chi={chi}, n={n}: no admissible genus"
             )
-        comp = ComponentData(num // 2, frozenset(closed_in), frozenset(closed_out), tuple(cycles))
-        new_components.append(comp)
+        new_components.append(ComponentData(num // 2, closed_in, closed_out, tuple(cycles)))
 
     return OCType(tuple(new_components), t1.in_signature, t2.out_signature)
 

@@ -4,6 +4,7 @@ The suite runs the same callables as `segal accept`, so a red test here and
 a FAIL line on the command line are the same event.
 """
 
+import collections
 import contextlib
 import math
 import os
@@ -16,7 +17,7 @@ from typing import Iterator
 
 import pytest
 
-from segal import acceptance, cli, modulus
+from segal import _oracles, acceptance, cli, cobordism, corpus, modulus
 from segal.acceptance import CRITERIA, Check, _judge, run_acceptance
 from segal.errors import DomainError
 from test_imports import SRC, run_python
@@ -42,8 +43,9 @@ def test_all_indices_covered(results):
 
 
 # Every stated bound, as (criterion index, check name, bound, sense).  The
-# goldens of the full `segal accept` mask every number, so this table is
-# what keeps a bound from moving.
+# `segal accept --format json` golden records every measured value, bound
+# and margin byte for byte; this table pins the bounds by name, so a moved
+# bound shows here as the bound that moved.
 BOUNDS = [
     (0, "problems", 0.0, "<="),
     (1, "mismatches", 0.0, "<="),
@@ -116,6 +118,49 @@ def test_unknown_indices_are_rejected_before_the_corpus_loads(tmp_path):
     # first can name the indices
     with pytest.raises(DomainError, match=r"^criterion indices out of range: \[0, 99\]$"):
         run_acceptance(str(tmp_path / "missing"), indices=[0, 3, 99])
+
+
+def test_the_composition_criteria_keep_their_work(monkeypatch):
+    """Criterion 1 draws 1,000 capped triples in 1,177 rounds (3,531 drawn
+    types), composes 4,000 times and compares 1,000 pairs of types;
+    criterion 2 composes each of its 3,220 pairs once and glues each once
+    on the complex.  A faster run cannot come from doing less of this."""
+    counts: collections.Counter = collections.Counter()
+    for owner, name in (
+        (acceptance, "_capped_triple"),
+        (corpus, "random_octype"),
+        (corpus, "random_successor"),
+        (cobordism, "compose_types"),
+        (cobordism.OCType, "__eq__"),
+        (_oracles, "glued_summary"),
+    ):
+
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    data = acceptance.load_corpus()
+    (check,), _ = acceptance.criterion_1_associativity(data)
+    assert check.measured == 0.0
+    assert counts == {
+        "_capped_triple": 1000,
+        "random_octype": 1177,
+        "random_successor": 2354,
+        "compose_types": 4000,
+        "__eq__": 1000,
+    }
+    counts.clear()
+    (check,), detail = acceptance.criterion_2_compose_oracle(data)
+    assert check.measured == 0.0
+    assert detail.startswith("3220 glued pairs")
+    # the 200 seeded pairs are drawn whole; those past the size cap are dropped
+    assert counts == {
+        "random_octype": 200,
+        "random_successor": 200,
+        "compose_types": 3220,
+        "glued_summary": 3220,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +252,31 @@ def test_a_single_criterion_runs_in_the_calling_process(monkeypatch):
     (_, result) = run_acceptance(indices=[8])
     assert result.passed
     assert pids == [os.getpid()]
+
+
+def test_the_heaviest_criteria_start_first(monkeypatch, tmp_path):
+    """On two CPUs the first four jobs the workers take are criteria 1, 2,
+    11 and 10, and the results still come back in table order."""
+    log = tmp_path / "started"
+
+    def probe(index: int):
+        def run(data):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{index}\n".encode())
+            os.close(fd)
+            time.sleep(0.05)  # so no worker takes a later job while another starts
+            return [Check("probe", 0.0, 0.0, "<=")], str(index)
+
+        return run
+
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple((i, n, probe(i)) for i, n, _ in CRITERIA))
+    results = run_acceptance()
+    started = [int(index) for index in log.read_text().split()]
+    assert set(started[:4]) == set(acceptance.HEAVIEST) == {1, 2, 11, 10}
+    assert sorted(started) == list(range(1, 13))
+    assert [r.index for r in results] == list(range(13))
+    assert [r.detail for r in results[1:]] == [str(i) for i in range(1, 13)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from segal import _oracles, corpus
 from segal._oracles import glued_summary, octype_summary, single_summary
 from segal.cobordism import BoundaryCycle, OCType, compose_types, disjoint_union, validate_type
+from segal.errors import SegalError
 
 
 @pytest.mark.parametrize(
@@ -103,6 +104,10 @@ def _doubled_cycle(t: OCType) -> OCType:
     return _with_component(t, 0, cycles=t.components[0].cycles * 2)
 
 
+def _doubled_components(t: OCType) -> OCType:
+    return dataclasses.replace(t, components=t.components * 2)
+
+
 # Each rejection a broken OCType can reach.  The complex's two remaining
 # checks (a boundary that is not a 1-manifold, a circle traced with extra
 # edges) guard its own bookkeeping: once every edge is used at most twice
@@ -117,9 +122,7 @@ REJECTIONS = {
         "glued without reversing orientation",
     ),
     "circle-on-two-components": (
-        lambda: single_summary(
-            dataclasses.replace(corpus.cylinder(), components=corpus.cylinder().components * 2)
-        ),
+        lambda: single_summary(_doubled_components(corpus.cylinder())),
         "glued without reversing orientation",
     ),
     "labels-disagree-on-an-arc-run": (
@@ -143,6 +146,51 @@ REJECTIONS = {
 def test_oracle_rejects_broken_types(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Broken types built with ``dataclasses.replace`` from a value whose arc
+# table a composition has filled: (the break, what makes the value, what
+# makes its partner, the side the value takes, the error compose_types
+# raises or None).
+BROKEN_COMPOSITIONS = {
+    "interval-on-two-cycles-out": (_doubled_cycle, corpus.disc_out, corpus.disc_in, 0, None),
+    "interval-on-two-cycles-in": (_doubled_cycle, corpus.disc_in, corpus.disc_out, 1, None),
+    "circle-on-two-components": (
+        _doubled_components,
+        corpus.cylinder,
+        corpus.cylinder,
+        0,
+        "glued component has chi=0, n=1: no admissible genus",
+    ),
+}
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except SegalError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("case", BROKEN_COMPOSITIONS)
+def test_a_broken_copy_of_a_composed_type_composes_as_a_fresh_one(case):
+    """The table a composition kept on a value does not pass to a copy
+    that ``dataclasses.replace`` breaks: composing the copy fails, or
+    succeeds, exactly as composing the same break of a fresh value."""
+    mutate, build, partner, side, error = BROKEN_COMPOSITIONS[case]
+    used, other = build(), partner()
+
+    def glue(t: OCType) -> OCType:
+        return compose_types(*((t, other) if side == 0 else (other, t)))
+
+    glue(used)
+    outcome = _outcome(lambda: glue(mutate(used)))
+    assert outcome == _outcome(lambda: glue(mutate(build())))
+    if error is not None:
+        assert outcome == f"InternalInconsistency: {error}"
+    # and the complex rejects the broken copy
+    with pytest.raises(ValueError):
+        single_summary(mutate(used))
 
 
 def _bump_genus(t: OCType) -> OCType:
