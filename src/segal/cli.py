@@ -13,18 +13,21 @@ handler returns a ``Report`` and ``main`` alone turns errors into exit
 codes: an ``InputError`` (bad syntax, a missing file or corpus, a value
 outside the domain of the operation) exits 2 with ``error:``; every other
 ``SegalError`` means a computation ran and its check failed, and exits 1
-with ``check failed:``.
+with ``check failed:``.  ``main`` is the in-process entry and returns the
+code; ``run`` is the process entry, which exits with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import json
 import math
+import os
 import random
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import __version__, acceptance, beltrami, cobordism, corpus, flattening, modulus, quasisym
 from . import chains as chainalg
@@ -844,5 +847,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 130
 
 
+def _closed_pipe() -> int:
+    """Point stdout at the null device, so nothing more is written to the
+    pipe its reader closed, and return 141 (128 + SIGPIPE)."""
+    if sys.stdout is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
+
+
+def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
+    """The process entry of the ``segal`` script and of ``python -m segal.cli``.
+
+    It exits with ``main``'s code once the exit handlers have run and the
+    output is flushed, and skips the interpreter's teardown (freeing every
+    module, a final garbage collection), which a finished command does not
+    need.  A stdout pipe closed by its reader exits 141 with nothing on
+    stderr.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse: --help, --version, a usage error
+        if e.code is not None and not isinstance(e.code, int):
+            raise
+        code = e.code or 0
+    except BrokenPipeError:
+        code = _closed_pipe()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                code = _closed_pipe()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

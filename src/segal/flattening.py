@@ -406,7 +406,8 @@ def _curve_grid(
     The substep count per output interval doubles until the step-doubling
     estimate max|fine - coarse| / 15 (Hairer, Norsett & Wanner, II.4) is at
     most 1e-10; curve points too large for double precision to resolve
-    1e-10 escape at once.  Returns the finer grid, its substep count, the
+    1e-10 escape at once, and a non-finite row escapes before the rows
+    after it are integrated.  Returns the finer grid, its substep count, the
     field evaluation count and the estimate.
     """
     h = np.full(len(starts), ts[1] - ts[0])
@@ -414,11 +415,11 @@ def _curve_grid(
     def run(n: int) -> np.ndarray:
         rows = [starts]
         for _ in range(len(ts) - 1):
-            rows.append(_rk4_flow(func, rows[-1], h, n))
-        grid = np.stack(rows)
-        if not np.isfinite(grid).all():
-            raise CurveEscape(f"non-finite curve point at {n} substeps")
-        return grid
+            row = _rk4_flow(func, rows[-1], h, n)
+            if not np.isfinite(row).all():
+                raise CurveEscape(f"non-finite curve point at {n} substeps")
+            rows.append(row)
+        return np.stack(rows)
 
     n, coarse = 1, run(1)
     evals = 4 * (len(ts) - 1)

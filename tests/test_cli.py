@@ -5,7 +5,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -550,3 +554,115 @@ def test_contract_sweep(tmp_path, capsys):
             swept += value is not None
     assert not broken, "\n".join(broken)
     assert swept == 35 * len(SWEEP_VALUES)  # 35 arguments declare a parser
+
+
+# ---------------------------------------------------------------------------
+# the process entry: ``segal.cli.run`` behind ``python -m segal.cli`` and the
+# ``segal`` script
+
+SRC = Path(segal.__file__).resolve().parents[1]
+GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def _child_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def _segal(argv: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "segal.cli", *argv],
+        env=_child_env(), capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv", [
+        ["chains", "product", "2", "1", "--format", "json"],
+        ["module", "check-qc", "--generate", "--count", "4", "--slack", "-1"],
+        ["chains", "product", "-1", "0"],
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_exit_code_and_output_match_the_golden_record(self, argv):
+        (case,) = [c for c in GOLDEN if c["argv"] == argv]
+        got = _segal(argv)
+        assert (got.returncode, got.stdout, got.stderr) == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["--version"], ["types", "bogus"]], ids=["help", "version", "usage-error"]
+    )
+    def test_argparse_exits_as_in_process(self, argv, monkeypatch, capsys):
+        """``--help``, ``--version`` and a usage error raise ``SystemExit``
+        in process; the process exits with its code and the same output."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        expected = (exc.value.code or 0, *capsys.readouterr())
+        got = _segal(argv)
+        assert (got.returncode, got.stdout, got.stderr) == expected
+        assert expected[0] == (2 if argv == ["types", "bogus"] else 0)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["types", "enumerate"], ["chains", "product", "4", "4", "--boundary"]],
+        ids=["types-enumerate", "chains-product"],
+    )
+    def test_closed_pipe_exits_141_quietly(self, argv, unbuffered):
+        """The reader closes the pipe before the child writes: unbuffered,
+        the write fails; buffered, the short report fails at the final flush
+        and the 19 kB one at a write."""
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "segal.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_closed_stdout_exits_0_quietly(self):
+        cmd = f"{shlex.quote(sys.executable)} -m segal.cli types enumerate >&-"
+        got = subprocess.run(
+            cmd, shell=True, env=_child_env(), capture_output=True, text=True, timeout=60
+        )
+        assert (got.returncode, got.stderr) == (0, "")
+
+    def test_exit_handlers_run_before_the_flush(self):
+        code = (
+            "import atexit, segal.cli\n"
+            "atexit.register(print, 'exit handler ran')\n"
+            "segal.cli.run(['--version'])\n"
+        )
+        got = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (got.returncode, got.stdout, got.stderr) == (
+            0, f"segal {segal.__version__}\nexit handler ran\n", ""
+        )
+
+    def test_console_script_is_the_process_entry(self):
+        text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.split() == ["segal", "=", '"segal.cli:run"']
+
+    def test_no_interpreter_teardown(self):
+        """The process leaves without freeing its modules: an object held by
+        ``__main__`` is never finalized."""
+        code = (
+            "import os, segal.cli\n"
+            "class Held:\n"
+            "    def __del__(self, write=os.write):\n"
+            "        write(1, b'finalized\\n')\n"
+            "held = Held()\n"
+            "segal.cli.run(['--version'])\n"
+        )
+        got = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (got.returncode, got.stdout) == (0, f"segal {segal.__version__}\n")
