@@ -811,11 +811,23 @@ GROUP_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help, version or
+    usage text raises, as every other write does, so ``run`` exits 141 on a
+    closed stdout pipe here too; argparse drops the error.  A stream that
+    is ``None`` stays silent.  Subparsers inherit the class."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json"), default="text")
 
-    parser = argparse.ArgumentParser(prog="segal", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="segal", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"segal {__version__}")
     # subparser actions keyed by group; None is the top level
     subs = {None: parser.add_subparsers(dest="group", required=True, metavar="COMMAND")}

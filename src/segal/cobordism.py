@@ -501,30 +501,18 @@ def compose_types(t1: OCType, t2: OCType) -> OCType:
     roots = [uf.find(k) for k in range(len(comps))]
 
     # The joined table.  An arc that ends at a glued entry has no entry ahead
-    # and goes on after the partner's first entry; where the partner is
-    # missing it goes to an extra arc past the end, marked seen, so the walk
-    # that reaches it stops and ``locate`` names the missing interval.
+    # and goes on after the partner's first entry.
     label = tables[0].label + tables[1].label
     ahead: list[Optional[CycleEntry]] = tables[0].ahead + tables[1].ahead
     succ = tables[0].succ + [n1 + a for a in tables[1].succ]
-    seen = bytearray(len(label))
-    lost: list[tuple[int, int]] = []
     for w, off, other_off in ((0, 0, n1), (1, n1, 0)):
-        partners = tables[1 - w].first[glued[1 - w]]
         for a in tables[w].ending[glued[w]]:
-            i = ahead[off + a].index
+            succ[off + a] = other_off + locate(1 - w, "interval", ahead[off + a].index)
             ahead[off + a] = None
-            p = partners.get(i)
-            if p is None:
-                succ[off + a] = len(seen)
-                seen.append(1)
-                lost.append((1 - w, i))
-            else:
-                succ[off + a] = other_off + p
 
     # The cycles each union-find class keeps, walked from each arc in turn.
+    seen = bytearray(len(label))
     kept: dict[int, list[BoundaryCycle]] = {r: [] for r in roots}
-    n_arcs = len(label)
     for w, off in ((0, 0), (1, n1)):
         for ci, cyc, lo in tables[w].cycles:
             cycles = kept[roots[w * c1 + ci]]
@@ -547,9 +535,6 @@ def compose_types(t1: OCType, t2: OCType) -> OCType:
                     seen[arc] = 1
                     walk.append((label[arc], ahead[arc]))
                     arc = succ[arc]
-                if arc >= n_arcs:
-                    side, i = lost[arc - n_arcs]
-                    locate(side, "interval", i)
                 cycles.append(_splice(walk))
 
     glued_at = [roots[k] for k in glued_on]
@@ -717,7 +702,7 @@ def octype_to_json(t: OCType) -> dict:
 def octype_from_json(d: dict) -> OCType:
     d = json_object(d, "surface type")
     if d.get("schema", OCTYPE_SCHEMA) != OCTYPE_SCHEMA:
-        raise ValueError(f"unsupported schema {d.get('schema')!r}")
+        raise DomainError(f"unsupported schema {d.get('schema')!r}")
     comps = []
     for cd in json_list(d["components"], "components"):
         cd = json_object(cd, "component")

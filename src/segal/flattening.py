@@ -7,8 +7,8 @@ horizontal vector gives a field of the form (O(y^m), 1 + O(y^n)); each
 flattening step straightens the integral curves of that field to vertical
 lines, improving the pair (m, n).  The recursion on (m, n) is exact integer
 bookkeeping; the maps themselves are built numerically on a grid, with
-numpy alone: a fixed-step RK4 curve grid and a not-a-knot cubic spline
-inverse.
+numpy alone: a fixed-step RK4 curve grid, inverted by Newton's method on
+the local bicubic through the 4 x 4 nodes nearest each point.
 
 The strip is fixed: x in [-1.5, 1.5], y in [0, 1].  A chart covers its
 lower 0.75 on a 97 x 97 grid.
@@ -16,9 +16,8 @@ lower 0.75 on a 97 x 97 grid.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import _FirstUseNumpy
@@ -272,66 +271,25 @@ def structure_field_chain(g: BoundaryGlueMap, k: int) -> list[StructureField]:
 # the flattening map on a grid
 
 
-def _not_a_knot_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Matrix taking node values to the node second derivatives of their
-    not-a-knot cubic interpolant (third derivative continuous at the second
-    and the second-to-last node; de Boor, ch. IV).  Needs 4 or more nodes.
-    """
-    n = len(nodes)
-    h = np.diff(nodes)
-    lhs = np.zeros((n, n))
-    rhs = np.zeros((n, n))
-    for i in range(1, n - 1):
-        lhs[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
-        rhs[i, i - 1 : i + 2] = 6.0 / h[i - 1], -6.0 / h[i - 1] - 6.0 / h[i], 6.0 / h[i]
-    lhs[0, :3] = h[1], -(h[0] + h[1]), h[0]
-    lhs[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
-    return np.linalg.solve(lhs, rhs)
-
-
-def _cubic_weights(nodes: list[float], s: float) -> tuple[int, np.ndarray]:
-    """Cell c of s and the weights of the cell-end data for the interpolant
-    (row 0) and its first derivative (row 1).
-
-    The columns weigh the value and the second derivative at node c, then
-    the same two at node c + 1.
-    """
-    c = min(max(bisect.bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
-    h = nodes[c + 1] - nodes[c]
-    a = (nodes[c + 1] - s) / h
-    b = 1.0 - a
-    return c, np.array([
-        [a, h * h * (a**3 - a) / 6.0, b, h * h * (b**3 - b) / 6.0],
-        [-1.0 / h, -h * (3.0 * a * a - 1.0) / 6.0, 1.0 / h, h * (3.0 * b * b - 1.0) / 6.0],
+def _cubic_weights(nodes: np.ndarray, s: float) -> tuple[int, np.ndarray]:
+    """First index k of the four uniform ``nodes`` nearest s, and the weights
+    of their values in the cubic through them (row 0) and in its derivative
+    (row 1): Lagrange's basis in a, b, c, d, the offsets of s from nodes k
+    to k + 3 in steps."""
+    lo, h = float(nodes[0]), float(nodes[1] - nodes[0])
+    u = (s - lo) / h
+    k = min(max(int(u) - 1, 0), len(nodes) - 4)
+    a = u - k
+    b, c, d = a - 1.0, a - 2.0, a - 3.0
+    return k, np.array([
+        [-b * c * d / 6.0, a * c * d / 2.0, -a * b * d / 2.0, a * b * c / 6.0],
+        [
+            -(b * c + b * d + c * d) / (6.0 * h),
+            (a * c + a * d + c * d) / (2.0 * h),
+            -(a * b + a * d + b * d) / (2.0 * h),
+            (a * b + a * c + b * c) / (6.0 * h),
+        ],
     ])
-
-
-class _GridSpline:
-    """Tensor-product not-a-knot cubic interpolant of values[j, i, :] at
-    (ts[j], xs[i]), the interpolant of ``RectBivariateSpline(s=0)``.
-
-    Along each axis the interpolant is fixed by node values and node second
-    derivatives, so each cell is a bicubic fixed by the values, both second
-    derivatives and the mixed fourth derivative at its corners.
-    """
-
-    def __init__(self, ts: np.ndarray, xs: np.ndarray, values: np.ndarray):
-        self.ts, self.xs = ts.tolist(), xs.tolist()
-        mt, mx = _not_a_knot_matrix(ts), _not_a_knot_matrix(xs)
-        ftt = np.tensordot(mt, values, axes=1)
-        # coef[j, p, i, q]: p = 0 the value, 1 the second t-derivative; q in x
-        self.coef = np.stack(
-            [np.stack([values, mx @ values], axis=2), np.stack([ftt, mx @ ftt], axis=2)],
-            axis=1,
-        )
-
-    def __call__(self, t: float, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value, t-derivative and x-derivative at (t, x)."""
-        j, wt = _cubic_weights(self.ts, t)
-        i, wx = _cubic_weights(self.xs, x)
-        cell = self.coef[j : j + 2, :, i : i + 2].reshape(4, -1)
-        out = wx @ (wt @ cell).reshape(2, 4, -1)
-        return out[0, 0], out[1, 0], out[0, 1]
 
 
 @dataclass(frozen=True)
@@ -348,7 +306,9 @@ class FlattenedChart:
     """Forward curve grid and the inverse (the flattening) on top of it.
 
     grid[j, i] is the time ts[j] point of the curve started at (xs[i], 0).
-    The inverse is defined on the axis rectangle certainly inside the image.
+    The inverse is defined on the axis rectangle certainly inside the image;
+    it inverts the tensor-product cubic that interpolates the grid through
+    the 4 x 4 nodes nearest each point, exact at the nodes and on cubics.
     ``substeps`` is the RK4 step count per output interval of ``ts``,
     ``field_evals`` counts the field evaluations (each on all curves at once)
     and ``step_error`` is the step-doubling error estimate of the grid.
@@ -361,10 +321,17 @@ class FlattenedChart:
     substeps: int
     field_evals: int
     step_error: float
-    _spline: _GridSpline = dc_field(repr=False)
 
     def forward(self, i: int, j: int) -> tuple[float, float]:
         return float(self.grid[j, i, 0]), float(self.grid[j, i, 1])
+
+    def _interpolate(self, t: float, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, t-derivative and x-derivative at (t, x) of the tensor-product
+        cubic through the 4 x 4 grid nodes nearest it."""
+        j, wt = _cubic_weights(self.ts, t)
+        i, wx = _cubic_weights(self.xs, x)
+        out = wx @ (wt @ self.grid[j : j + 4, i : i + 4].reshape(4, -1)).reshape(2, 4, 2)
+        return out[0, 0], out[1, 0], out[0, 1]
 
     def delta(self, u: float, v: float) -> tuple[float, float]:
         """Flattening coordinates of an image point, by Newton inversion."""
@@ -375,7 +342,7 @@ class FlattenedChart:
         t = min(max(v, self.ts[0]), self.ts[-1])
         scale = max(1.0, abs(u), abs(v))
         for _ in range(60):
-            val, d_t, d_x = self._spline(t, x)
+            val, d_t, d_x = self._interpolate(t, x)
             fx = float(val[0]) - u
             fy = float(val[1]) - v
             if max(abs(fx), abs(fy)) <= 1e-12 * scale:
@@ -452,7 +419,8 @@ def flatten_step(field: StructureField) -> FlattenedChart:
     defining properties: identity on the boundary row, positive grid
     Jacobian, and pushforward of the field to the vertical unit at interior
     nodes (up to grid-size differencing error).  The inverse interpolates
-    the grid with a not-a-knot bicubic spline.
+    the grid locally, by the cubic through the four nearest nodes along each
+    axis.
     """
     func = field.func
     xs = np.linspace(X_LO, X_HI, GRID)
@@ -481,7 +449,6 @@ def flatten_step(field: StructureField) -> FlattenedChart:
         substeps=substeps,
         field_evals=field_evals,
         step_error=step_error,
-        _spline=_GridSpline(ts, xs, grid),
     )
 
 

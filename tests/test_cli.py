@@ -603,13 +603,14 @@ class TestProcessEntry:
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
         "argv",
-        [["types", "enumerate"], ["chains", "product", "4", "4", "--boundary"]],
-        ids=["types-enumerate", "chains-product"],
+        [["types", "enumerate"], ["chains", "product", "4", "4", "--boundary"], ["--help"], ["--version"]],
+        ids=["types-enumerate", "chains-product", "help", "version"],
     )
     def test_closed_pipe_exits_141_quietly(self, argv, unbuffered):
         """The reader closes the pipe before the child writes: unbuffered,
         the write fails; buffered, the short report fails at the final flush
-        and the 19 kB one at a write."""
+        and the 19 kB one at a write.  argparse's help and version text
+        fail the same way, unbuffered inside argparse."""
         env = _child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:

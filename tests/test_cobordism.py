@@ -424,6 +424,13 @@ def test_json_top_level_must_be_object():
         octype_from_json([1, 2])
 
 
+def test_json_unknown_schema_is_a_domain_error():
+    doc = octype_to_json(corpus.cylinder())
+    doc["schema"] = "segal.octype/2"
+    with pytest.raises(DomainError, match=r"^unsupported schema 'segal.octype/2'$"):
+        octype_from_json(doc)
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -359,17 +360,27 @@ class TestChartInverse:
         # only the top rows of the depth-0 chart rise above the rectangle
         assert checked >= 0.9 * (len(chart.xs) - 2) * (len(chart.ts) - 2)
 
-    def test_spline_matches_scipy(self, sine_chart):
-        interpolate = pytest.importorskip("scipy.interpolate")
-        chart = sine_chart
+    def test_interpolant_is_exact_on_cubics(self, sine_chart):
+        """On a grid sampled from tensor products of cubics in t and x, the
+        chart interpolant and both of its derivatives are the polynomials."""
         rng = np.random.default_rng(11)
-        ts = rng.uniform(chart.ts[0], chart.ts[-1], 300)
-        xs = rng.uniform(chart.xs[0], chart.xs[-1], 300)
-        got = np.array([np.concatenate(chart._spline(t, x)) for t, x in zip(ts, xs)])
-        for c in range(2):
-            ref = interpolate.RectBivariateSpline(chart.ts, chart.xs, chart.grid[:, :, c], s=0)
-            want = np.column_stack([ref.ev(ts, xs), ref.ev(ts, xs, dx=1), ref.ev(ts, xs, dy=1)])
-            assert np.max(np.abs(got[:, c::2] - want)) <= 1e-12
+        coef = rng.uniform(-1.0, 1.0, (2, 4, 4))  # [component, power of t, power of x]
+        p = np.arange(4.0)
+
+        def poly(t, x, d_t=False, d_x=False):
+            t, x = np.asarray(t)[..., None], np.asarray(x)[..., None]
+            tp = p * t ** np.maximum(p - 1.0, 0.0) if d_t else t**p
+            xp = p * x ** np.maximum(p - 1.0, 0.0) if d_x else x**p
+            return np.einsum("cpq,...p,...q->...c", coef, tp, xp)
+
+        chart = dataclasses.replace(
+            sine_chart, grid=poly(*np.meshgrid(sine_chart.ts, sine_chart.xs, indexing="ij"))
+        )
+        ts = rng.uniform(chart.ts[0], chart.ts[-1], 200)
+        xs = rng.uniform(chart.xs[0], chart.xs[-1], 200)
+        got = np.array([np.stack(chart._interpolate(t, x)) for t, x in zip(ts, xs)])
+        want = np.stack([poly(ts, xs), poly(ts, xs, d_t=True), poly(ts, xs, d_x=True)], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

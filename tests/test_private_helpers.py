@@ -62,3 +62,18 @@ def test_every_import_is_used():
     paths = [*PACKAGE.glob("*.py"), *(REPO / "tests").glob("*.py"), *(REPO / "demos").glob("*.py")]
     unused = [entry for path in sorted(paths) for entry in _unused_imports(path)]
     assert not unused, f"imports nothing reads: {unused}"
+
+
+def test_no_module_uses_numpy_linalg():
+    """The package solves its small systems in closed form; LAPACK's digits
+    could depend on the host's BLAS."""
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, ast.alias) and "linalg" in node.name
+                or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+            ):
+                users.append(f"{path.name}:{node.lineno}")
+    assert not users, f"numpy.linalg used at {users}"
