@@ -16,7 +16,7 @@ from segal import (
     is_stable,
     validate_type,
 )
-from segal.corpus import cylinder, pants_join, pants_split, random_octype, random_successor
+from segal.corpus import example, random_octype, random_successor
 
 
 def cap(direction):
@@ -36,7 +36,7 @@ def describe(name, t):
 
 
 def main():
-    split, join = pants_split(), pants_join()
+    split, join = example("pants_split"), example("pants_join")
     describe("pants (1 -> 2)", split)
     describe("pants (2 -> 1)", join)
 
@@ -47,7 +47,7 @@ def main():
     print()
 
     # a cylinder acts as the identity on a single closed boundary
-    tube = cylinder()
+    tube = example("cylinder")
     left = compose_types(tube, handle)
     right = compose_types(handle, tube)
     print(f"cylinder absorbs on either side: {left == handle and right == handle}")

@@ -34,6 +34,8 @@ def read_json(path) -> object:
         return json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DomainError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DomainError(f"{path}: JSON nested too deeply") from None
 
 
 def load_file(path, decode: Callable[[object], T], what: str) -> T:

@@ -86,7 +86,7 @@ def _quads_from_json(d) -> tuple[tuple[float, float, float, float], ...]:
 
 def load_corpus(directory: Optional[str] = None) -> AcceptanceCorpus:
     """Read the quad list and example types from a directory, by default the shipped one."""
-    root = Path(__file__).parent / "data" / "corpus" if directory is None else Path(directory)
+    root = corpus.BUNDLED if directory is None else Path(directory)
     quad_path = root / "quads.json"
     if not quad_path.is_file():
         raise DomainError(f"missing corpus file {quad_path}")
@@ -144,11 +144,7 @@ def _sample_mu(rng: random.Random, r_max: float = 0.95) -> complex:
 def _random_field(
     rng: random.Random, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> beltrami.DilatationField:
-    import numpy as np  # here, so loading a corpus loads no numpy
-
-    vals = np.array(
-        [[_sample_mu(rng, 0.9) for _ in range(nx)] for _ in range(ny)]
-    )
+    vals = [[_sample_mu(rng, 0.9) for _ in range(nx)] for _ in range(ny)]
     return beltrami.DilatationField(x0, x1, y0, y1, vals)
 
 

@@ -72,13 +72,6 @@ class LinearMapZZbar:
     def __call__(self, z: complex) -> complex:
         return self.a * z + self.b * z.conjugate()
 
-    @staticmethod
-    def from_real_matrix(m11: float, m12: float, m21: float, m22: float) -> "LinearMapZZbar":
-        """The map (x,y) -> (m11 x + m12 y, m21 x + m22 y) in z/conj(z) form."""
-        a = 0.5 * complex(m11 + m22, m21 - m12)
-        b = 0.5 * complex(m11 - m22, m21 + m12)
-        return LinearMapZZbar(a, b)
-
 
 def mu_of_linear(m: LinearMapZZbar) -> complex:
     """Ratio of the conjugate-linear part to the linear part."""
@@ -302,23 +295,6 @@ class DilatationField:
     def dy(self) -> float:
         return (self.y1 - self.y0) / self.ny
 
-    @classmethod
-    def constant(
-        cls, value: complex, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
-    ) -> "DilatationField":
-        nx, ny = integer(nx, "nx", 1), integer(ny, "ny", 1)
-        return cls(x0, x1, y0, y1, np.full((ny, nx), complex(value)))
-
-    def value_at(self, x: float, y: float) -> complex:
-        """Sample of the cell owning (x, y); cell boundaries belong to the
-        lower/left cell, so a seam line keeps the values of the first field
-        of a sew."""
-        if not (self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1):
-            raise GridMismatch(f"point ({x}, {y}) outside the field rectangle")
-        j = min(max(math.ceil((x - self.x0) / self.dx) - 1, 0), self.nx - 1)
-        i = min(max(math.ceil((y - self.y0) / self.dy) - 1, 0), self.ny - 1)
-        return complex(self.values[i, j])
-
     def sup_abs(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -389,7 +365,7 @@ def sew_sections(
 
     seam="x": s1 sits left of s2 and they share the vertical edge x = s1.x1.
     seam="y": s1 sits below s2.  Cell-centered sampling puts no sample on the
-    seam line itself; point evaluation there resolves to s1 via value_at.
+    seam line itself, so the joined values are s1's followed by s2's.
     """
     span = max(s1.x1 - s1.x0, s1.y1 - s1.y0, s2.x1 - s2.x0, s2.y1 - s2.y0)
     tol = 1e-12 * span

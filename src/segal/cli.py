@@ -231,9 +231,14 @@ def emit(args: argparse.Namespace, report: Report) -> int:
     if report.schema:
         payload = {"schema": report.schema, "version": __version__, **payload}
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+                fh.write("\n")
+        except BrokenPipeError:  # -o /dev/stdout, its reader gone: exit 141 as for stdout
+            raise
+        except OSError as e:
+            raise DomainError(f"{args.output}: {e.strerror or e}") from None
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:

@@ -167,9 +167,6 @@ class OCType:
     def __hash__(self) -> int:
         return hash((self.in_signature, self.out_signature, self.canonical()))
 
-    def total_euler(self) -> int:
-        return sum(euler_characteristic(c) for c in self.components)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -1,9 +1,10 @@
 """Bundled examples and seeded generators for tests, demos and acceptance runs.
 
-Builders return small standard surface types (discs, strips, cylinders, pants).
-The random generators are deterministic in the seed and construct values that
-satisfy every structural invariant by construction, including matched labels
-for composable pairs: they only draw or list boundary cycles, and read both
+``example`` reads one of the small standard surface types (discs, strips,
+cylinders, pants) shipped as JSON under ``data/corpus/types``.  The random
+generators are deterministic in the seed and construct values that satisfy
+every structural invariant by construction, including matched labels for
+composable pairs: they only draw or list boundary cycles, and read both
 signatures off those cycles through ``cobordism.cycle_signatures``, which
 applies the one D-brane orientation rule that ``validate_type`` checks.
 """
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import cobordism
-from ._input import integer
+from ._input import integer, load_file
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -24,87 +26,14 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # standard types
 
-
-def disc_out(label: Label = "a") -> OCType:
-    """Disc whose boundary is one outgoing interval plus one free arc."""
-    comp = cobordism.ComponentData(
-        genus=0,
-        cycles=(cobordism.BoundaryCycle((cobordism.CycleEntry("out", 0),), (label,)),),
-    )
-    sig = cobordism.ObjectSignature(0, 1, (label,), (label,))
-    return cobordism.OCType((comp,), cobordism.ObjectSignature(0, 0), sig)
+# the shipped acceptance corpus: quads.json, and one type per file in types/
+BUNDLED = Path(__file__).parent / "data" / "corpus"
 
 
-def disc_in(label: Label = "a") -> OCType:
-    """Disc whose boundary is one incoming interval plus one free arc."""
-    comp = cobordism.ComponentData(
-        genus=0,
-        cycles=(cobordism.BoundaryCycle((cobordism.CycleEntry("in", 0),), (label,)),),
-    )
-    sig = cobordism.ObjectSignature(0, 1, (label,), (label,))
-    return cobordism.OCType((comp,), sig, cobordism.ObjectSignature(0, 0))
-
-
-def free_disc(label: Label = "a") -> OCType:
-    """Disc with fully free boundary: the result of disc_out . disc_in."""
-    comp = cobordism.ComponentData(genus=0, cycles=(cobordism.free_circle(label),))
-    empty = cobordism.ObjectSignature(0, 0)
-    return cobordism.OCType((comp,), empty, empty)
-
-
-def strip(source: Label = "a", target: Label = "b") -> OCType:
-    """Rectangle: one incoming and one outgoing interval between two arcs."""
-    comp = cobordism.ComponentData(
-        genus=0,
-        cycles=(
-            cobordism.BoundaryCycle(
-                (cobordism.CycleEntry("in", 0), cobordism.CycleEntry("out", 0)),
-                (source, target),
-            ),
-        ),
-    )
-    sig = cobordism.ObjectSignature(0, 1, (source,), (target,))
-    return cobordism.OCType((comp,), sig, sig)
-
-
-def cylinder() -> OCType:
-    """Annulus from one incoming to one outgoing closed circle."""
-    comp = cobordism.ComponentData(genus=0, closed_in=frozenset({0}), closed_out=frozenset({0}))
-    sig = cobordism.ObjectSignature(1, 0)
-    return cobordism.OCType((comp,), sig, sig)
-
-
-def pants_split() -> OCType:
-    """Pair of pants: one incoming circle, two outgoing."""
-    comp = cobordism.ComponentData(
-        genus=0, closed_in=frozenset({0}), closed_out=frozenset({0, 1})
-    )
-    return cobordism.OCType(
-        (comp,), cobordism.ObjectSignature(1, 0), cobordism.ObjectSignature(2, 0)
-    )
-
-
-def pants_join() -> OCType:
-    """Pair of pants: two incoming circles, one outgoing."""
-    comp = cobordism.ComponentData(
-        genus=0, closed_in=frozenset({0, 1}), closed_out=frozenset({0})
-    )
-    return cobordism.OCType(
-        (comp,), cobordism.ObjectSignature(2, 0), cobordism.ObjectSignature(1, 0)
-    )
-
-
-def closed_surface(genus: int) -> OCType:
-    """Closed component with no boundary at all (unstable for genus >= 0)."""
-    comp = cobordism.ComponentData(genus=genus)
-    empty = cobordism.ObjectSignature(0, 0)
-    return cobordism.OCType((comp,), empty, empty)
-
-
-def free_annulus(label: Label = "a") -> OCType:
-    comp = cobordism.ComponentData(genus=0, cycles=(cobordism.free_circle(label),) * 2)
-    empty = cobordism.ObjectSignature(0, 0)
-    return cobordism.OCType((comp,), empty, empty)
+def example(name: str) -> OCType:
+    """The bundled type ``types/<name>.json``, e.g. ``example("pants_split")``."""
+    path = BUNDLED / "types" / f"{name}.json"
+    return load_file(path, cobordism.octype_from_json, "surface-type")
 
 
 # ---------------------------------------------------------------------------

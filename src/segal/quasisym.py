@@ -135,11 +135,10 @@ def _point_modulus(z: complex) -> float:
 
 @dataclass(frozen=True)
 class CircleDiffeo:
-    """Orientation-preserving circle map given by a lift, its derivative and
-    exact bounds deriv_min <= psi' <= deriv_max."""
+    """Orientation-preserving circle map given by a lift psi and exact bounds
+    deriv_min <= psi' <= deriv_max on its derivative."""
 
     psi: Callable[[float], float]
-    dpsi: Callable[[float], float]
     deriv_min: float
     deriv_max: float
 
@@ -160,13 +159,13 @@ class CircleDiffeo:
 
 
 def circle_identity() -> CircleDiffeo:
-    return CircleDiffeo(lambda t: t, lambda t: 1.0, 1.0, 1.0)
+    return CircleDiffeo(lambda t: t, 1.0, 1.0)
 
 
 def circle_rotation(delta: float) -> CircleDiffeo:
     if not math.isfinite(delta):
         raise DomainError(f"rotation angle must be finite, got {delta!r}")
-    return CircleDiffeo(lambda t: t + delta, lambda t: 1.0, 1.0, 1.0)
+    return CircleDiffeo(lambda t: t + delta, 1.0, 1.0)
 
 
 def half_angle_piecewise() -> CircleDiffeo:
@@ -183,14 +182,7 @@ def half_angle_piecewise() -> CircleDiffeo:
             return 0.5 * math.pi + (t - math.pi)
         return math.pi + 2.0 * (t - 1.5 * math.pi)
 
-    def dpsi(t: float) -> float:
-        if t <= math.pi:
-            return 0.5
-        if t <= 1.5 * math.pi:
-            return 1.0
-        return 2.0
-
-    return CircleDiffeo(psi, dpsi, 0.5, 2.0)
+    return CircleDiffeo(psi, 0.5, 2.0)
 
 
 def half_angle_smooth() -> CircleDiffeo:
@@ -205,12 +197,7 @@ def half_angle_smooth() -> CircleDiffeo:
             return 0.5 * t
         return 0.5 * math.pi + 1.5 * (t - math.pi) - 0.5 * math.sin(2.0 * t)
 
-    def dpsi(t: float) -> float:
-        if t <= math.pi:
-            return 0.5
-        return 1.5 - math.cos(2.0 * t)
-
-    return CircleDiffeo(psi, dpsi, 0.5, 2.5)
+    return CircleDiffeo(psi, 0.5, 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ from segal.errors import (
 )
 
 
+def _constant(value, x0, x1, y0, y1, nx, ny):
+    """A field with the one value ``value`` in each of ny x nx cells."""
+    return DilatationField(x0, x1, y0, y1, np.full((ny, nx), complex(value)))
+
+
 def sample_mu(rng, rmax=0.95):
     r = rmax * math.sqrt(rng.random())
     t = 2.0 * math.pi * rng.random()
@@ -57,23 +62,10 @@ def test_mu_of_linear_against_fd_oracle():
     def f(z):
         return complex(2.0 * z.real, z.imag)
 
-    m = LinearMapZZbar.from_real_matrix(2, 0, 0, 1)
+    m = LinearMapZZbar(1.5, 0.5)
     fz, fzbar = wirtinger_fd(f, 0.3 + 0.7j)
     assert fzbar / fz == pytest.approx(mu_of_linear(m), abs=1e-9)
     assert mu_of_linear(m) == pytest.approx(1 / 3, abs=1e-15)
-
-
-def test_from_real_matrix_evaluates_like_the_matrix():
-    rng = random.Random(7)
-    for _ in range(50):
-        m11, m12, m21, m22 = (rng.uniform(-2, 2) for _ in range(4))
-        if m11 * m22 - m12 * m21 <= 0.05:
-            continue
-        lin = LinearMapZZbar.from_real_matrix(m11, m12, m21, m22)
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        w = lin(z)
-        assert w.real == pytest.approx(m11 * z.real + m12 * z.imag, abs=1e-12)
-        assert w.imag == pytest.approx(m21 * z.real + m22 * z.imag, abs=1e-12)
 
 
 def test_dilatation_K_values():
@@ -279,21 +271,21 @@ def test_frame_mu_matches_linear_map_route():
 
 
 def test_constant_field_distance():
-    a = DilatationField.constant(0.0, 0, 1, 0, 1, 8, 4)
-    b = DilatationField.constant(1 / 3, 0, 1, 0, 1, 8, 4)
+    a = _constant(0.0, 0, 1, 0, 1, 8, 4)
+    b = _constant(1 / 3, 0, 1, 0, 1, 8, 4)
     assert field_distance(a, a) == 0.0
     assert field_distance(a, b) == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_field_rejects_edge_values():
     with pytest.raises(OutOfDisc):
-        DilatationField.constant(1.0 - 1e-10, 0, 1, 0, 1, 2, 2)
+        _constant(1.0 - 1e-10, 0, 1, 0, 1, 2, 2)
 
 
 def test_field_grid_mismatch():
-    a = DilatationField.constant(0.0, 0, 1, 0, 1, 4, 4)
-    b = DilatationField.constant(0.0, 0, 1, 0, 1, 4, 5)
-    c = DilatationField.constant(0.0, 0, 2, 0, 1, 4, 4)
+    a = _constant(0.0, 0, 1, 0, 1, 4, 4)
+    b = _constant(0.0, 0, 1, 0, 1, 4, 5)
+    c = _constant(0.0, 0, 2, 0, 1, 4, 4)
     with pytest.raises(GridMismatch):
         field_distance(a, b)
     with pytest.raises(GridMismatch):
@@ -316,39 +308,26 @@ def test_field_json_must_be_object():
         DilatationField.from_json([1, 2])
 
 
-def test_value_at_cell_ownership():
-    vals = np.array([[0.1, 0.2]])
-    f = DilatationField(0.0, 2.0, 0.0, 1.0, vals)
-    assert f.value_at(0.5, 0.5) == 0.1
-    assert f.value_at(1.5, 0.5) == 0.2
-    # The interior cell boundary belongs to the left cell.
-    assert f.value_at(1.0, 0.5) == 0.1
-    assert f.value_at(0.0, 0.0) == 0.1
-    assert f.value_at(2.0, 1.0) == 0.2
-    with pytest.raises(GridMismatch):
-        f.value_at(2.5, 0.5)
-
-
 def test_sew_along_x_and_y():
-    a = DilatationField.constant(0.1, 0, 1, 0, 1, 4, 4)
-    b = DilatationField.constant(0.2, 1, 2, 0, 1, 4, 4)
+    a = _constant(0.1, 0, 1, 0, 1, 4, 4)
+    b = _constant(0.2, 1, 2, 0, 1, 4, 4)
     s = sew_sections(a, b, "x")
     assert (s.x0, s.x1) == (0, 2)
     assert s.nx == 8 and s.ny == 4
     assert s.sup_abs() == 0.2
-    assert s.value_at(1.0, 0.5) == pytest.approx(0.1)
+    assert np.array_equal(s.values, np.hstack([a.values, b.values]))
 
-    c = DilatationField.constant(0.3, 0, 1, 1, 2, 4, 4)
+    c = _constant(0.3, 0, 1, 1, 2, 4, 4)
     s2 = sew_sections(a, c, "y")
     assert (s2.y0, s2.y1) == (0, 2)
-    assert s2.value_at(0.5, 1.0) == pytest.approx(0.1)
+    assert np.array_equal(s2.values, np.vstack([a.values, c.values]))
 
     with pytest.raises(GridMismatch):
         sew_sections(b, a, "x")
     with pytest.raises(GridMismatch):
-        sew_sections(a, DilatationField.constant(0.2, 1, 2, 0, 1, 4, 5), "x")
+        sew_sections(a, _constant(0.2, 1, 2, 0, 1, 4, 5), "x")
     with pytest.raises(GridMismatch):
-        sew_sections(a, DilatationField.constant(0.2, 1, 3, 0, 1, 4, 4), "x")
+        sew_sections(a, _constant(0.2, 1, 3, 0, 1, 4, 4), "x")
 
 
 def test_sew_along_y_stacks_rows():
@@ -357,28 +336,28 @@ def test_sew_along_y_stacks_rows():
     s = sew_sections(below, above, "y")
     assert (s.nx, s.ny, s.dy) == (2, 4, below.dy)
     assert np.array_equal(s.values, np.vstack([below.values, above.values]))
-    assert s.value_at(0.75, 1.25) == 0.6
+    assert s.values[2, 1] == 0.6
 
 
 # a field that does not continue a 4x4 field on the unit square upwards
 NOT_ABOVE = {
-    "gap": (DilatationField.constant(0.2, 0, 1, 1.5, 2.5, 4, 4), "do not meet along y"),
-    "columns": (DilatationField.constant(0.2, 0, 1, 1, 2, 5, 4), "column counts differ"),
-    "x-range": (DilatationField.constant(0.2, 0, 2, 1, 2, 4, 4), "x-ranges"),
-    "cell-height": (DilatationField.constant(0.2, 0, 1, 1, 3, 4, 4), "cell heights differ"),
+    "gap": (_constant(0.2, 0, 1, 1.5, 2.5, 4, 4), "do not meet along y"),
+    "columns": (_constant(0.2, 0, 1, 1, 2, 5, 4), "column counts differ"),
+    "x-range": (_constant(0.2, 0, 2, 1, 2, 4, 4), "x-ranges"),
+    "cell-height": (_constant(0.2, 0, 1, 1, 3, 4, 4), "cell heights differ"),
 }
 
 
 @pytest.mark.parametrize("case", NOT_ABOVE)
 def test_sew_along_y_rejects_a_field_that_does_not_continue_the_grid(case):
     above, message = NOT_ABOVE[case]
-    below = DilatationField.constant(0.1, 0, 1, 0, 1, 4, 4)
+    below = _constant(0.1, 0, 1, 0, 1, 4, 4)
     with pytest.raises(GridMismatch, match=message):
         sew_sections(below, above, "y")
 
 
 def test_sew_rejects_an_unknown_seam():
-    a = DilatationField.constant(0.1, 0, 1, 0, 1, 4, 4)
+    a = _constant(0.1, 0, 1, 0, 1, 4, 4)
     with pytest.raises(GridMismatch, match="seam must be 'x' or 'y', not 'z'"):
         sew_sections(a, a, "z")
 
@@ -403,8 +382,8 @@ def test_sew_isometry_exact(seed):
 
 
 def test_sew_cell_width_mismatch_rejected():
-    a = DilatationField.constant(0.1, 0, 1, 0, 1, 4, 4)
-    wide = DilatationField.constant(0.2, 1, 3, 0, 1, 4, 4)
+    a = _constant(0.1, 0, 1, 0, 1, 4, 4)
+    wide = _constant(0.2, 1, 3, 0, 1, 4, 4)
     with pytest.raises(GridMismatch):
         sew_sections(a, wide, "x")
 
@@ -436,7 +415,7 @@ def test_field_kernels_match_scalar_ops():
     ],
 )
 def test_scalar_and_field_transforms_reject_chart_data_alike(fz, fzbar, message):
-    field = DilatationField.constant(0.2, 0, 1, 0, 1, 2, 2)
+    field = _constant(0.2, 0, 1, 0, 1, 2, 2)
     with pytest.raises((NotOrientationPreserving, DomainError), match=message) as scalar:
         transform_mu(0.2, 0.1, fz, fzbar)
     with pytest.raises((NotOrientationPreserving, DomainError), match=message) as nodewise:
@@ -447,7 +426,7 @@ def test_scalar_and_field_transforms_reject_chart_data_alike(fz, fzbar, message)
 
 @pytest.mark.parametrize("u", [0.5, 1.1j, 0j])
 def test_scalar_and_field_pullbacks_reject_phases_alike(u):
-    field = DilatationField.constant(0.2, 0, 1, 0, 1, 2, 2)
+    field = _constant(0.2, 0, 1, 0, 1, 2, 2)
     with pytest.raises(NotOrientationPreserving, match="is not a unit phase") as scalar:
         pullback_mu(0.2, 0.1, u)
     with pytest.raises(NotOrientationPreserving, match="is not a unit phase") as nodewise:

@@ -205,14 +205,9 @@ class TestExitCodes:
     def test_unknown_profile_is_input_error(self, capsys):
         assert main(["qs", "corner", "--profile", "nope"]) == 2
 
-    def test_failing_check_exits_one(self, tmp_path, capsys):
+    def test_failing_check_exits_one(self, capsys):
         # no incoming closed boundary and no cycles at all: unstable
-        from segal import cobordism, corpus as corpus_mod
-
-        t = corpus_mod.closed_surface(1)
-        p = tmp_path / "torus.json"
-        p.write_text(json.dumps(cobordism.octype_to_json(t)), encoding="utf-8")
-        assert main(["types", "stability", str(p)]) == 1
+        assert main(["types", "stability", str(BUNDLED / "types" / "torus.json")]) == 1
 
 
 class TestDeterminism:
@@ -266,13 +261,8 @@ class TestTypesCommands:
         assert main(["types", "enumerate"]) == 0
         assert "count: 152" in capsys.readouterr().out
 
-    def test_mismatched_compose_fails_check(self, tmp_path, capsys):
-        from segal import cobordism, corpus as corpus_mod
-
-        a = tmp_path / "a.json"
-        a.write_text(
-            json.dumps(cobordism.octype_to_json(corpus_mod.disc_out())), encoding="utf-8"
-        )
+    def test_mismatched_compose_fails_check(self, capsys):
+        a = BUNDLED / "types" / "disc_out.json"
         assert main(["types", "compose", str(a), str(a)]) == 1
         assert "check failed" in capsys.readouterr().err
 
@@ -282,8 +272,8 @@ class TestBeltCommands:
     def fields(self, tmp_path):
         from segal import beltrami
 
-        f = beltrami.DilatationField.constant(0.2 + 0.1j, 0.0, 1.0, 0.0, 1.0, 4, 3)
-        g = beltrami.DilatationField.constant(0.1 - 0.2j, 1.0, 2.0, 0.0, 1.0, 4, 3)
+        f = beltrami.DilatationField(0.0, 1.0, 0.0, 1.0, [[0.2 + 0.1j] * 4] * 3)
+        g = beltrami.DilatationField(1.0, 2.0, 0.0, 1.0, [[0.1 - 0.2j] * 4] * 3)
         pf, pg = tmp_path / "f.json", tmp_path / "g.json"
         pf.write_text(json.dumps(f.to_json()), encoding="utf-8")
         pg.write_text(json.dumps(g.to_json()), encoding="utf-8")
@@ -520,7 +510,7 @@ def test_contract_sweep(tmp_path, capsys):
 
     files = {"types": str(BUNDLED / "types")}
     for name, x0 in (("field_a", 0.0), ("field_b", 1.0)):
-        field = beltrami.DilatationField.constant(0.2 + 0.1j, x0, x0 + 1.0, 0.0, 1.0, 4, 3)
+        field = beltrami.DilatationField(x0, x0 + 1.0, 0.0, 1.0, [[0.2 + 0.1j] * 4] * 3)
         (tmp_path / f"{name}.json").write_text(json.dumps(field.to_json()), encoding="utf-8")
         files[name] = str(tmp_path / f"{name}.json")
 
@@ -603,14 +593,21 @@ class TestProcessEntry:
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
         "argv",
-        [["types", "enumerate"], ["chains", "product", "4", "4", "--boundary"], ["--help"], ["--version"]],
-        ids=["types-enumerate", "chains-product", "help", "version"],
+        [
+            ["types", "enumerate"],
+            ["chains", "product", "4", "4", "--boundary"],
+            ["--help"],
+            ["--version"],
+            ["types", "random", "--seed", "0", "-o", "/dev/stdout"],
+        ],
+        ids=["types-enumerate", "chains-product", "help", "version", "output-file"],
     )
     def test_closed_pipe_exits_141_quietly(self, argv, unbuffered):
         """The reader closes the pipe before the child writes: unbuffered,
         the write fails; buffered, the short report fails at the final flush
         and the 19 kB one at a write.  argparse's help and version text
-        fail the same way, unbuffered inside argparse."""
+        fail the same way, unbuffered inside argparse, and so does an
+        ``-o`` file that is the pipe itself."""
         env = _child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:

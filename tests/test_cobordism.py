@@ -4,7 +4,8 @@ import json
 import pickle
 import random
 import re
-from functools import cache, reduce
+from functools import cache, partial, reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,45 +28,56 @@ from segal.cobordism import (
     octype_to_json,
     validate_type,
 )
+from segal.corpus import example
 from segal.errors import DomainError, SignatureMismatch
+
+EMPTY = ObjectSignature(0, 0)
+BUNDLED_TYPES = sorted((corpus.BUNDLED / "types").glob("*.json"))
+
+
+def _closed(genus) -> OCType:
+    """One component of this genus with no boundary at all."""
+    return OCType((ComponentData(genus=genus),), EMPTY, EMPTY)
+
+
+def _euler(t: OCType) -> int:
+    return sum(euler_characteristic(c) for c in t.components)
 
 
 def test_euler_characteristic_basics():
-    assert euler_characteristic(corpus.free_disc().components[0]) == 1
-    assert euler_characteristic(corpus.cylinder().components[0]) == 0
-    assert euler_characteristic(corpus.pants_split().components[0]) == -1
-    assert euler_characteristic(corpus.closed_surface(2).components[0]) == -2
+    assert euler_characteristic(example("free_disc").components[0]) == 1
+    assert euler_characteristic(example("cylinder").components[0]) == 0
+    assert euler_characteristic(example("pants_split").components[0]) == -1
+    assert euler_characteristic(_closed(2).components[0]) == -2
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [
-        corpus.disc_out,
-        corpus.disc_in,
-        corpus.free_disc,
-        corpus.strip,
-        corpus.cylinder,
-        corpus.pants_split,
-        corpus.pants_join,
-        corpus.free_annulus,
-        lambda: corpus.closed_surface(2),
-    ],
-)
-def test_builders_validate(builder):
-    report = validate_type(builder())
+@pytest.mark.parametrize("path", BUNDLED_TYPES, ids=[p.stem for p in BUNDLED_TYPES])
+def test_bundled_type_is_valid_and_canonically_written(path: Path):
+    """Each example type has one form, its file: it validates, and its bytes
+    are what ``octype_to_json`` writes for the type it decodes to."""
+    text = path.read_text(encoding="utf-8")
+    t = octype_from_json(json.loads(text))
+    report = validate_type(t)
     assert report.ok, report.violations
+    assert text == json.dumps(octype_to_json(t), sort_keys=True, indent=2) + "\n"
+    assert example(path.stem) == t
+
+
+def test_example_names_the_file_it_cannot_read():
+    with pytest.raises(DomainError, match=r"types/no_such_type\.json: No such file"):
+        example("no_such_type")
 
 
 @pytest.mark.parametrize("genus", [1.5, True, 1.0, "1"])
 def test_validate_reads_genus_by_the_integer_rule(genus):
-    report = validate_type(corpus.closed_surface(genus))
+    report = validate_type(_closed(genus))
     assert report.violations == (f"component 0: genus must be an integer, not {genus!r}",)
 
 
 def test_decoder_reads_boundary_circles_only_as_the_assigned_count(tmp_path):
-    doc = octype_to_json(corpus.free_disc())
+    doc = octype_to_json(example("free_disc"))
     doc["components"][0]["boundary_circles"] = 1
-    assert octype_from_json(doc) == corpus.free_disc()
+    assert octype_from_json(doc) == example("free_disc")
     doc["components"][0]["boundary_circles"] = 3
     with pytest.raises(DomainError, match="boundary_circles is 3, but the component assigns 1"):
         octype_from_json(doc)
@@ -111,7 +123,7 @@ def test_validate_flags_lost_and_duplicated_intervals():
 def test_validate_costs_what_the_type_holds_not_its_counts():
     """Counts of 10**12 name the first ten missing identifiers and a total."""
     big = ObjectSignature(10**12, 10**12, ("a",), ("a",))
-    report = validate_type(OCType(corpus.cylinder().components, big, ObjectSignature(1, 0)))
+    report = validate_type(OCType(example("cylinder").components, big, ObjectSignature(1, 0)))
     first = list(range(1, 11))
     assert report.violations == (
         "in signature: label list length != open_count",
@@ -141,32 +153,32 @@ def test_validate_flags_duplicate_closed_circle():
 
 
 def test_compose_discs_gives_free_disc():
-    out = compose_types(corpus.disc_out("a"), corpus.disc_in("a"))
-    assert out == corpus.free_disc("a")
+    out = compose_types(example("disc_out"), example("disc_in"))
+    assert out == example("free_disc")
     assert validate_type(out).ok
 
 
 def test_compose_strips_gives_strip():
-    s = corpus.strip("a", "b")
+    s = example("strip_ab")
     assert compose_types(s, s) == s
 
 
 def test_compose_cylinders_gives_cylinder():
-    c = corpus.cylinder()
+    c = example("cylinder")
     assert compose_types(c, c) == c
 
 
 def test_compose_pants_gives_genus_one():
-    out = compose_types(corpus.pants_split(), corpus.pants_join())
+    out = compose_types(example("pants_split"), example("pants_join"))
     assert len(out.components) == 1
     comp = out.components[0]
     assert comp.genus == 1
     assert comp.n == 2
-    assert out.total_euler() == -2
+    assert _euler(out) == -2
 
 
 def test_compose_pants_other_order_gives_four_holed_sphere():
-    out = compose_types(corpus.pants_join(), corpus.pants_split())
+    out = compose_types(example("pants_join"), example("pants_split"))
     comp = out.components[0]
     assert comp.genus == 0
     assert comp.n == 4
@@ -174,10 +186,13 @@ def test_compose_pants_other_order_gives_four_holed_sphere():
 
 def test_compose_requires_matching_signature():
     with pytest.raises(SignatureMismatch):
-        compose_types(corpus.cylinder(), corpus.strip())
+        compose_types(example("cylinder"), example("strip_ab"))
     # Same counts but different labels must also be rejected.
+    cyc = BoundaryCycle((CycleEntry("in", 0), CycleEntry("out", 0)), ("b", "a"))
+    sig = ObjectSignature(0, 1, ("b",), ("a",))
+    strip_ba = OCType((ComponentData(0, cycles=(cyc,)),), sig, sig)
     with pytest.raises(SignatureMismatch):
-        compose_types(corpus.strip("a", "b"), corpus.strip("b", "a"))
+        compose_types(example("strip_ab"), strip_ba)
 
 
 A_INTERVAL = ObjectSignature(0, 1, ("a",), ("a",))
@@ -203,16 +218,16 @@ def _disc_out_twice() -> OCType:
     [
         (
             _free_disc_with(ObjectSignature(0, 0), A_INTERVAL),
-            corpus.disc_in("a"),
+            example("disc_in"),
             "out interval 0 of the first type lies on no component",
         ),
         (
-            corpus.disc_out("a"),
+            example("disc_out"),
             _free_disc_with(A_INTERVAL, ObjectSignature(0, 0)),
             "in interval 0 of the second type lies on no component",
         ),
-        (_cylinder_out(5), corpus.cylinder(), "out circle 0 of the first type"),
-        (_disc_out_twice(), corpus.disc_in("a"), "in interval 1 of the second type"),
+        (_cylinder_out(5), example("cylinder"), "out circle 0 of the first type"),
+        (_disc_out_twice(), example("disc_in"), "in interval 1 of the second type"),
     ],
     ids=["lost-out-interval", "lost-in-interval", "stray-circle", "unknown-interval"],
 )
@@ -237,16 +252,16 @@ def test_compositions_keep_their_component_and_cycle_order():
 
 
 def _composite() -> OCType:
-    return compose_types(corpus.strip("a", "b"), corpus.strip("a", "b"))
+    return compose_types(example("strip_ab"), example("strip_ab"))
 
 
 # (makes a type, makes its partner, the side the type takes: 0 first, 1
 # second).  Composing the two fills the type's arc table; making the type
 # again gives a fresh equal value to compare with.
 FILLED = {
-    "first-side": (corpus.pants_split, corpus.pants_join, 0),
-    "second-side": (corpus.pants_join, corpus.pants_split, 1),
-    "composite": (_composite, corpus.strip, 0),
+    "first-side": (partial(example, "pants_split"), partial(example, "pants_join"), 0),
+    "second-side": (partial(example, "pants_join"), partial(example, "pants_split"), 1),
+    "composite": (_composite, partial(example, "strip_ab"), 0),
     "seeded": (
         lambda: corpus.random_composable_pair(11)[0],
         lambda: corpus.random_composable_pair(11)[1],
@@ -279,7 +294,7 @@ def test_compose_rejects_a_cycle_short_of_arc_labels():
     sig = ObjectSignature(0, 2, ("a", "a"), ("a", "a"))
     t1 = OCType((ComponentData(0, cycles=(free_circle(), cyc)),), ObjectSignature(0, 0), sig)
     assert not validate_type(t1).ok
-    t2 = corpus.disc_in("a")
+    t2 = example("disc_in")
     t2 = disjoint_union(t2, t2)
     message = r"^cannot compose: component 0 cycle 1 has 1 free arcs for 2 entries$"
     with pytest.raises(DomainError, match=message):
@@ -287,10 +302,10 @@ def test_compose_rejects_a_cycle_short_of_arc_labels():
 
 
 def test_composition_euler_additivity():
-    t1, t2 = corpus.pants_split(), corpus.pants_join()
+    t1, t2 = example("pants_split"), example("pants_join")
     out = compose_types(t1, t2)
     glued_intervals = t1.out_signature.open_count
-    assert out.total_euler() == t1.total_euler() + t2.total_euler() - glued_intervals
+    assert _euler(out) == _euler(t1) + _euler(t2) - glued_intervals
 
 
 def test_equality_ignores_cycle_rotation_and_component_order():
@@ -316,15 +331,19 @@ def test_equality_ignores_cycle_rotation_and_component_order():
 
 
 def test_disjoint_union_shifts_identifiers():
-    t = disjoint_union(corpus.cylinder(), corpus.pants_join())
+    t = disjoint_union(example("cylinder"), example("pants_join"))
     assert validate_type(t).ok
     assert t.in_signature.closed_count == 3
     assert t.out_signature.closed_count == 2
-    assert t.total_euler() == corpus.cylinder().total_euler() + corpus.pants_join().total_euler()
+    assert _euler(t) == _euler(example("cylinder")) + _euler(example("pants_join"))
 
 
 def test_disjoint_union_open_shift():
-    t = disjoint_union(corpus.strip("a", "b"), corpus.disc_out("c"))
+    cyc = BoundaryCycle((CycleEntry("out", 0),), ("c",))
+    disc_out_c = OCType(
+        (ComponentData(0, cycles=(cyc,)),), EMPTY, ObjectSignature(0, 1, ("c",), ("c",))
+    )
+    t = disjoint_union(example("strip_ab"), disc_out_c)
     assert validate_type(t).ok
     assert t.out_signature.source_labels == ("a", "c")
     entries = {
@@ -337,13 +356,14 @@ def test_disjoint_union_open_shift():
 
 
 def test_stability_classification():
-    assert is_stable(corpus.closed_surface(2)).statuses == ("unstable",)
-    assert is_stable(corpus.free_disc()).statuses == ("special",)
-    assert is_stable(corpus.free_annulus()).statuses == ("special",)
-    assert is_stable(corpus.strip()).statuses == ("stable",)
-    assert is_stable(corpus.cylinder()).statuses == ("stable",)
-    assert is_stable(corpus.disc_out()).statuses == ("stable",)
-    both = disjoint_union(corpus.closed_surface(0), corpus.free_disc())
+    assert validate_type(_closed(2)).ok
+    assert is_stable(_closed(2)).statuses == ("unstable",)
+    assert is_stable(example("free_disc")).statuses == ("special",)
+    assert is_stable(example("free_annulus")).statuses == ("special",)
+    assert is_stable(example("strip_ab")).statuses == ("stable",)
+    assert is_stable(example("cylinder")).statuses == ("stable",)
+    assert is_stable(example("disc_out")).statuses == ("stable",)
+    both = disjoint_union(_closed(0), example("free_disc"))
     rep = is_stable(both)
     assert rep.statuses == ("unstable", "special")
     assert not rep.all_stable
@@ -425,7 +445,7 @@ def test_json_top_level_must_be_object():
 
 
 def test_json_unknown_schema_is_a_domain_error():
-    doc = octype_to_json(corpus.cylinder())
+    doc = octype_to_json(example("cylinder"))
     doc["schema"] = "segal.octype/2"
     with pytest.raises(DomainError, match=r"^unsupported schema 'segal.octype/2'$"):
         octype_from_json(doc)
@@ -445,14 +465,14 @@ def test_json_nested_objects_must_be_objects(doc):
 
 
 def test_json_closed_identifiers_must_be_integers():
-    doc = octype_to_json(corpus.cylinder())
+    doc = octype_to_json(example("cylinder"))
     doc["components"][0]["closed_in"] = ["x", 0]
     with pytest.raises(DomainError):
         octype_from_json(doc)
 
 
 def test_json_schema_shape():
-    d = octype_to_json(corpus.pants_split())
+    d = octype_to_json(example("pants_split"))
     assert d["schema"] == "segal.octype/1"
     assert d["in"] == {"C": 1, "O": 0, "s": [], "t": []}
     assert d["out"] == {"C": 2, "O": 0, "s": [], "t": []}

@@ -190,7 +190,7 @@ def test_first_array_use_binds_numpy_itself():
     """One array call per module rebinds its ``np`` from the stand-in to numpy."""
     out = run_python(
         "import numpy, segal; from segal import beltrami, flattening, quasisym; "
-        "segal.DilatationField.constant(0.1, 0, 1, 0, 1, 2, 2); "
+        "segal.DilatationField(0, 1, 0, 1, [[0.1]]); "
         "segal.qs_bound(segal.sampled_identity(8)); "
         "segal.glue_sine(0.1); "
         "print([m.np is numpy for m in (beltrami, quasisym, flattening)])"

@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segal
-from segal import cli, cobordism, corpus
+from segal import cli
 from segal.beltrami import DilatationField
 
 TYPES = Path(segal.__file__).resolve().parent / "data" / "corpus" / "types"
 TYPE_DOCS = [
-    cobordism.octype_to_json(t)
-    for t in (corpus.cylinder(), corpus.pants_split(), corpus.strip(), corpus.disc_out())
+    json.loads((TYPES / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("cylinder", "pants_split", "strip_ab", "disc_out")
 ]
 _Z = np.linspace(-2 / 3, 2 / 3, 3) + 1j * np.array([[0.25], [0.75]])
 FIELD_DOC = DilatationField(-1.0, 1.0, 0.0, 1.0, 0.3 * _Z / (1 + abs(_Z))).to_json()
@@ -180,3 +180,22 @@ def test_field_json_round_trip(x0, w, y0, h, nx, ny, data):
     assert (g.x0, g.x1, g.y0, g.y1) == (f.x0, f.x1, f.y0, f.y1)
     assert np.array_equal(g.values, f.values)
     assert json.loads(json.dumps(g.to_json())) == doc
+
+
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
+    """A document nested deeper than the decoder's recursion limit is
+    unusable input in every reader: type, field and corpus files alike."""
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "types").mkdir()
+    for path in (tmp_path / "deep.json", tmp_path / "quads.json"):
+        path.write_text(deep, encoding="utf-8")
+    deep_file = str(tmp_path / "deep.json")
+    for argv in (
+        ["types", "validate", deep_file],
+        ["belt", "sew", deep_file, deep_file],
+        ["accept", "--corpus", str(tmp_path), "--only", "9"],
+    ):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        name = "quads.json" if argv[0] == "accept" else "deep.json"
+        assert (out, err) == ("", f"error: {tmp_path / name}: JSON nested too deeply\n")

@@ -30,7 +30,7 @@ def _identity(x):
 
 def _field_from_json(nx, ny):
     """A 2x2 field document with its declared counts replaced."""
-    doc = beltrami.DilatationField.constant(0.1j, *_BOX, 2, 2).to_json()
+    doc = beltrami.DilatationField(*_BOX, np.full((2, 2), 0.1j)).to_json()
     return beltrami.DilatationField.from_json({**doc, "nx": nx, "ny": ny})
 
 
@@ -50,12 +50,6 @@ PARAMETERS = {
     "sampled_identity": (quasisym.sampled_identity, "sample count", 1, 4),
     "sampled_slope_break": (partial(quasisym.sampled_slope_break, 2.0), "sample count", 1, 4),
     "sampled_exp": (partial(quasisym.sampled_exp, 1.0), "sample count", 1, 4),
-    "DilatationField.constant-nx": (
-        lambda n: beltrami.DilatationField.constant(0.1j, *_BOX, n, 2), "nx", 1, 2
-    ),
-    "DilatationField.constant-ny": (
-        lambda n: beltrami.DilatationField.constant(0.1j, *_BOX, 2, n), "ny", 1, 2
-    ),
     "DilatationField.from_json-nx": (lambda n: _field_from_json(n, 2), "nx", 1, 2),
     "DilatationField.from_json-ny": (lambda n: _field_from_json(2, n), "ny", 1, 2),
     "FormalSimplex": (lambda d: chains.FormalSimplex(d, "a"), "simplex dimension", 0, 2),

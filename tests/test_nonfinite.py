@@ -32,10 +32,8 @@ CASES = {
     "field-rect-inf": lambda: beltrami.DilatationField(0, 1, -INF, 1, np.zeros((2, 2))),
     "circle-winding-nan": lambda: quasisym.circle_rotation(NAN),
     "circle-winding-inf": lambda: quasisym.circle_rotation(INF),
-    "circle-derivative-bounds-nan": lambda: quasisym.CircleDiffeo(
-        lambda t: t, lambda t: 1.0, NAN, NAN
-    ),
-    "circle-derivative-inf": lambda: quasisym.CircleDiffeo(lambda t: t, lambda t: 1.0, 1.0, INF),
+    "circle-derivative-bounds-nan": lambda: quasisym.CircleDiffeo(lambda t: t, NAN, NAN),
+    "circle-derivative-inf": lambda: quasisym.CircleDiffeo(lambda t: t, 1.0, INF),
     "sampled-nan": lambda: quasisym.SampledIncreasingFunction((0, 1, NAN), (0, 1, 2)),
     "sampled-inf": lambda: quasisym.SampledIncreasingFunction((0, 1, 2), (0, 1, INF)),
     "glue-linear-nan": lambda: flattening.glue_linear(NAN),
@@ -66,7 +64,7 @@ CASES = {
     "transform-fz-nan": lambda: beltrami.transform_mu(0.1, 0.0, NAN, 0.0),
     "transform-fz-inf": lambda: beltrami.transform_mu(0.1, 0.2, complex(INF, 0.0), 0.0),
     "transform-field-fz-inf": lambda: beltrami.transform_field(
-        beltrami.DilatationField.constant(0.1, 0, 1, 0, 1, 2, 2), 0.2, complex(INF, 0.0), 0.0
+        beltrami.DilatationField(0, 1, 0, 1, np.full((2, 2), 0.1)), 0.2, complex(INF, 0.0), 0.0
     ),
     "pullback-u-nan": lambda: beltrami.pullback_mu(0.1, 0.0, complex(NAN, 0.0)),
     "corner-point-nan": lambda: quasisym.corner_transform(quasisym.half_angle_piecewise())(NAN),
@@ -89,22 +87,14 @@ CASES = {
     ),
     "field-rect-reversed": lambda: beltrami.DilatationField(1, 0, 0, 1, np.zeros((2, 2))),
     "field-rect-flat": lambda: beltrami.DilatationField(0, 1, 1, 1, np.zeros((2, 2))),
-    "field-constant-value-nan": lambda: beltrami.DilatationField.constant(NAN, 0, 1, 0, 1, 2, 2),
-    "field-constant-rect-inf": lambda: beltrami.DilatationField.constant(0.1, 0, INF, 0, 1, 2, 2),
     "field-json-sample-nan": lambda: beltrami.DilatationField.from_json(
         {**_FIELD_DOC, "values": [[0.1, 0.0], [NAN, 0.0]]}
     ),
     "field-json-rect-inf": lambda: beltrami.DilatationField.from_json({**_FIELD_DOC, "y1": INF}),
-    # a grid with no cells, and a cell count that is not an integer
+    # a grid with no cells
     "field-empty-grid": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((0, 2))),
     "field-no-columns": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((2, 0))),
     "field-one-dimensional": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros(2)),
-    "field-constant-no-columns": lambda: beltrami.DilatationField.constant(
-        0.1, 0, 1, 0, 1, 0, 2
-    ),
-    "field-constant-fractional-columns": lambda: beltrami.DilatationField.constant(
-        0.1, 0, 1, 0, 1, 2.5, 2
-    ),
     # chain coefficients that are not integers
     "chain-coefficient-nan": lambda: chains.Chain.of(chains.generator("a", 1), NAN),
     "chain-coefficient-inf": lambda: chains.Chain([(chains.generator("a", 1), -INF)]),
@@ -167,7 +157,7 @@ DRAWS = {
 
 
 def _constant(value):
-    return beltrami.DilatationField.constant(value, 0.0, 1.0, 0.0, 1.0, 2, 2)
+    return beltrami.DilatationField(0.0, 1.0, 0.0, 1.0, np.full((2, 2), complex(value)))
 
 
 def _identity(x):
@@ -178,7 +168,6 @@ def _identity(x):
 NUMERIC = {
     "LinearMapZZbar": (beltrami.LinearMapZZbar, "cc"),
     "LinearMapZZbar-call": (lambda a, b, z: beltrami.LinearMapZZbar(a, b)(z), "ccc"),
-    "LinearMapZZbar.from_real_matrix": (beltrami.LinearMapZZbar.from_real_matrix, "ffff"),
     "dilatation_K": (beltrami.dilatation_K, "c"),
     "abs_mu_from_K": (beltrami.abs_mu_from_K, "f"),
     "transform_mu": (beltrami.transform_mu, "cccc"),
@@ -187,7 +176,6 @@ NUMERIC = {
     "ACSMatrix": (beltrami.ACSMatrix, "ffff"),
     "acs_from_frame": (beltrami.acs_from_frame, "ff"),
     "acs_from_mu": (beltrami.acs_from_mu, "c"),
-    "DilatationField.constant": (beltrami.DilatationField.constant, "cffffii"),
     "DilatationField": (
         lambda value, *box: beltrami.DilatationField(*box, np.full((2, 2), value)), "cffff"
     ),
@@ -197,14 +185,13 @@ NUMERIC = {
         ),
         "fffff",
     ),
-    "DilatationField.value_at": (_constant(0.1).value_at, "ff"),
     "transform_field": (lambda *chart: beltrami.transform_field(_constant(0.1), *chart), "ccc"),
     "pullback_field": (lambda *chart: beltrami.pullback_field(_constant(0.1), *chart), "cc"),
     "field_distance": (lambda a, b: beltrami.field_distance(_constant(a), _constant(b)), "cc"),
     "sew_sections": (
         lambda x0, x1, x2: beltrami.sew_sections(
-            beltrami.DilatationField.constant(0.1, x0, x1, 0.0, 1.0, 2, 2),
-            beltrami.DilatationField.constant(0.2, x1, x2, 0.0, 1.0, 2, 2),
+            beltrami.DilatationField(x0, x1, 0.0, 1.0, np.full((2, 2), 0.1)),
+            beltrami.DilatationField(x1, x2, 0.0, 1.0, np.full((2, 2), 0.2)),
             "x",
         ),
         "fff",
@@ -233,7 +220,7 @@ NUMERIC = {
     "sampled_identity": (quasisym.sampled_identity, "i"),
     "sampled_slope_break": (quasisym.sampled_slope_break, "fi"),
     "sampled_exp": (quasisym.sampled_exp, "fi"),
-    "CircleDiffeo": (lambda lo, hi: quasisym.CircleDiffeo(_identity, lambda t: 1.0, lo, hi), "ff"),
+    "CircleDiffeo": (lambda lo, hi: quasisym.CircleDiffeo(_identity, lo, hi), "ff"),
     "CircleDiffeo.angle": (quasisym.half_angle_smooth().angle, "f"),
     "circle_rotation": (quasisym.circle_rotation, "f"),
     "corner_transform-call": (quasisym.corner_transform(quasisym.half_angle_piecewise()), "c"),

@@ -1,14 +1,16 @@
 """Every module-level private function in the package is used somewhere in
-it, and every name a package module, a test or a demo imports is used in
-that file.
+it, every public function and public-class method is named by the package
+or a demo, and every name a package module, a test or a demo imports is
+used in that file.
 
-A helper that nothing calls, or an import that nothing reads, is dead code;
-this finds one by reading the package source with the stdlib ``ast``
-module, without importing it.
+A helper that nothing calls, a member that only tests reach, or an import
+that nothing reads, is dead code; this finds one by reading the package
+source with the stdlib ``ast`` module, without importing it.
 """
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import segal
 
@@ -39,6 +41,68 @@ def test_every_private_function_is_referenced():
     defined, referenced = _private_functions_and_references()
     unused = sorted(f"{module}: {name}" for name, module in defined.items() if name not in referenced)
     assert not unused, f"private functions nothing references: {unused}"
+
+
+def _is_command(node: ast.FunctionDef) -> bool:
+    """Whether ``node`` carries ``@command(...)``, which registers it as a handler."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "command"
+        for d in node.decorator_list
+    )
+
+
+def _public_members(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The public functions of a module, except command handlers, and the
+    public methods, properties, classmethods and staticmethods of its public
+    classes, as (qualified name, definition)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    members = []
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_") and not _is_command(node):
+            members.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            members += [
+                (f"{node.name}.{m.name}", m)
+                for m in node.body
+                if isinstance(m, functions) and not m.name.startswith("_")
+            ]
+    return members
+
+
+def _references(tree: ast.AST, enclosing=frozenset()) -> Iterator[tuple[str, frozenset]]:
+    """Each name ``tree`` reads as a variable or an attribute, or imports,
+    with the ids of the definitions it sits in."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {id(tree)}
+    if isinstance(tree, ast.Name):
+        yield tree.id, enclosing
+    elif isinstance(tree, ast.Attribute):
+        yield tree.attr, enclosing
+    elif isinstance(tree, ast.alias):
+        yield (tree.asname or tree.name).split(".")[-1], enclosing
+    for child in ast.iter_child_nodes(tree):
+        yield from _references(child, enclosing)
+
+
+def test_every_public_member_is_used_outside_the_tests():
+    """A public function or method that only tests reach is deleted.  Exempt:
+    ``_oracles``, whose callers are the tests by design, and ``@command``
+    handlers, which their decorator registers.  A name counts as used when
+    the package or a demo names it outside the member's own definition."""
+    members: list[tuple[str, ast.AST]] = []
+    referenced: dict[str, list[frozenset]] = {}
+    for path in sorted([*PACKAGE.glob("*.py"), *(REPO / "demos").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, enclosing in _references(tree):
+            referenced.setdefault(name, []).append(enclosing)
+        if path.parent == PACKAGE and path.name != "_oracles.py":
+            members += [(f"{path.stem}.{q}", node) for q, node in _public_members(tree)]
+    unused = [
+        name
+        for name, node in members
+        if all(id(node) in enc for enc in referenced.get(name.rsplit(".", 1)[1], []))
+    ]
+    assert not unused, f"public members only tests reach: {unused}"
 
 
 def _unused_imports(path: Path) -> list[str]:
