@@ -45,6 +45,12 @@ GRID = 97
 # the order recursion
 
 
+def _whole(v) -> bool:
+    """An int, or a finite float with an integer value; an int past the
+    float range counts, where ``math.isfinite`` would overflow on it."""
+    return isinstance(v, int) or (math.isfinite(v) and v == int(v))
+
+
 @dataclass(frozen=True)
 class OrderPair:
     """Vanishing orders (m, n) of the structure field minus the vertical unit.
@@ -58,10 +64,10 @@ class OrderPair:
 
     def __post_init__(self):
         if self.m != INFINITE:
-            if not (math.isfinite(self.m) and self.m == int(self.m) and self.m >= 1):
+            if not (_whole(self.m) and self.m >= 1):
                 raise InternalInconsistency("m must be a positive integer or infinite")
             object.__setattr__(self, "m", int(self.m))
-        if not (math.isfinite(self.n) and self.n == int(self.n) and self.n >= 0):
+        if not (_whole(self.n) and self.n >= 0):
             raise InternalInconsistency("n must be a non-negative integer")
         object.__setattr__(self, "n", int(self.n))
 

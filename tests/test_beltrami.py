@@ -68,6 +68,23 @@ def test_mu_of_linear_against_fd_oracle():
     assert mu_of_linear(m) == pytest.approx(1 / 3, abs=1e-15)
 
 
+def test_linear_map_evaluates_like_its_real_matrix():
+    """z -> a z + b conj(z) is the real matrix [[Re(a+b), Im(b-a)],
+    [Im(a+b), Re(a-b)]], of determinant |a|^2 - |b|^2 > 0."""
+    rng = random.Random(7)
+    for _ in range(50):
+        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if abs(a) - abs(b) <= 0.05:
+            continue
+        m11, m12, m21, m22 = (a + b).real, (b - a).imag, (a + b).imag, (a - b).real
+        assert m11 * m22 - m12 * m21 == pytest.approx(abs(a) ** 2 - abs(b) ** 2, abs=1e-12)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        w = LinearMapZZbar(a, b)(z)
+        assert w.real == pytest.approx(m11 * z.real + m12 * z.imag, abs=1e-12)
+        assert w.imag == pytest.approx(m21 * z.real + m22 * z.imag, abs=1e-12)
+
+
 def test_dilatation_K_values():
     assert dilatation_K(0) == 1.0
     assert dilatation_K(1 / 3) == pytest.approx(2.0, abs=1e-15)

@@ -1,9 +1,8 @@
 """Every public constructor, and every map applied to a point, rejects
-non-finite input, a grid with no cells or a fractional cell count, and a
-chain coefficient or simplex dimension of the wrong kind, with a typed
-error.  A hypothesis property drives every number-taking callable of
-``beltrami``, ``modulus``, ``quasisym`` and ``flattening`` with extreme
-finite values too."""
+non-finite input, a grid with no cells, and a chain coefficient or
+simplex dimension of the wrong kind, with a typed error.  A hypothesis
+property drives every number-taking callable of ``beltrami``, ``modulus``,
+``quasisym`` and ``flattening`` with extreme finite values too."""
 
 import math
 import numpy as np
@@ -18,11 +17,13 @@ NAN, INF = math.nan, math.inf
 
 
 # a 2x1 field document
-_FIELD_DOC = beltrami.DilatationField(0, 1, 0, 1, np.array([[0.1, 0.2]])).to_json()
+_FIELD = beltrami.DilatationField(0, 1, 0, 1, np.array([[0.1, 0.2]]))
+_FIELD_DOC = _FIELD.to_json()
 _GLUE = flattening.glue_sine(0.1)
 _BASE = flattening.base_structure_field(_GLUE)
 _TRANSPORTED = flattening.next_structure_field(_BASE)
 _CHART = flattening.flatten_step(_BASE)
+_TWIST, _ = quasisym.smooth_twist(quasisym.circle_identity(), 1.0, 2.0)
 
 
 CASES = {
@@ -91,6 +92,25 @@ CASES = {
         {**_FIELD_DOC, "values": [[0.1, 0.0], [NAN, 0.0]]}
     ),
     "field-json-rect-inf": lambda: beltrami.DilatationField.from_json({**_FIELD_DOC, "y1": INF}),
+    "field-distance-sample-nan": lambda: beltrami.field_distance(
+        _FIELD, beltrami.DilatationField(0, 1, 0, 1, np.array([[0.1, NAN]]))
+    ),
+    "pullback-field-u-inf": lambda: beltrami.pullback_field(_FIELD, 0.2, complex(INF, 0.0)),
+    # maps applied to a point
+    "dilatation-K-nan": lambda: beltrami.dilatation_K(complex(NAN, 0.0)),
+    "acs-mu-nan": lambda: beltrami.acs_from_mu(complex(NAN, 0.0)),
+    "teichmuller-nan": lambda: beltrami.teichmuller_distance(NAN, 0.0),
+    "quad-point-nan": lambda: modulus.QuadrilateralSpec(NAN, 0.0, 1.0, 3.0),
+    "quad-scale-nan": lambda: modulus.QuadrilateralSpec(-1.0, 0.0, 1.0, 3.0).scaled(NAN),
+    "cross-ratio-nan": lambda: modulus.cross_ratio(NAN, 0.0, 1.0, 3.0),
+    "module-sc-nan": lambda: modulus.module_sc(NAN),
+    "circle-angle-nan": lambda: quasisym.half_angle_smooth().angle(NAN),
+    "circle-angle-inf": lambda: quasisym.half_angle_smooth().angle(-INF),
+    "bump-nan": lambda: quasisym.bump(NAN),
+    "twist-radius-nan": lambda: quasisym.smooth_twist(quasisym.circle_identity(), NAN, 2.0),
+    "twist-angle-nan": lambda: _TWIST.angle(1.5, NAN),
+    "tau-point-nan": lambda: flattening.tau_minus1(_GLUE, [(NAN, 0.5)]),
+    "chart-delta-nan": lambda: _CHART.delta(NAN, 0.5),
     # a grid with no cells
     "field-empty-grid": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((0, 2))),
     "field-no-columns": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((2, 0))),
@@ -134,7 +154,18 @@ MESSAGES = {
     "field-empty-grid": "values must be a non-empty 2-d array",
     "field-no-columns": "values must be a non-empty 2-d array",
     "field-one-dimensional": "values must be a non-empty 2-d array",
-    "field-constant-no-columns": "nx must be at least 1",
+    "field-distance-sample-nan": "samples are not finite",
+    "pullback-field-u-inf": r"\|u\|=inf is not a unit phase",
+    "dilatation-K-nan": r"mu is not finite: \(nan\+0j\)",
+    "teichmuller-nan": r"mu1 is not finite",
+    "quad-point-nan": "marked point is NaN",
+    "cross-ratio-nan": "is not finite in double precision",
+    "module-sc-nan": "position is NaN",
+    "circle-angle-nan": "angle nan is not finite",
+    "circle-angle-inf": "angle -inf is not finite",
+    "twist-radius-nan": "twist radius r1 must be finite, got nan",
+    "tau-point-nan": r"x=nan outside",
+    "chart-delta-nan": "outside the certified rectangle",
 }
 
 
@@ -168,6 +199,7 @@ def _identity(x):
 NUMERIC = {
     "LinearMapZZbar": (beltrami.LinearMapZZbar, "cc"),
     "LinearMapZZbar-call": (lambda a, b, z: beltrami.LinearMapZZbar(a, b)(z), "ccc"),
+    "mu_of_linear": (lambda a, b: beltrami.mu_of_linear(beltrami.LinearMapZZbar(a, b)), "cc"),
     "dilatation_K": (beltrami.dilatation_K, "c"),
     "abs_mu_from_K": (beltrami.abs_mu_from_K, "f"),
     "transform_mu": (beltrami.transform_mu, "cccc"),
@@ -176,6 +208,7 @@ NUMERIC = {
     "ACSMatrix": (beltrami.ACSMatrix, "ffff"),
     "acs_from_frame": (beltrami.acs_from_frame, "ff"),
     "acs_from_mu": (beltrami.acs_from_mu, "c"),
+    "mu_from_acs": (lambda *m: beltrami.mu_from_acs(beltrami.ACSMatrix(*m)), "ffff"),
     "DilatationField": (
         lambda value, *box: beltrami.DilatationField(*box, np.full((2, 2), value)), "cffff"
     ),
@@ -217,18 +250,31 @@ NUMERIC = {
         lambda lo, hi, n: quasisym.SampledIncreasingFunction.from_callable(_identity, lo, hi, n),
         "ffi",
     ),
+    "SampledIncreasingFunction.inverted": (
+        lambda *v: quasisym.SampledIncreasingFunction(v[:3], v[3:]).inverted(), "ffffff"
+    ),
+    "qs_bound": (
+        lambda *v: quasisym.qs_bound(quasisym.SampledIncreasingFunction(v[:3], v[3:])), "ffffff"
+    ),
     "sampled_identity": (quasisym.sampled_identity, "i"),
     "sampled_slope_break": (quasisym.sampled_slope_break, "fi"),
     "sampled_exp": (quasisym.sampled_exp, "fi"),
     "CircleDiffeo": (lambda lo, hi: quasisym.CircleDiffeo(_identity, lo, hi), "ff"),
     "CircleDiffeo.angle": (quasisym.half_angle_smooth().angle, "f"),
+    "corner_dilatation": (
+        lambda lo, hi: quasisym.corner_dilatation(quasisym.CircleDiffeo(_identity, lo, hi)), "ff"
+    ),
     "circle_rotation": (quasisym.circle_rotation, "f"),
     "corner_transform-call": (quasisym.corner_transform(quasisym.half_angle_piecewise()), "c"),
     "bump": (quasisym.bump, "f"),
     "smooth_twist": (lambda r1, r2: quasisym.smooth_twist(quasisym.circle_identity(), r1, r2), "ff"),
     "TwistMap-call": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0], "c"),
     "TwistMap.angle": (quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0].angle, "ff"),
+    "TwistMap.angle_derivative": (
+        quasisym.smooth_twist(quasisym.half_angle_smooth(), 1.0, 2.0)[0].angle_derivative, "ff"
+    ),
     "OrderPair": (flattening.OrderPair, "ff"),
+    "order_step": (lambda m, n: flattening.order_step(flattening.OrderPair(m, n)), "ff"),
     "order_sequence": (flattening.order_sequence, "i"),
     "glue_linear": (flattening.glue_linear, "f"),
     "glue_sine": (flattening.glue_sine, "f"),
