@@ -8,6 +8,13 @@ calls: the golden-case test observes it, by running the recorded invocations
 until each required operation has been called.  Reports are deterministic:
 identical inputs, seeds, and package version give byte-identical output.
 
+A subcommand's parser is built when parsing reaches it.  ``build_parser``
+builds the top-level parser, which lists every group and command in its
+help; a group's parser, and a command's parser with its arguments, is
+built only when argparse dispatches to it.  So a command builds at most
+three parsers, not the whole tree, and its help and usage text are what
+the whole tree printed.
+
 Exit codes: 0 success, 1 a check ran and failed, 2 unusable input.  Each
 handler returns a ``Report`` and ``main`` alone turns errors into exit
 codes: an ``InputError`` (bad syntax, a missing file or corpus, a value
@@ -22,6 +29,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -828,24 +836,61 @@ class _Parser(argparse.ArgumentParser):
             file.write(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("text", "json"), default="text")
+class _DeclaredParsers(argparse._SubParsersAction):
+    """argparse's subparsers action, except that a subcommand's parser is
+    built when parsing reaches it.  ``declare`` lists the subcommand in
+    ``--help`` as ``add_parser`` does and keeps the function that fills its
+    parser in its place; ``parser`` builds it on first use."""
 
+    def declare(self, name: str, help: str, fill: Callable[[argparse.ArgumentParser], None]):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = fill
+
+    def parser(self, name: str) -> argparse.ArgumentParser:
+        """The parser of subcommand ``name``, built and filled on first use."""
+        entry = self._name_parser_map[name]
+        if not isinstance(entry, argparse.ArgumentParser):
+            built = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            entry(built)
+            self._name_parser_map[name] = entry = built
+        return entry
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.parser(values[0])  # argparse has checked that the name is declared
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _fill_command(cmd: Command, parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    for flags, options in cmd.args:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(run=cmd.run)
+
+
+def _fill_group(cmds: list[Command], parser: argparse.ArgumentParser) -> None:
+    subs = parser.add_subparsers(
+        dest="command", required=True, metavar="SUBCOMMAND", action=_DeclaredParsers
+    )
+    for cmd in cmds:
+        subs.declare(cmd.name, cmd.help, functools.partial(_fill_command, cmd))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; it lists each group at its first command and
+    each ungrouped command in its place."""
     parser = _Parser(prog="segal", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"segal {__version__}")
-    # subparser actions keyed by group; None is the top level
-    subs = {None: parser.add_subparsers(dest="group", required=True, metavar="COMMAND")}
+    top = parser.add_subparsers(
+        dest="group", required=True, metavar="COMMAND", action=_DeclaredParsers
+    )
+    entries: dict[str, list[Command]] = {}
     for cmd in COMMANDS:
-        if cmd.group not in subs:
-            gp = subs[None].add_parser(cmd.group, help=GROUP_HELP[cmd.group])
-            subs[cmd.group] = gp.add_subparsers(
-                dest="command", required=True, metavar="SUBCOMMAND"
-            )
-        leaf = subs[cmd.group].add_parser(cmd.name, help=cmd.help, parents=[shared])
-        for flags, options in cmd.args:
-            leaf.add_argument(*flags, **options)
-        leaf.set_defaults(run=cmd.run)
+        entries.setdefault(cmd.group or cmd.name, []).append(cmd)
+    for name, cmds in entries.items():
+        if cmds[0].group is None:
+            top.declare(name, cmds[0].help, functools.partial(_fill_command, cmds[0]))
+        else:
+            top.declare(name, GROUP_HELP[name], functools.partial(_fill_group, cmds))
     return parser
 
 

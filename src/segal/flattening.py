@@ -165,11 +165,14 @@ class StructureField:
 
     ``func`` maps an (N, 2) array of points to an (N, 2) array of vectors.
     ``exact_flow``, when present, returns the time-t flow of boundary starts
-    in closed form and is used to avoid numeric integration noise.
+    in closed form and is used to avoid numeric integration noise: given
+    start abscissas ``x0`` and times ``t`` that broadcast together, it
+    returns the flow's coordinates as a pair ``(x, y)`` of arrays, which
+    broadcast to that shape.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
-    exact_flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    exact_flow: Optional[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
 
 def base_structure_field(g: BoundaryGlueMap) -> StructureField:
@@ -181,9 +184,9 @@ def base_structure_field(g: BoundaryGlueMap) -> StructureField:
         out[:, 1] = g.drho(pts[:, 0])
         return out
 
-    def exact_flow(x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def exact_flow(x0: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0 = np.asarray(x0, dtype=float)
-        return np.column_stack([x0, np.asarray(t, dtype=float) * g.drho(x0)])
+        return x0, np.asarray(t, dtype=float) * g.drho(x0)
 
     return StructureField(func=func, exact_flow=exact_flow)
 
@@ -234,22 +237,22 @@ def next_structure_field(prev: StructureField, n_steps: int = _INNER_STEPS) -> S
 
     def func(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        x, y = pts[:, 0], pts[:, 1]
         n = len(pts)
-        x0 = (x[:, None] + offsets).ravel()
-        tt = np.repeat(y, 5)
+        x0 = pts[:, :1] + offsets  # (n, 5): the stencil starts of each point
         if prev.exact_flow is not None:
-            phi = prev.exact_flow(x0, tt)
+            fx, fy = prev.exact_flow(x0, pts[:, 1:])
         else:
-            starts = np.column_stack([x0, np.zeros_like(x0)])
-            phi = _rk4_flow(prev.func, starts, tt, n_steps)
-        phi = phi.reshape(n, 5, 2)
+            starts = np.zeros((5 * n, 2))
+            starts[:, 0] = x0.ravel()
+            flow = _rk4_flow(prev.func, starts, np.repeat(pts[:, 1], 5), n_steps).reshape(n, 5, 2)
+            fx, fy = flow[..., 0], flow[..., 1]
         # elementwise, not a BLAS dot, so the digits do not depend on the host;
         # products first, so a flow out of double-precision scale overflows
-        dphi_dx = (phi[:, 0] - 8.0 * phi[:, 1] + 8.0 * phi[:, 3] - phi[:, 4]) / (12.0 * _FD_H)
-        center = phi[:, 2, :]
+        p1 = (fx[:, 0] - 8.0 * fx[:, 1] + 8.0 * fx[:, 3] - fx[:, 4]) / (12.0 * _FD_H)
+        q1 = (fy[:, 0] - 8.0 * fy[:, 1] + 8.0 * fy[:, 3] - fy[:, 4]) / (12.0 * _FD_H)
+        center = np.empty((n, 2))
+        center[:, 0], center[:, 1] = fx[:, 2], fy[:, 2]
         v = prev.func(center)
-        p1, q1 = dphi_dx[:, 0], dphi_dx[:, 1]
         v1, v2 = v[:, 0], v[:, 1]
         # transported horizontal = alpha * horizontal + beta * previous field
         beta = q1 / v2

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import segal
-from segal import cli, errors
+from segal import cli, corpus, errors
 from segal.cli import COMMANDS, build_parser, main
 
-BUNDLED = Path(segal.__file__).resolve().parent / "data" / "corpus"
+BUNDLED = corpus.BUNDLED
 
 # Operations that must stay reachable from the command line: every public
 # function, keyed by its home module, and the corpus generators and loader
@@ -85,14 +85,15 @@ ERROR_CLASSES = sorted(
 
 
 def _actions(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
-    """Each action of ``parser`` and of its subparsers, with its subcommand path."""
+    """Each action of ``parser`` and of its subparsers, with its subcommand
+    path; each declared subparser is built on the way."""
     for action in parser._actions:
         yield path, action
         if isinstance(action, argparse._SubParsersAction):
             for listed in action._choices_actions:
                 yield path, listed
-            for name, sub in action.choices.items():
-                yield from _actions(sub, (*path, name))
+            for name in action.choices:
+                yield from _actions(action.parser(name), (*path, name))
 
 
 def argument_surface() -> tuple[int, str]:
@@ -119,6 +120,42 @@ class TestDispatchTable:
 
     def test_argument_surface_is_unchanged(self):
         assert argument_surface() == SURFACE
+
+    @pytest.mark.parametrize(
+        "argv, parsers, arguments",
+        [
+            (["--version"], 1, 2),
+            (["accept", "--only", "8"], 2, 6),
+            (["types", "enumerate"], 3, 6),
+            (["module", "compute", "2.0"], 3, 8),
+        ],
+        ids=["version", "accept", "types-enumerate", "module-compute"],
+    )
+    def test_a_command_builds_only_the_parsers_on_its_path(
+        self, argv, parsers, arguments, monkeypatch, capsys
+    ):
+        """``ArgumentParser`` objects built and ``add_argument`` calls made
+        (``-h`` included) through ``main``: the top level, then a group's
+        and a command's parser only where parsing reaches them.  Building
+        the whole tree took 29 parsers and 95 calls."""
+        counts = {"parsers": 0, "arguments": 0}
+
+        def counted(method, key):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return method(*args, **kwargs)
+
+            return call
+
+        init, add = argparse.ArgumentParser.__init__, argparse._ActionsContainer.add_argument
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted(init, "parsers"))
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted(add, "arguments"))
+        try:
+            code = main(argv)
+        except SystemExit as e:  # --version
+            code = e.code
+        assert (code, counts) == (0, {"parsers": parsers, "arguments": arguments})
+        assert capsys.readouterr().err == ""
 
     def test_every_parser_has_a_name(self):
         """The surface digest names each declared parser; one without a name

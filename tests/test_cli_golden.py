@@ -21,12 +21,12 @@ from typing import Iterator, Optional
 import pytest
 
 import segal
-from segal import beltrami, cli
+from segal import beltrami, cli, corpus
 from test_cli import REQUIRED_OPS, strict_json
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "cli_golden.json").read_text(encoding="utf-8"))
-TYPES = Path(segal.__file__).resolve().parent / "data" / "corpus" / "types"
+TYPES = corpus.BUNDLED / "types"
 
 
 def _write_json(path: Path, payload) -> str:

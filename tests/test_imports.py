@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import segal
-from segal import flattening
+from segal import corpus, flattening
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CYLINDER = SRC / "segal" / "data" / "corpus" / "types" / "cylinder.json"
+CYLINDER = corpus.BUNDLED / "types" / "cylinder.json"
 
 # The package's modules in ``sys.modules`` after ``import segal``; all but
 # ``_input`` and ``errors`` are registered there without running their code.

@@ -17,11 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import segal
-from segal import cli
+from segal import cli, corpus
 from segal.beltrami import DilatationField
 
-TYPES = Path(segal.__file__).resolve().parent / "data" / "corpus" / "types"
+TYPES = corpus.BUNDLED / "types"
 TYPE_DOCS = [
     json.loads((TYPES / f"{name}.json").read_text(encoding="utf-8"))
     for name in ("cylinder", "pants_split", "strip_ab", "disc_out")
