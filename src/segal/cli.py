@@ -46,7 +46,8 @@ from .errors import DomainError, InputError, SegalError
 # ---------------------------------------------------------------------------
 # parsing helpers: an argument names one as its ``type``, so its value reaches
 # the handler parsed and a ``DomainError`` exits 2; ``--fn`` and ``--glue``
-# are parsed in their handlers, as each needs more than its own token
+# are parsed in their handlers: ``--fn`` needs ``--n``, and the ``--glue``
+# report echoes its text
 
 
 def parse_complex(s: str) -> complex:
@@ -80,8 +81,10 @@ def labels(most: Optional[int] = None) -> Callable[[str], tuple[str, ...]]:
 
     def parse_labels(text: str) -> tuple[str, ...]:
         found = tuple(text.split(","))
-        if not all(found) or (most is not None and len(found) > most):
+        if not all(found):
             raise DomainError("labels must be non-empty strings")
+        if most is not None and len(found) > most:
+            raise DomainError(f"give at most {most} labels, got {len(found)}")
         return found
 
     return parse_labels

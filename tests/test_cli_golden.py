@@ -47,12 +47,15 @@ def _edited(doc: dict, value, *keys) -> dict:
     return doc
 
 
-def _corpus(root: Path, quads: str, bad_type: Optional[str] = None) -> str:
-    """An acceptance corpus directory with the given quads.json text."""
+def _corpus(
+    root: Path, quads: str, bad_type: Optional[str] = None, type_name: str = "bad"
+) -> str:
+    """An acceptance corpus directory with the given quads.json text, and
+    with ``bad_type`` as its one surface type ``type_name``."""
     (root / "types").mkdir(parents=True)
     (root / "quads.json").write_text(quads, encoding="utf-8")
     if bad_type is not None:
-        (root / "types" / "bad.json").write_text(bad_type, encoding="utf-8")
+        (root / "types" / f"{type_name}.json").write_text(bad_type, encoding="utf-8")
     return str(root)
 
 
@@ -82,10 +85,21 @@ EDITED = {
     "int_label": (
         partial(_bundled_type, "free_annulus"), [1, "a"], ("components", 0, "free_circles")
     ),
-    # an object or a string where a JSON list belongs
+    # an object, a string or a number where a JSON list or object belongs
     "object_circles": (partial(_bundled_type, "free_annulus"), {}, ("components", 0, "closed_in")),
     "string_cycles": (partial(_bundled_type, "free_annulus"), "", ("components", 0, "cycles")),
     "string_pair": (partial(_field, 0.0, 4, 0.2j), "ab", ("values", 0)),
+    "int_component": (partial(_bundled_type, "cylinder"), 1, ("components", 0)),
+    # decodable types that break a structural invariant
+    "negative_count": (partial(_bundled_type, "cylinder"), -1, ("in", "C")),
+    "sideways_entry": (
+        partial(_bundled_type, "strip_ab"),
+        "sideways",
+        ("components", 0, "cycles", 0, "entries", 0, 0),
+    ),
+    "negative_index": (
+        partial(_bundled_type, "strip_ab"), -1, ("components", 0, "cycles", 0, "entries", 0, 1)
+    ),
     # signature counts far beyond what the file assigns
     "million_closed": (partial(_bundled_type, "cylinder"), 1_000_000, ("in", "C")),
     "million_open": (partial(_bundled_type, "cylinder"), 1_000_000, ("in", "O")),
@@ -115,6 +129,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     # the same samples with a blank line between rows
     (tmp / "blank_lines.csv").write_text("\n\n".join(samples), encoding="utf-8")
     (tmp / "two_rows.csv").write_text("x,y\n0,0\n1,1\n", encoding="utf-8")
+    (tmp / "three_columns.csv").write_text("x,y\n0,0,0\n1,1,1\n", encoding="utf-8")
     (tmp / "bad.csv").write_text("0,0\n1,not-a-number\n", encoding="utf-8")
     (tmp / "latin1.csv").write_bytes(b"x,y\n0,0\n\xff,1\n")
     # two samples closer than the 1e-9 * span match tolerance
@@ -147,6 +162,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "csv": str(tmp / "h.csv"),
         "blank_lines_csv": str(tmp / "blank_lines.csv"),
         "two_rows_csv": str(tmp / "two_rows.csv"),
+        "three_columns_csv": str(tmp / "three_columns.csv"),
         "bad_csv": str(tmp / "bad.csv"),
         "close_csv": str(tmp / "close.csv"),
         "overflow_csv": str(tmp / "overflow.csv"),
@@ -170,6 +186,17 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         ),
         "corpus_list": _corpus(tmp / "list_corpus", json.dumps([[0.0, 1.0, 2.0, 3.0]])),
         "corpus_object_quads": _corpus(tmp / "object_quads", json.dumps({"quads": {}})),
+        "corpus_short_quad": _corpus(tmp / "short_quad", json.dumps({"quads": [[0.0, 1.0, 2.0]]})),
+        # acceptance corpora that read, but fail a check
+        "corpus_invalid_type": _corpus(
+            tmp / "invalid_type",
+            (TYPES.parent / "quads.json").read_text(encoding="utf-8"),
+            json.dumps(broken_disc),
+            "broken_disc",
+        ),
+        "corpus_unordered_quad": _corpus(
+            tmp / "unordered_quad", json.dumps({"quads": [[0.0, 2.0, 1.0, 3.0]]})
+        ),
         # a quad whose normalized position lies 2e-5 past the edge at 1
         "corpus_edge_quad": _corpus(
             tmp / "edge_quad", json.dumps({"quads": [[0.0, 1.0, 2.0, 2.00002]]})
