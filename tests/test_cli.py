@@ -197,8 +197,8 @@ class TestDispatchTable:
 
 
 class TestAcrossInvocations:
-    """What no one golden record pins: a workflow across ``-o`` files, the
-    ``-o`` file a command writes, and two seeds that give two types."""
+    """What no one golden record pins: a workflow across ``-o`` files, and
+    two seeds that give two types."""
 
     def test_random_validate_compose_round_trip(self, tmp_path, capsys):
         t1 = tmp_path / "t1.json"
@@ -211,20 +211,6 @@ class TestAcrossInvocations:
         assert main(["types", "validate", str(out)]) == 0
         text = capsys.readouterr().out
         assert "ok: true" in text
-
-    def test_sew_and_output(self, tmp_path, capsys):
-        from segal import beltrami
-
-        f = beltrami.DilatationField(0.0, 1.0, 0.0, 1.0, [[0.2 + 0.1j] * 4] * 3)
-        g = beltrami.DilatationField(1.0, 2.0, 0.0, 1.0, [[0.1 - 0.2j] * 4] * 3)
-        pf, pg = tmp_path / "f.json", tmp_path / "g.json"
-        pf.write_text(json.dumps(f.to_json()), encoding="utf-8")
-        pg.write_text(json.dumps(g.to_json()), encoding="utf-8")
-        out = tmp_path / "sewn.json"
-        assert main(["belt", "sew", str(pf), str(pg), "--seam", "x", "-o", str(out)]) == 0
-        d = json.loads(out.read_text(encoding="utf-8"))
-        assert d["schema"] == "segal.field/1"
-        assert d["nx"] == 8
 
     def test_seeds_give_different_types(self, capsys):
         outs = []

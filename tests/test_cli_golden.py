@@ -4,16 +4,26 @@
 every subcommand in text and JSON mode, plus bad inputs of every error
 kind.  Arguments name their input files by placeholder (``{field_a}``,
 ``{types}`` ...); ``write_inputs`` builds those files, and temporary paths
-in stderr are written back as ``{tmp}``.  One rule holds for every record:
-stdout, stderr and the exit code match byte for byte.
+in stderr are written back as ``{tmp}``.  A record whose invocation writes
+to ``-o {out}`` also holds the text of that file as ``output``, and one
+that leaves it unwritten has no ``output``.  One rule holds for every
+record: the exit code, stdout, stderr and ``output`` match byte for byte.
+
+Run ``PYTHONPATH=src python tests/test_cli_golden.py 'ARGV' ...`` to append
+a record per argument, each an invocation written as in ``argv`` (split on
+whitespace, placeholders kept); it prints each new record and refuses an
+invocation that is already recorded.
 """
 
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional
@@ -204,11 +214,23 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     }
 
 
-def invoke(argv_template: list[str], inputs: dict[str, str], capsys) -> dict:
-    """Run one templated invocation; return its exit code and output."""
-    code = cli.main([a.format(**inputs) for a in argv_template])
-    out, err = capsys.readouterr()
-    return {"code": code, "stdout": out, "stderr": err.replace(inputs["tmp"], "{tmp}")}
+def invoke(argv_template: list[str], inputs: dict[str, str]) -> dict:
+    """Run one templated invocation; return its exit code and output, and
+    the text it wrote to ``{out}`` if it wrote that file."""
+    out_file = Path(inputs["out"])
+    out_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([a.format(**inputs) for a in argv_template])
+    got = {
+        "code": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue().replace(inputs["tmp"], "{tmp}"),
+    }
+    if out_file.exists():
+        got["output"] = out_file.read_text(encoding="utf-8")
+        out_file.unlink()
+    return got
 
 
 def _case_id(case: dict) -> str:
@@ -250,10 +272,10 @@ def recorded(inputs) -> Iterator[tuple[set[str], set[str]]]:
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
-def test_golden(case, inputs, recorded, capsys):
-    got = invoke(case["argv"], inputs, capsys)
+def test_golden(case, inputs, recorded):
+    got = invoke(case["argv"], inputs)
     recorded[1].add(_case_id(case))
-    assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
+    assert got == {k: v for k, v in case.items() if k != "argv"}
 
 
 def test_flatten_digits_do_not_depend_on_the_blas_kernel():
@@ -288,7 +310,7 @@ def test_golden_ids_unique():
     assert len(ids) == len(set(ids))
 
 
-def test_every_required_operation_is_called(inputs, recorded, capsys):
+def test_every_required_operation_is_called(inputs, recorded):
     """Each operation in ``REQUIRED_OPS`` runs in some golden case.  The calls
     are recorded while ``test_golden`` runs; a case it did not run, as under
     ``-k``, runs here until every operation has been called."""
@@ -297,6 +319,22 @@ def test_every_required_operation_is_called(inputs, recorded, capsys):
         if called == REQUIRED_OPS:
             break
         if _case_id(case) not in ran:
-            invoke(case["argv"], inputs, capsys)
+            invoke(case["argv"], inputs)
     never = sorted(REQUIRED_OPS - called)
     assert not never, f"required operations no golden case calls: {never}"
+
+
+if __name__ == "__main__":
+    path = HERE / "cli_golden.json"
+    recorded_argv = [case["argv"] for case in GOLDEN]
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(Path(tmp))
+        for text in sys.argv[1:]:
+            argv = text.split()
+            if argv in recorded_argv:
+                sys.exit(f"already recorded: {text}")
+            record = {"argv": argv, **invoke(argv, inputs)}
+            print(json.dumps(record, indent=1, ensure_ascii=False))
+            GOLDEN.append(record)
+            recorded_argv.append(argv)
+    path.write_text(json.dumps(GOLDEN, indent=1) + "\n", encoding="utf-8")
