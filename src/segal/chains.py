@@ -180,8 +180,8 @@ class Chain:
         self.terms = {s: c for s, c in merged.items() if c}
 
     @classmethod
-    def of(cls, s: Simplex, coeff=1) -> "Chain":
-        return cls(((s, coeff),))
+    def of(cls, s: Simplex) -> "Chain":
+        return cls(((s, 1),))
 
     def __add__(self, other: "Chain") -> "Chain":
         return Chain(itertools.chain(self.terms.items(), other.terms.items()))

@@ -151,9 +151,7 @@ def parse_profile(kind: str) -> quasisym.CircleDiffeo:
         return quasisym.circle_identity()
     if kind.startswith("rotation:"):
         return quasisym.circle_rotation(real("rotation angle")(kind[9:]))
-    raise DomainError(
-        f"unknown profile {kind!r}; use piecewise, smooth, identity, or rotation:ANGLE"
-    )
+    raise DomainError(f"unknown profile {kind!r}; use {PROFILES}")
 
 
 def parse_sampled(kind: str, n: int) -> quasisym.SampledIncreasingFunction:
@@ -238,20 +236,22 @@ def jsonable(v):
 
 
 def emit(args: argparse.Namespace, report: Report) -> int:
-    payload = jsonable(report.payload)
-    if report.schema:
-        payload = {"schema": report.schema, "version": __version__, **payload}
-    if getattr(args, "output", None):
+    output = getattr(args, "output", None)
+    if output or args.format == "json":  # one JSON text, for -o and for stdout
+        payload = jsonable(report.payload)
+        if report.schema:
+            payload = {"schema": report.schema, "version": __version__, **payload}
+        doc = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-                fh.write("\n")
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(doc)
         except BrokenPipeError:  # -o /dev/stdout, its reader gone: exit 141 as for stdout
             raise
         except OSError as e:
-            raise DomainError(f"{args.output}: {e.strerror or e}") from None
+            raise DomainError(f"{output}: {e.strerror or e}") from None
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+        print(doc, end="")
     else:
         lines = report.lines
         if lines is None:
@@ -320,10 +320,12 @@ def command(group: Optional[str], name: str, help: str, *args):
     return declare
 
 
+PROFILES = "piecewise, smooth, identity, or rotation:ANGLE"
+OUTPUT = arg("-o", "--output", help="also write the JSON that --format json prints here")
 TWO_TYPES = (
     arg("first", help="surface-type JSON file"),
     arg("second", help="surface-type JSON file"),
-    arg("-o", "--output", help="write the resulting type JSON here"),
+    OUTPUT,
 )
 
 
@@ -370,7 +372,7 @@ def run_types_stability(args) -> Report:
     "types", "random", "emit a seeded random type, optionally composable after a given one",
     arg("--seed", type=real("seed", int), default=0),
     arg("--successor", help="emit a type composable after this one", default=None),
-    arg("-o", "--output", help="write the type JSON here"),
+    OUTPUT,
 )
 def run_types_random(args) -> Report:
     rng = random.Random(args.seed)
@@ -415,6 +417,16 @@ def run_belt_distance(args) -> Report:
     return Report(payload, "segal.report.distance/1", lines)
 
 
+def field_or_value(args, schema: str, of_value, of_field, *params) -> Report:
+    """The ``schema`` report of ``of_value(--value, *params)``, or the field of ``of_field``."""
+    only_one({"a field file": args.field is not None, "--value": args.value is not None})
+    if args.value is not None:
+        return Report({"value": of_value(args.value, *params)}, schema)
+    if not args.field:
+        raise DomainError("provide a field file or --value MU")
+    return field_report(of_field(load_field(args.field), *params))
+
+
 @command(
     "belt", "transform", "push dilatation data through a chart change",
     arg("field", nargs="?", help="dilatation-field JSON file"),
@@ -422,17 +434,13 @@ def run_belt_distance(args) -> Report:
     arg("--mu-f", type=parse_complex, required=True, help="dilatation of the chart change"),
     arg("--fz", type=parse_complex, required=True, help="holomorphic derivative at the point"),
     arg("--fzbar", type=parse_complex, help="antiholomorphic derivative; default mu_f*fz"),
-    arg("-o", "--output", help="write the resulting field JSON here"),
+    OUTPUT,
 )
 def run_belt_transform(args) -> Report:
-    only_one({"a field file": args.field is not None, "--value": args.value is not None})
     chart = (args.mu_f, args.fz, args.mu_f * args.fz if args.fzbar is None else args.fzbar)
-    if args.value is not None:
-        out = beltrami.transform_mu(args.value, *chart)
-        return Report({"value": out}, "segal.report.transform/1")
-    if not args.field:
-        raise DomainError("provide a field file or --value MU")
-    return field_report(beltrami.transform_field(load_field(args.field), *chart))
+    return field_or_value(
+        args, "segal.report.transform/1", beltrami.transform_mu, beltrami.transform_field, *chart
+    )
 
 
 @command(
@@ -442,16 +450,13 @@ def run_belt_transform(args) -> Report:
     arg("--mu-g", type=parse_complex, required=True, help="dilatation of the overlap map"),
     arg("--u", type=parse_complex, required=True,
         help="derivative coefficient of the overlap map"),
-    arg("-o", "--output", help="write the resulting field JSON here"),
+    OUTPUT,
 )
 def run_belt_pullback(args) -> Report:
-    only_one({"a field file": args.field is not None, "--value": args.value is not None})
-    if args.value is not None:
-        out = beltrami.pullback_mu(args.value, args.mu_g, args.u)
-        return Report({"value": out}, "segal.report.pullback/1")
-    if not args.field:
-        raise DomainError("provide a field file or --value MU")
-    return field_report(beltrami.pullback_field(load_field(args.field), args.mu_g, args.u))
+    return field_or_value(
+        args, "segal.report.pullback/1", beltrami.pullback_mu, beltrami.pullback_field,
+        args.mu_g, args.u,
+    )
 
 
 @command(
@@ -459,7 +464,7 @@ def run_belt_pullback(args) -> Report:
     arg("first", help="dilatation-field JSON file"),
     arg("second", help="dilatation-field JSON file"),
     arg("--seam", choices=("x", "y"), default="x"),
-    arg("-o", "--output", help="write the joined field JSON here"),
+    OUTPUT,
 )
 def run_belt_sew(args) -> Report:
     f1, f2 = load_field(args.first), load_field(args.second)
@@ -523,8 +528,7 @@ def run_qs_bound(args) -> Report:
 
 @command(
     "qs", "corner", "radial square-root map with a boundary profile",
-    arg("--profile", type=parse_profile, default="piecewise",
-        help="piecewise, smooth, identity, rotation:X"),
+    arg("--profile", type=parse_profile, default="piecewise", help=PROFILES),
     arg("--points", type=parse_points, default=(),
         help="semicolon-separated complex points to map"),
 )
@@ -549,8 +553,7 @@ def run_qs_corner(args) -> Report:
 
 @command(
     "qs", "twist", "extend a circle map to an annulus, identity outside",
-    arg("--profile", type=parse_profile, default="smooth",
-        help="piecewise, smooth, identity, rotation:X"),
+    arg("--profile", type=parse_profile, default="smooth", help=PROFILES),
     arg("--r1", type=real("twist radius r1"), default=1.0),
     arg("--r2", type=real("twist radius r2"), default=2.0),
 )

@@ -11,14 +11,13 @@ of the second and recovers genus from the Euler characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Optional
 
 from ._input import integer, json_list, json_object, json_str
 from .errors import DomainError, InternalInconsistency, SignatureMismatch
 
 Label = str
-
-DEFAULT_LABEL: Label = "a"
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class BoundaryCycle:
         return min(tuple(enc[i:] + enc[:i]) for i in range(len(enc)))
 
 
-def free_circle(label: Label = DEFAULT_LABEL) -> BoundaryCycle:
+def free_circle(label: Label) -> BoundaryCycle:
     return BoundaryCycle((), (label,))
 
 
@@ -148,8 +147,13 @@ class OCType:
         if type(self.components) is not tuple:
             object.__setattr__(self, "components", tuple(self.components))
 
+    @cached_property
+    def _arcs(self) -> _ArcTable:
+        """Built on first use; equality, hashing, ``repr`` and the JSON form never look at it."""
+        return _ArcTable(self)
+
     def __getstate__(self) -> dict:
-        # a pickle or a copy leaves the arc table (``_arcs``) behind
+        # a pickle or a copy leaves the arc table behind
         return {k: v for k, v in vars(self).items() if k != "_arcs"}
 
     def canonical(self) -> tuple:
@@ -412,15 +416,6 @@ class _ArcTable:
         self.ending, self.first, self.owner = ending, first, {"in": owner_in, "out": owner_out}
 
 
-def _arcs(t: OCType) -> _ArcTable:
-    """The arc table of t, built on first use and kept on t beside its
-    fields, where equality, hashing, ``repr`` and the JSON form never look."""
-    table = t.__dict__.get("_arcs")
-    if table is None:
-        table = t.__dict__["_arcs"] = _ArcTable(t)
-    return table
-
-
 def _splice(walk: list[tuple[Label, Optional[CycleEntry]]]) -> BoundaryCycle:
     """The boundary circle traced by one walk of the glued surface.
 
@@ -472,7 +467,7 @@ def compose_types(t1: OCType, t2: OCType) -> OCType:
             f"cannot compose: out {t1.out_signature.describe()} != in {t2.in_signature.describe()}"
         )
 
-    tables = (_arcs(t1), _arcs(t2))
+    tables = (t1._arcs, t2._arcs)
     glued = ("out", "in")  # the boundary direction each side gives up
 
     def locate(w: int, kind: str, i: int) -> int:

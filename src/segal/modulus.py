@@ -12,6 +12,7 @@ written here in plain Python, so this module needs neither numpy nor scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -326,9 +327,8 @@ def check_geometric_qc(
         raise DomainError(f"distortion factor {K} and slack {slack} must be finite")
     if K < 1.0:
         raise DomainError("distortion factor must be >= 1")
-    quad_ratios = tuple(
-        module_of_quad(q.scaled(K)) / module_of_quad(q) for q in quads
-    )
+    sc = functools.cache(module_sc)  # a stretch often leaves the normalized position as it is
+    quad_ratios = tuple(sc(normalize_quad(q.scaled(K))) / sc(normalize_quad(q)) for q in quads)
     rect_ratios = tuple(
         module_rect(K * a, 1.0) / module_rect(a, 1.0) for a in DEFAULT_RECT_ASPECTS
     )

@@ -171,7 +171,7 @@ class TestChain:
         assert c.terms == {s: v for s, v in reference.items() if v}
         assert all(type(v) is int for v in c.terms.values())
 
-    @pytest.mark.parametrize("build", ["of", "pairs", "scalar"])
+    @pytest.mark.parametrize("build", ["pairs", "scalar"])
     @pytest.mark.parametrize(
         "value",
         [True, 1.0, Fraction(1, 2), math.nan, np.int64(3), np.uint8(3)],
@@ -182,7 +182,6 @@ class TestChain:
         ints, and a bool, a float or a fraction is rejected."""
         a = generator("a", 1)
         make = {
-            "of": lambda c: Chain.of(a, c),
             "pairs": lambda c: Chain([(a, c)]),
             "scalar": lambda c: c * Chain.of(a),
         }[build]
@@ -340,7 +339,7 @@ class TestChainMap:
         rhs = shuffle_product(boundary(a), b)
         for s, coeff in a.terms.items():
             sign = -1 if s.degree % 2 else 1
-            rhs = rhs + sign * shuffle_product(Chain.of(s, coeff), boundary(b))
+            rhs = rhs + sign * shuffle_product(Chain({s: coeff}), boundary(b))
         assert lhs == rhs
 
     def test_faced_generators(self):

@@ -63,7 +63,7 @@ SPEC_SUBCOMMANDS = {
 
 # The number of parser actions and their digest (see ``argument_surface``);
 # a change to any subcommand's arguments or help text changes the digest.
-SURFACE = (149, "930828e31de909ad31b5dbbec87964105952ddd6e7775fd3268a3610e57b1f65")
+SURFACE = (149, "8f74cc45b9d67ee13ed8daae47364df9416cab06bfa28cfb2e0404fb9f047853")
 
 # The errors that mean the input was unusable; every other one is a failed check.
 EXIT_2_ERRORS = {

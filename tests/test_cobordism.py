@@ -145,8 +145,8 @@ def test_validate_lists_up_to_ten_missing_in_order_with_repeats():
 
 
 def test_validate_flags_duplicate_closed_circle():
-    c1 = ComponentData(genus=0, closed_in=frozenset({0}), cycles=(free_circle(),))
-    c2 = ComponentData(genus=0, closed_in=frozenset({0}), cycles=(free_circle(),))
+    c1 = ComponentData(genus=0, closed_in=frozenset({0}), cycles=(free_circle("a"),))
+    c2 = ComponentData(genus=0, closed_in=frozenset({0}), cycles=(free_circle("a"),))
     t = OCType((c1, c2), ObjectSignature(1, 0), ObjectSignature(0, 0))
     report = validate_type(t)
     assert any("assigned to two components" in v for v in report.violations)
@@ -292,7 +292,7 @@ def test_a_filled_arc_table_is_invisible(name):
 def test_compose_rejects_a_cycle_short_of_arc_labels():
     cyc = BoundaryCycle((CycleEntry("out", 0), CycleEntry("out", 1)), ("a",))
     sig = ObjectSignature(0, 2, ("a", "a"), ("a", "a"))
-    t1 = OCType((ComponentData(0, cycles=(free_circle(), cyc)),), ObjectSignature(0, 0), sig)
+    t1 = OCType((ComponentData(0, cycles=(free_circle("a"), cyc)),), ObjectSignature(0, 0), sig)
     assert not validate_type(t1).ok
     t2 = example("disc_in")
     t2 = disjoint_union(t2, t2)
@@ -317,12 +317,12 @@ def test_equality_ignores_cycle_rotation_and_component_order():
     )
     sig = ObjectSignature(0, 1, ("a",), ("b",))
     t1 = OCType(
-        (ComponentData(0, cycles=(a,)), ComponentData(1, cycles=(free_circle(),))),
+        (ComponentData(0, cycles=(a,)), ComponentData(1, cycles=(free_circle("a"),))),
         sig,
         sig,
     )
     t2 = OCType(
-        (ComponentData(1, cycles=(free_circle(),)), ComponentData(0, cycles=(b,))),
+        (ComponentData(1, cycles=(free_circle("a"),)), ComponentData(0, cycles=(b,))),
         sig,
         sig,
     )
@@ -370,7 +370,7 @@ def test_stability_classification():
 
 
 def test_genus_zero_three_free_circles_not_special():
-    comp = ComponentData(0, cycles=(free_circle(), free_circle(), free_circle()))
+    comp = ComponentData(0, cycles=(free_circle("a"), free_circle("a"), free_circle("a")))
     t = OCType((comp,), ObjectSignature(0, 0), ObjectSignature(0, 0))
     assert is_stable(t).statuses == ("stable",)
 

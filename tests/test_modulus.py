@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from segal import corpus
+from segal import corpus, modulus
 from segal._oracles import module_agm
+from segal.acceptance import load_corpus
 from segal.errors import DegenerateQuad, DomainError
 from segal.modulus import (
     QuadrilateralSpec,
@@ -242,6 +243,17 @@ def test_check_geometric_qc_stretch():
     # half-plane corpus cannot leave ratio 1; rectangles carry the sup.
     for r in report.quad_ratios:
         assert r == pytest.approx(1.0, abs=1e-8)
+
+
+def test_check_geometric_qc_integrates_each_position_once(monkeypatch):
+    """The stretch by 2 leaves each bundled quad's normalized position as it
+    is, so the 50 quads take 50 quadratures, not 100, for the same ratios."""
+    quads = [QuadrilateralSpec(*q) for q in load_corpus().quads]
+    expected = tuple(module_of_quad(q.scaled(2.0)) / module_of_quad(q) for q in quads)
+    positions = []
+    monkeypatch.setattr(modulus, "module_sc", lambda x: positions.append(x) or module_sc(x))
+    assert check_geometric_qc(2.0, quads).quad_ratios == expected
+    assert len(positions) == len(set(positions)) == len(quads) == 50
 
 
 @pytest.mark.parametrize("count", [0, -1])

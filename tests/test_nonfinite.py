@@ -116,10 +116,10 @@ CASES = {
     "field-no-columns": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros((2, 0))),
     "field-one-dimensional": lambda: beltrami.DilatationField(0, 1, 0, 1, np.zeros(2)),
     # chain coefficients that are not integers
-    "chain-coefficient-nan": lambda: chains.Chain.of(chains.generator("a", 1), NAN),
+    "chain-coefficient-nan": lambda: chains.Chain([(chains.generator("a", 1), NAN)]),
     "chain-coefficient-inf": lambda: chains.Chain([(chains.generator("a", 1), -INF)]),
-    "chain-coefficient-none": lambda: chains.Chain.of(chains.generator("a", 1), None),
-    "chain-coefficient-complex": lambda: chains.Chain.of(chains.generator("a", 1), 1 + 0j),
+    "chain-coefficient-none": lambda: chains.Chain([(chains.generator("a", 1), None)]),
+    "chain-coefficient-complex": lambda: chains.Chain([(chains.generator("a", 1), 1 + 0j)]),
     "chain-scalar-nan": lambda: NAN * chains.Chain.of(chains.generator("a", 1)),
     # simplex dimensions that are not integers
     "generator-dimension-fractional": lambda: chains.generator("a", 1.5),
