@@ -1,7 +1,7 @@
 """The shuffle product on formal chains, term by term.
 
 Products of simplices are indexed by monotone lattice paths with signs.
-All coefficients are exact rationals, so the boundary-of-product rule,
+All coefficients are integers, so the boundary-of-product rule,
 associativity, and graded symmetry hold on the nose, not approximately.
 """
 

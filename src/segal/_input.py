@@ -2,8 +2,8 @@
 numbers here, so a float, a bool or a numeric string is never truncated or
 coerced, and every failure is a ``DomainError`` naming the file.  The
 rule for an integer, from a file or as a library argument, is ``integer``,
-and the modulus of a complex number from outside is taken by
-``abs_or_inf``."""
+the rule for a number in a text file is ``file_float``, and the modulus of
+a complex number from outside is taken by ``abs_or_inf``."""
 
 from __future__ import annotations
 
@@ -84,6 +84,15 @@ def json_number(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DomainError(f"{what} must be a number, not {v!r}")
     return float(v)
+
+
+def file_float(token: str) -> float:
+    """A number token of a text file as ``float`` reads it, if it is ASCII
+    and holds no ``_``, so neither ``1_0`` nor a non-ASCII digit is read
+    as a number; a ``ValueError`` otherwise."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
 
 
 def abs_or_inf(z: complex) -> float:

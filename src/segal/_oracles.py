@@ -113,13 +113,8 @@ def complex_summary(words: list[list[int]], descs: list) -> tuple:
     for f, w in enumerate(words):
         end = w[-1] ^ 1
         for o in w:
-            # the corner where the previous occurrence ends and o starts;
-            # both roots by ``_find``'s path halving, written out
-            a, b = end, o
-            while vpar[a] != a:
-                vpar[a] = a = vpar[vpar[a]]
-            while vpar[b] != b:
-                vpar[b] = b = vpar[vpar[b]]
+            # the corner where the previous occurrence ends and o starts
+            a, b = _find(vpar, end), _find(vpar, o)
             if a != b:
                 vpar[a] = b
             end = o ^ 1

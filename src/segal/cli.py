@@ -39,15 +39,14 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 from . import __version__, acceptance, beltrami, cobordism, corpus, flattening, modulus, quasisym
 from . import chains as chainalg
-from ._input import load_file, read_text
+from ._input import file_float, load_file, read_text
 from .errors import DomainError, InputError, SegalError
 
 
 # ---------------------------------------------------------------------------
 # parsing helpers: an argument names one as its ``type``, so its value reaches
-# the handler parsed and a ``DomainError`` exits 2; ``--fn`` and ``--glue``
-# are parsed in their handlers: ``--fn`` needs ``--n``, and the ``--glue``
-# report echoes its text
+# the handler parsed and a ``DomainError`` exits 2; ``--glue`` is parsed in
+# its handler, as its report echoes its text
 
 
 def parse_complex(s: str) -> complex:
@@ -129,7 +128,7 @@ def load_sampled_csv(path: str) -> quasisym.SampledIncreasingFunction:
         if len(parts) != 2:
             raise DomainError(f"{path}:{lineno}: expected two comma-separated columns")
         try:
-            x, y = float(parts[0]), float(parts[1])
+            x, y = file_float(parts[0]), file_float(parts[1])
         except ValueError:
             if lineno == 1:
                 continue
@@ -154,14 +153,15 @@ def parse_profile(kind: str) -> quasisym.CircleDiffeo:
     raise DomainError(f"unknown profile {kind!r}; use {PROFILES}")
 
 
-def parse_sampled(kind: str, n: int) -> quasisym.SampledIncreasingFunction:
+def parse_function(kind: str) -> Callable[[int], quasisym.SampledIncreasingFunction]:
+    """The sampler ``kind`` names; it takes the sample count."""
     if kind == "identity":
-        return quasisym.sampled_identity(n)
+        return quasisym.sampled_identity
     if kind.startswith("slope:"):
-        return quasisym.sampled_slope_break(real("slope")(kind[6:]), n)
+        return functools.partial(quasisym.sampled_slope_break, real("slope")(kind[6:]))
     if kind.startswith("exp:"):
-        return quasisym.sampled_exp(real("window size")(kind[4:]), n)
-    raise DomainError(f"unknown function {kind!r}; use identity, slope:K, or exp:T")
+        return functools.partial(quasisym.sampled_exp, real("window size")(kind[4:]))
+    raise DomainError(f"unknown function {kind!r}; use {FUNCTIONS}")
 
 
 def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
@@ -173,7 +173,7 @@ def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
     elif kind.startswith("sine:"):
         build, params = flattening.glue_sine, (real("amplitude")(kind[5:]),)
     else:
-        raise DomainError(f"unknown glue map {kind!r}; use identity, linear:K, or sine:A")
+        raise DomainError(f"unknown glue map {kind!r}; use {GLUES}")
     try:
         return build(*params)
     except SegalError as e:
@@ -320,6 +320,8 @@ def command(group: Optional[str], name: str, help: str, *args):
     return declare
 
 
+FUNCTIONS = "identity, slope:K, or exp:T"
+GLUES = "identity, linear:K, or sine:A"
 PROFILES = "piecewise, smooth, identity, or rotation:ANGLE"
 OUTPUT = arg("-o", "--output", help="also write the JSON that --format json prints here")
 TWO_TYPES = (
@@ -508,7 +510,7 @@ def run_belt_acs(args) -> Report:
 
 @command(
     "qs", "bound", "quasisymmetry constant of an increasing function",
-    arg("--fn", help="identity, slope:K, or exp:T; default identity"),
+    arg("--fn", type=parse_function, help=f"{FUNCTIONS}; default identity"),
     arg("--file", help="CSV file of x,y samples"),
     arg("--n", type=real("sample count", int),
         help="sample count for built-in functions; default 256"),
@@ -519,8 +521,7 @@ def run_qs_bound(args) -> Report:
     if args.file is not None:
         h = load_sampled_csv(args.file)
     else:
-        n = 256 if args.n is None else args.n
-        h = parse_sampled("identity" if args.fn is None else args.fn, n)
+        h = (args.fn or quasisym.sampled_identity)(256 if args.n is None else args.n)
     if args.inverted:
         h = h.inverted()
     return Report({"bound": quasisym.qs_bound(h), "samples": len(h.xs)}, "segal.report.qsbound/1")
@@ -741,7 +742,7 @@ def run_appb_orders(args) -> Report:
 
 @command(
     "appb", "flatten", "fit field vanishing orders; optionally flatten one chart",
-    arg("--glue", default="sine:0.1", help="identity, linear:K, or sine:A"),
+    arg("--glue", default="sine:0.1", help=GLUES),
     arg("--k", type=real("field level", int), default=1, help="deepest field level to fit"),
     arg("--chart", action="store_true", help="also flatten one field and certify it"),
     arg("--depth", type=real("recursion depth", int),

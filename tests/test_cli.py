@@ -63,7 +63,7 @@ SPEC_SUBCOMMANDS = {
 
 # The number of parser actions and their digest (see ``argument_surface``);
 # a change to any subcommand's arguments or help text changes the digest.
-SURFACE = (149, "8f74cc45b9d67ee13ed8daae47364df9416cab06bfa28cfb2e0404fb9f047853")
+SURFACE = (149, "15d0d8149c91bcf4917c6958124eab7a55a9ee347b3958eccf486382a1344e2a")
 
 # The errors that mean the input was unusable; every other one is a failed check.
 EXIT_2_ERRORS = {
@@ -228,6 +228,15 @@ class TestAcrossInvocations:
 
 SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "5e-324", "", "x"]
 
+# The options whose values may be NAME:NUMBER, with each NAME: they take;
+# each sweep value also goes after each of them.  ``--glue`` declares no
+# parser, so it is swept only after its prefixes.
+SWEEP_PREFIXES = {
+    "--fn": ("slope:", "exp:"),
+    "--glue": ("linear:", "sine:"),
+    "--profile": ("rotation:",),
+}
+
 # One valid invocation per subcommand.  Options are written --name=value and
 # positionals follow "--", so a value that starts with "-" reaches its
 # argument's parser instead of being read as a flag.  An option that takes
@@ -260,17 +269,19 @@ SWEEP_BASES = {
 
 
 def _swept(cmd: cli.Command):
-    """Where a sweep value goes in ``cmd``'s base invocation, for each
-    argument that declares a parser: ("option", flag, nargs) for an option,
+    """Where a sweep value goes in ``cmd``'s base invocation, and the text
+    put before it, for each argument that declares a parser and each prefix
+    in ``SWEEP_PREFIXES``: ("option", flag, nargs) for an option,
     ("positional", k, None) for the k-th positional."""
     positionals = 0
     for flags, options in cmd.args:
         if flags[0].startswith("-"):
-            if "type" in options:
-                yield "option", max(flags, key=len), options.get("nargs")
+            flag = max(flags, key=len)
+            for prefix in ("",) * ("type" in options) + SWEEP_PREFIXES.get(flag, ()):
+                yield ("option", flag, options.get("nargs")), prefix
         else:
             if "type" in options:
-                yield "positional", positionals, None
+                yield ("positional", positionals, None), ""
             positionals += 1
 
 
@@ -298,8 +309,9 @@ def strict_json(text: str):
 
 def test_contract_sweep(tmp_path, capsys):
     """Every argument that declares a parser takes each sweep value in one
-    valid invocation of its subcommand: the exit code is 0, 1 or 2, nothing
-    prints a traceback, and an exit-0 report is strict JSON."""
+    valid invocation of its subcommand, bare and after each of its
+    ``SWEEP_PREFIXES``: the exit code is 0, 1 or 2, nothing prints a
+    traceback, and an exit-0 report is strict JSON."""
     from segal import beltrami
 
     files = {"types": str(BUNDLED / "types")}
@@ -315,8 +327,8 @@ def test_contract_sweep(tmp_path, capsys):
         base = [a.format(**files) for a in SWEEP_BASES[cmd.group, cmd.name]]
         alone = (cmd.group, cmd.name) == ("belt", "acs")
         runs = [(None, base)] + [
-            (value, _substituted([] if alone else base, where, value))
-            for where in _swept(cmd)
+            (value, _substituted([] if alone else base, where, prefix + value))
+            for where, prefix in _swept(cmd)
             for value in SWEEP_VALUES
         ]
         for value, tail in runs:
@@ -337,7 +349,8 @@ def test_contract_sweep(tmp_path, capsys):
                     broken.append(f"{argv}: {e}")
             swept += value is not None
     assert not broken, "\n".join(broken)
-    assert swept == 35 * len(SWEEP_VALUES)  # 35 arguments declare a parser
+    # 36 arguments declare a parser; 4 options take 6 prefixes
+    assert swept == (36 + 6) * len(SWEEP_VALUES)
 
 
 # ---------------------------------------------------------------------------

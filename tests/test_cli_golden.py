@@ -141,6 +141,9 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     (tmp / "two_rows.csv").write_text("x,y\n0,0\n1,1\n", encoding="utf-8")
     (tmp / "three_columns.csv").write_text("x,y\n0,0,0\n1,1,1\n", encoding="utf-8")
     (tmp / "bad.csv").write_text("0,0\n1,not-a-number\n", encoding="utf-8")
+    # samples float() reads, as 10 and as 1, but a file's number rule rejects
+    (tmp / "underscore.csv").write_text("x,y\n0,0\n1_0,2\n20,30\n", encoding="utf-8")
+    (tmp / "arabic_digit.csv").write_text("x,y\n0,0\n\u0661,2\n20,30\n", encoding="utf-8")
     (tmp / "latin1.csv").write_bytes(b"x,y\n0,0\n\xff,1\n")
     # two samples closer than the 1e-9 * span match tolerance
     (tmp / "close.csv").write_text("x,y\n0,0\n0.5,0.5\n0.5000000001,0.6\n1,1\n", encoding="utf-8")
@@ -174,6 +177,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "two_rows_csv": str(tmp / "two_rows.csv"),
         "three_columns_csv": str(tmp / "three_columns.csv"),
         "bad_csv": str(tmp / "bad.csv"),
+        "underscore_csv": str(tmp / "underscore.csv"),
+        "arabic_digit_csv": str(tmp / "arabic_digit.csv"),
         "close_csv": str(tmp / "close.csv"),
         "overflow_csv": str(tmp / "overflow.csv"),
         "latin1": str(tmp / "latin1.csv"),
