@@ -9,7 +9,6 @@ import cmath
 import random
 
 from segal import (
-    DilatationField,
     acs_from_mu,
     dilatation_K,
     field_distance,
@@ -18,11 +17,7 @@ from segal import (
     teichmuller_distance,
     transform_mu,
 )
-
-
-def sample_mu(rng, r_max=0.9):
-    r = r_max * (rng.random() ** 0.5)
-    return r * cmath.exp(2j * cmath.pi * rng.random())
+from segal.corpus import random_field, random_mu
 
 
 def main():
@@ -36,9 +31,9 @@ def main():
     print()
 
     # the fiber action is an isometry: distances survive any chart change
-    mu1, mu2 = sample_mu(rng), sample_mu(rng)
+    mu1, mu2 = random_mu(rng, 0.9), random_mu(rng, 0.9)
     d_before = teichmuller_distance(mu1, mu2)
-    mu_f = sample_mu(rng, 0.7)
+    mu_f = random_mu(rng, 0.7)
     fz = cmath.exp(2j * cmath.pi * rng.random())
     moved1 = transform_mu(mu1, mu_f, fz, mu_f * fz)
     moved2 = transform_mu(mu2, mu_f, fz, mu_f * fz)
@@ -50,12 +45,8 @@ def main():
 
     # sewing two fields along an edge: the distance of the joined fields
     # is the larger of the two component distances, exactly
-    def rand_field(x0, x1):
-        vals = [[sample_mu(rng) for _ in range(6)] for _ in range(4)]
-        return DilatationField(x0, x1, 0.0, 1.0, vals)
-
-    a, a2 = rand_field(0.0, 1.0), rand_field(0.0, 1.0)
-    b, b2 = rand_field(1.0, 2.0), rand_field(1.0, 2.0)
+    a, a2 = (random_field(rng, 0.0, 1.0, 0.0, 1.0, 6, 4) for _ in range(2))
+    b, b2 = (random_field(rng, 1.0, 2.0, 0.0, 1.0, 6, 4) for _ in range(2))
     joined = field_distance(sew_sections(a, b, "x"), sew_sections(a2, b2, "x"))
     parts = max(field_distance(a, a2), field_distance(b, b2))
     print(f"distance of sewn fields:     {joined:.12f}")

@@ -2,8 +2,9 @@
 numbers here, so a float, a bool or a numeric string is never truncated or
 coerced, and every failure is a ``DomainError`` naming the file.  The
 rule for an integer, from a file or as a library argument, is ``integer``,
-the rule for a number in a text file is ``file_float``, and the modulus of
-a complex number from outside is taken by ``abs_or_inf``."""
+the rule for number text, in a text file or on the command line, is
+``number_text``, and the modulus of a complex number from outside is taken
+by ``abs_or_inf``."""
 
 from __future__ import annotations
 
@@ -86,13 +87,19 @@ def json_number(v, what: str) -> float:
     return float(v)
 
 
-def file_float(token: str) -> float:
-    """A number token of a text file as ``float`` reads it, if it is ASCII
-    and holds no ``_``, so neither ``1_0`` nor a non-ASCII digit is read
-    as a number; a ``ValueError`` otherwise."""
+def number_text(token: str) -> str:
+    """``token``, if it may be read as a number: it is ASCII and holds no
+    ``_``, so neither ``1_0`` nor a non-ASCII digit is read as a number,
+    which Python's ``float``, ``int`` and ``complex`` would; a
+    ``ValueError`` otherwise."""
     if not token.isascii() or "_" in token:
         raise ValueError(f"not a number: {token!r}")
-    return float(token)
+    return token
+
+
+def file_float(token: str) -> float:
+    """A number token of a text file as ``float`` reads it, under ``number_text``."""
+    return float(number_text(token))
 
 
 def abs_or_inf(z: complex) -> float:

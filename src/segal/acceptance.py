@@ -2,6 +2,8 @@
 
 Each criterion is one ``CRITERIA`` row (index, name, function).  Every
 function takes the loaded corpus and returns its checks and a detail text.
+What a criterion reads, the corpus and each seeded draw, comes from
+``corpus``; this module states the criteria and runs them.
 A ``Check`` states one bound once: a measured value, the bound and the
 sense (``<=``, ``>=`` or ``>``) in which the value must meet it.  An exact
 check has bound 0; a yes/no check measures 0 for yes and 1 for no.
@@ -19,12 +21,14 @@ import os
 import random
 import signal
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import _oracles, beltrami, chains, cobordism, corpus, flattening, modulus, quasisym
-from ._input import integer, json_list, json_number, json_object, load_file
+from ._input import integer
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .corpus import AcceptanceCorpus
 
 
 @dataclass(frozen=True)
@@ -71,33 +75,6 @@ class CriterionResult:
         )
 
 
-@dataclass(frozen=True)
-class AcceptanceCorpus:
-    quads: tuple[tuple[float, float, float, float], ...]
-    types: tuple[tuple[str, cobordism.OCType], ...]
-
-
-def _quads_from_json(d) -> tuple[tuple[float, float, float, float], ...]:
-    quads = json_list(json_object(d, "quad corpus")["quads"], "quad list")
-    if not all(isinstance(q, list) and len(q) == 4 for q in quads):
-        raise DomainError("each quad must be a list of four numbers")
-    return tuple(tuple(json_number(v, "quad entry") for v in q) for q in quads)
-
-
-def load_corpus(directory: Optional[str] = None) -> AcceptanceCorpus:
-    """Read the quad list and example types from a directory, by default the shipped one."""
-    root = corpus.BUNDLED if directory is None else Path(directory)
-    quad_path = root / "quads.json"
-    if not quad_path.is_file():
-        raise DomainError(f"missing corpus file {quad_path}")
-    quads = load_file(quad_path, _quads_from_json, "quad-corpus")
-    types = tuple(
-        (p.stem, load_file(p, cobordism.octype_from_json, "surface-type"))
-        for p in sorted((root / "types").glob("*.json"))
-    )
-    return AcceptanceCorpus(quads, types)
-
-
 def corpus_integrity(data: AcceptanceCorpus) -> Outcome:
     """Pre-flight: every corpus type valid, every quad strictly ordered."""
     problems = []
@@ -113,7 +90,7 @@ def corpus_integrity(data: AcceptanceCorpus) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# the criteria
 
 
 # seeded composable triples (criterion 1) and pairs (criterion 2)
@@ -121,41 +98,10 @@ _TRIPLES = 1000
 _PAIRS = 200
 
 
-def _small(t: cobordism.OCType) -> bool:
-    """The size cap on seeded types: at most 4 components and 6 boundary circles."""
-    return len(t.components) <= 4 and sum(c.n for c in t.components) <= 6
-
-
-def _capped_triple(seed: int) -> tuple[cobordism.OCType, ...]:
-    rng = random.Random(seed)
-    while True:
-        t1 = corpus.random_octype(rng)
-        t2 = corpus.random_successor(rng, t1)
-        t3 = corpus.random_successor(rng, t2)
-        if _small(t1) and _small(t2) and _small(t3):
-            return t1, t2, t3
-
-
-def _sample_mu(rng: random.Random, r_max: float = 0.95) -> complex:
-    r = r_max * math.sqrt(rng.random())
-    return r * cmath.exp(2j * math.pi * rng.random())
-
-
-def _random_field(
-    rng: random.Random, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
-) -> beltrami.DilatationField:
-    vals = [[_sample_mu(rng, 0.9) for _ in range(nx)] for _ in range(ny)]
-    return beltrami.DilatationField(x0, x1, y0, y1, vals)
-
-
-# ---------------------------------------------------------------------------
-# the criteria
-
-
 def criterion_1_associativity(data: AcceptanceCorpus) -> Outcome:
     mismatches = 0
     for seed in range(_TRIPLES):
-        t1, t2, t3 = _capped_triple(seed)
+        t1, t2, t3 = corpus.capped_triple(seed)
         lhs = cobordism.compose_types(cobordism.compose_types(t1, t2), t3)
         rhs = cobordism.compose_types(t1, cobordism.compose_types(t2, t3))
         if lhs != rhs:
@@ -171,7 +117,7 @@ def criterion_2_compose_oracle(data: AcceptanceCorpus) -> Outcome:
         by_in.setdefault(t.in_signature, []).append(t)
     pairs = [(t1, t2) for t1 in small for t2 in by_in.get(t1.out_signature, ())]
     seeded = (corpus.random_composable_pair(seed) for seed in range(_PAIRS))
-    pairs += [(t1, t2) for t1, t2 in seeded if _small(t1) and _small(t2)]
+    pairs += [(t1, t2) for t1, t2 in seeded if corpus.within_cap(t1) and corpus.within_cap(t2)]
     mismatches = sum(
         _oracles.octype_summary(cobordism.compose_types(t1, t2))
         != _oracles.glued_summary(t1, t2)
@@ -185,7 +131,7 @@ def criterion_3_dilatation(data: AcceptanceCorpus) -> Outcome:
     rng = random.Random(3)
     worst_rt = 0.0
     for _ in range(10_000):
-        mu = _sample_mu(rng, 0.999)
+        mu = corpus.random_mu(rng, 0.999)
         k = beltrami.dilatation_K(mu)
         worst_rt = max(worst_rt, abs(beltrami.abs_mu_from_K(k) - abs(mu)))
     worst_fd = 0.0
@@ -202,8 +148,8 @@ def criterion_4_fiber_isometry(data: AcceptanceCorpus) -> Outcome:
     rng = random.Random(4)
     worst = 0.0
     for _ in range(1000):
-        mu1, mu2 = _sample_mu(rng), _sample_mu(rng)
-        mu_f = _sample_mu(rng, 0.9)
+        mu1, mu2 = corpus.random_mu(rng), corpus.random_mu(rng)
+        mu_f = corpus.random_mu(rng, 0.9)
         fz = cmath.exp(2j * math.pi * rng.random()) * (0.5 + rng.random())
         fzbar = mu_f * fz
         d0 = beltrami.teichmuller_distance(mu1, mu2)
@@ -220,10 +166,10 @@ def criterion_5_sewing_isometry(data: AcceptanceCorpus) -> Outcome:
     worst = 0.0
     for seed in range(100):
         rng = random.Random(10_000 + seed)
-        a = _random_field(rng, 0.0, 1.0, 0.0, 1.0, 6, 5)
-        a2 = _random_field(rng, 0.0, 1.0, 0.0, 1.0, 6, 5)
-        b = _random_field(rng, 1.0, 2.0, 0.0, 1.0, 6, 5)
-        b2 = _random_field(rng, 1.0, 2.0, 0.0, 1.0, 6, 5)
+        a = corpus.random_field(rng, 0.0, 1.0, 0.0, 1.0, 6, 5)
+        a2 = corpus.random_field(rng, 0.0, 1.0, 0.0, 1.0, 6, 5)
+        b = corpus.random_field(rng, 1.0, 2.0, 0.0, 1.0, 6, 5)
+        b2 = corpus.random_field(rng, 1.0, 2.0, 0.0, 1.0, 6, 5)
         lhs = beltrami.field_distance(
             beltrami.sew_sections(a, b, "x"), beltrami.sew_sections(a2, b2, "x")
         )
@@ -422,7 +368,7 @@ def run_acceptance(
     bad = [i for i in indices if i not in known]
     if bad:
         raise DomainError(f"criterion indices out of range: {bad}")
-    data = load_corpus(corpus_dir)
+    data = corpus.load_corpus(corpus_dir)
     # both names are looked up at call time, so a wrapper installed over
     # them (perfbench's tracer) sees every criterion it runs
     rows = [(0, "corpus-integrity", corpus_integrity)]

@@ -39,20 +39,19 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 from . import __version__, acceptance, beltrami, cobordism, corpus, flattening, modulus, quasisym
 from . import chains as chainalg
-from ._input import file_float, load_file, read_text
+from ._input import file_float, load_file, number_text, read_text
 from .errors import DomainError, InputError, SegalError
 
 
 # ---------------------------------------------------------------------------
 # parsing helpers: an argument names one as its ``type``, so its value reaches
-# the handler parsed and a ``DomainError`` exits 2; ``--glue`` is parsed in
-# its handler, as its report echoes its text
+# the handler parsed and a ``DomainError`` exits 2
 
 
 def parse_complex(s: str) -> complex:
     """Accept Python literals like 0.1+0.2j or comma pairs like 0.1,0.2."""
-    txt = s.strip()
     try:
+        txt = number_text(s.strip())
         if "," in txt:
             re_s, im_s = txt.split(",")
             return complex(float(re_s), float(im_s))
@@ -67,7 +66,7 @@ def real(what: str, kind: Callable[[str], float] = float) -> Callable[[str], flo
 
     def parse_real(s: str) -> float:
         try:
-            return kind(s)
+            return kind(number_text(s))
         except ValueError:
             raise DomainError(f"cannot parse {what} from {s!r}")
 
@@ -95,7 +94,7 @@ def parse_points(text: str) -> list[complex]:
 
 def parse_indices(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",")]
+        return [int(number_text(s)) for s in text.split(",")]
     except ValueError:
         raise DomainError(f"--only takes comma-separated integers, got {text!r}")
 
@@ -117,8 +116,17 @@ def load_field(path: str) -> beltrami.DilatationField:
     return load_file(path, beltrami.DilatationField.from_json, "dilatation-field")
 
 
+def _float_reads(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_sampled_csv(path: str) -> quasisym.SampledIncreasingFunction:
-    """Two-column x,y file; a non-numeric first line is treated as a header."""
+    """Two-column x,y file; a first line in which ``float`` reads neither
+    cell is a header, and every other line is a sample under ``file_float``."""
     xs: list[float] = []
     ys: list[float] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -130,7 +138,7 @@ def load_sampled_csv(path: str) -> quasisym.SampledIncreasingFunction:
         try:
             x, y = file_float(parts[0]), file_float(parts[1])
         except ValueError:
-            if lineno == 1:
+            if lineno == 1 and not any(map(_float_reads, parts)):
                 continue
             raise DomainError(f"{path}:{lineno}: non-numeric sample")
         xs.append(x)
@@ -164,7 +172,8 @@ def parse_function(kind: str) -> Callable[[int], quasisym.SampledIncreasingFunct
     raise DomainError(f"unknown function {kind!r}; use {FUNCTIONS}")
 
 
-def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
+def parse_glue(kind: str) -> tuple[str, flattening.BoundaryGlueMap]:
+    """The text ``kind`` and the glue map it names, so a report can echo the text."""
     # parsed before the try, so a number-parse error carries no glue-map prefix
     if kind == "identity":
         build, params = flattening.glue_identity, ()
@@ -175,7 +184,7 @@ def parse_glue(kind: str) -> flattening.BoundaryGlueMap:
     else:
         raise DomainError(f"unknown glue map {kind!r}; use {GLUES}")
     try:
-        return build(*params)
+        return kind, build(*params)
     except SegalError as e:
         raise DomainError(f"glue map {kind!r}: {e}")
 
@@ -623,7 +632,7 @@ def run_module_check_qc(args) -> Report:
         count = 50 if args.count is None else args.count
         quads = corpus.generate_quads(args.seed or 0, count)
     else:
-        quads = acceptance.load_corpus(args.corpus).quads
+        quads = corpus.load_corpus(args.corpus).quads
     specs = [modulus.QuadrilateralSpec(*q) for q in quads]
     report = modulus.check_geometric_qc(args.K, specs, slack=args.slack)
     payload = {
@@ -742,14 +751,14 @@ def run_appb_orders(args) -> Report:
 
 @command(
     "appb", "flatten", "fit field vanishing orders; optionally flatten one chart",
-    arg("--glue", default="sine:0.1", help=GLUES),
+    arg("--glue", type=parse_glue, default="sine:0.1", help=GLUES),
     arg("--k", type=real("field level", int), default=1, help="deepest field level to fit"),
     arg("--chart", action="store_true", help="also flatten one field and certify it"),
     arg("--depth", type=real("recursion depth", int),
         help="field recursion depth for --chart; default 0"),
 )
 def run_appb_flatten(args) -> Report:
-    g = parse_glue(args.glue)
+    glue, g = args.glue
     if not 0 <= args.k <= 2:
         raise DomainError("--k must be between 0 and 2")
     if args.depth is not None and not args.chart:
@@ -759,7 +768,7 @@ def run_appb_flatten(args) -> Report:
         raise DomainError("--depth must be between 0 and 2")
     report = flattening.verify_orders(g, args.k)
     payload = {
-        "glue": args.glue,
+        "glue": glue,
         "fits": [
             {
                 "k": fit.k,

@@ -1,5 +1,7 @@
 """Bundled examples and seeded generators for tests, demos and acceptance runs.
 
+Everything the acceptance criteria read comes from here.  ``load_corpus``
+reads an acceptance corpus directory, by default the shipped one, and
 ``example`` reads one of the small standard surface types (discs, strips,
 cylinders, pants) shipped as JSON under ``data/corpus/types``.  The random
 generators are deterministic in the seed and construct values that satisfy
@@ -7,17 +9,21 @@ every structural invariant by construction, including matched labels for
 composable pairs: they only draw or list boundary cycles, and read both
 signatures off those cycles through ``cobordism.cycle_signatures``, which
 applies the one D-brane orientation rule that ``validate_type`` checks.
+``random_mu`` and ``random_field`` draw dilatation values and fields.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import cobordism
-from ._input import integer, load_file
+from . import beltrami, cobordism
+from ._input import integer, json_list, json_number, json_object, load_file
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -34,6 +40,33 @@ def example(name: str) -> OCType:
     """The bundled type ``types/<name>.json``, e.g. ``example("pants_split")``."""
     path = BUNDLED / "types" / f"{name}.json"
     return load_file(path, cobordism.octype_from_json, "surface-type")
+
+
+@dataclass(frozen=True)
+class AcceptanceCorpus:
+    quads: tuple[tuple[float, float, float, float], ...]
+    types: tuple[tuple[str, OCType], ...]
+
+
+def _quads_from_json(d) -> tuple[tuple[float, float, float, float], ...]:
+    quads = json_list(json_object(d, "quad corpus")["quads"], "quad list")
+    if not all(isinstance(q, list) and len(q) == 4 for q in quads):
+        raise DomainError("each quad must be a list of four numbers")
+    return tuple(tuple(json_number(v, "quad entry") for v in q) for q in quads)
+
+
+def load_corpus(directory: Optional[str] = None) -> AcceptanceCorpus:
+    """Read the quad list and example types from a directory, by default the shipped one."""
+    root = BUNDLED if directory is None else Path(directory)
+    quad_path = root / "quads.json"
+    if not quad_path.is_file():
+        raise DomainError(f"missing corpus file {quad_path}")
+    quads = load_file(quad_path, _quads_from_json, "quad-corpus")
+    types = tuple(
+        (p.stem, load_file(p, cobordism.octype_from_json, "surface-type"))
+        for p in sorted((root / "types").glob("*.json"))
+    )
+    return AcceptanceCorpus(quads, types)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +173,40 @@ def random_composable_pair(seed: int) -> tuple[OCType, OCType]:
     t1 = random_octype(rng)
     t2 = random_successor(rng, t1)
     return t1, t2
+
+
+def within_cap(t: OCType) -> bool:
+    """The size cap on seeded types: at most 4 components and 6 boundary circles."""
+    return len(t.components) <= 4 and sum(c.n for c in t.components) <= 6
+
+
+def capped_triple(seed: int) -> tuple[OCType, ...]:
+    """The first composable triple drawn from ``seed`` whose three types are ``within_cap``."""
+    rng = random.Random(seed)
+    while True:
+        t1 = random_octype(rng)
+        t2 = random_successor(rng, t1)
+        t3 = random_successor(rng, t2)
+        if within_cap(t1) and within_cap(t2) and within_cap(t3):
+            return t1, t2, t3
+
+
+# ---------------------------------------------------------------------------
+# seeded dilatation data
+
+
+def random_mu(rng: random.Random, r_max: float = 0.95) -> complex:
+    """A dilatation value drawn uniformly from the disc of radius ``r_max``."""
+    r = r_max * math.sqrt(rng.random())
+    return r * cmath.exp(2j * math.pi * rng.random())
+
+
+def random_field(
+    rng: random.Random, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
+) -> beltrami.DilatationField:
+    """A field on [x0, x1] x [y0, y1] of ny x nx ``random_mu`` values of modulus below 0.9."""
+    vals = [[random_mu(rng, 0.9) for _ in range(nx)] for _ in range(ny)]
+    return beltrami.DilatationField(x0, x1, y0, y1, vals)
 
 
 # ---------------------------------------------------------------------------

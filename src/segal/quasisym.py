@@ -101,7 +101,7 @@ def sampled_identity(n: int = 256) -> SampledIncreasingFunction:
 
 def sampled_slope_break(k: float, n: int = 256) -> SampledIncreasingFunction:
     """h(x) = x for x <= 0 and k*x for x > 0, sampled on a symmetric grid."""
-    if k <= 0:
+    if not 0 < k < math.inf:
         raise NonMonotone("slope must be positive")
     n = integer(n, "sample count", 1)
     xs = [j / n for j in range(-n, n + 1)]
@@ -110,12 +110,21 @@ def sampled_slope_break(k: float, n: int = 256) -> SampledIncreasingFunction:
 
 
 def sampled_exp(t_max: float = 1.0, n: int = 256) -> SampledIncreasingFunction:
+    """exp sampled on [-t_max, t_max].  A window size whose grid or exp
+    overflows a float is too large, whatever its sign; any other must be
+    positive."""
     n = integer(n, "sample count", 1)
+    too_large = f"window size {t_max!r} is too large: exp overflows a float"
     xs = [-t_max + 2.0 * t_max * j / (2 * n) for j in range(2 * n + 1)]
     try:
         ys = [math.exp(x) for x in xs]
     except OverflowError:
-        raise DomainError(f"window size {t_max!r} is too large: exp overflows a float")
+        raise DomainError(too_large)
+    if not t_max > 0:
+        raise DomainError(f"window size must be positive, got {t_max!r}")
+    # a grid point that overflowed (at 2 * t_max * j) is inf or nan, and so is its exp
+    if not math.isfinite(ys[-1]):
+        raise DomainError(too_large)
     return SampledIncreasingFunction(tuple(xs), tuple(ys))
 
 

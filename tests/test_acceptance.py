@@ -127,7 +127,7 @@ def test_the_composition_criteria_keep_their_work(monkeypatch):
     on the complex.  A faster run cannot come from doing less of this."""
     counts: collections.Counter = collections.Counter()
     for owner, name in (
-        (acceptance, "_capped_triple"),
+        (corpus, "capped_triple"),
         (corpus, "random_octype"),
         (corpus, "random_successor"),
         (cobordism, "compose_types"),
@@ -140,11 +140,11 @@ def test_the_composition_criteria_keep_their_work(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    data = acceptance.load_corpus()
+    data = corpus.load_corpus()
     (check,), _ = acceptance.criterion_1_associativity(data)
     assert check.measured == 0.0
     assert counts == {
-        "_capped_triple": 1000,
+        "capped_triple": 1000,
         "random_octype": 1177,
         "random_successor": 2354,
         "compose_types": 4000,

@@ -24,6 +24,7 @@ from segal.beltrami import (
     transform_field,
     transform_mu,
 )
+from segal.corpus import random_field, random_mu
 from segal.errors import (
     DegenerateFrame,
     DomainError,
@@ -37,12 +38,6 @@ from segal.errors import (
 def _constant(value, x0, x1, y0, y1, nx, ny):
     """A field with the one value ``value`` in each of ny x nx cells."""
     return DilatationField(x0, x1, y0, y1, np.full((ny, nx), complex(value)))
-
-
-def sample_mu(rng, rmax=0.95):
-    r = rmax * math.sqrt(rng.random())
-    t = 2.0 * math.pi * rng.random()
-    return r * complex(math.cos(t), math.sin(t))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,7 @@ def test_dilatation_K_values():
 def test_K_roundtrip_bulk():
     rng = random.Random(0)
     for _ in range(10_000):
-        mu = sample_mu(rng)
+        mu = random_mu(rng)
         assert abs(abs_mu_from_K(dilatation_K(mu)) - abs(mu)) <= 1e-12
 
 
@@ -122,7 +117,7 @@ def test_abs_mu_from_K_returns_only_moduli_the_disc_rule_accepts():
 def test_transform_trivial_cases():
     rng = random.Random(1)
     for _ in range(100):
-        mu = sample_mu(rng)
+        mu = random_mu(rng)
         # Conformal inner map: nothing changes.
         assert transform_mu(mu, 0, 2.0, 0) == pytest.approx(mu, abs=1e-15)
         # Composite equals inner map: outer map is conformal.
@@ -133,7 +128,7 @@ def test_pullback_trivial_cases():
     assert pullback_mu(0, 0, 1) == 0
     rng = random.Random(2)
     for _ in range(100):
-        nu = sample_mu(rng)
+        nu = random_mu(rng)
         t = rng.uniform(0, 2 * math.pi)
         u = complex(math.cos(t), math.sin(t))
         # Conformal g rotates by the conjugate phase.
@@ -143,8 +138,8 @@ def test_pullback_trivial_cases():
 def test_transform_pullback_roundtrip():
     rng = random.Random(3)
     for _ in range(1000):
-        mu = sample_mu(rng)
-        mu_f = sample_mu(rng)
+        mu = random_mu(rng)
+        mu_f = random_mu(rng)
         fz = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(fz) < 0.1:
             continue
@@ -160,7 +155,7 @@ def test_transform_pullback_roundtrip():
 def test_transform_outputs_stay_in_disc():
     rng = random.Random(4)
     for _ in range(500):
-        nu = transform_mu(sample_mu(rng, 0.98), sample_mu(rng, 0.98), 1 + 1j, 0)
+        nu = transform_mu(random_mu(rng, 0.98), random_mu(rng, 0.98), 1 + 1j, 0)
         assert abs(nu) < 1
 
 
@@ -177,7 +172,7 @@ def test_teichmuller_distance_values():
     assert teichmuller_distance(0, 1 / 3) == pytest.approx(math.log(2), abs=1e-15)
     rng = random.Random(5)
     for _ in range(200):
-        m1, m2, m3 = (sample_mu(rng) for _ in range(3))
+        m1, m2, m3 = (random_mu(rng) for _ in range(3))
         d12 = teichmuller_distance(m1, m2)
         assert d12 == pytest.approx(teichmuller_distance(m2, m1), abs=1e-13)
         assert d12 >= 0
@@ -187,7 +182,7 @@ def test_teichmuller_distance_values():
 def test_distance_invariant_under_disc_automorphisms():
     rng = random.Random(6)
     for _ in range(200):
-        m1, m2, a = sample_mu(rng), sample_mu(rng), sample_mu(rng, 0.8)
+        m1, m2, a = random_mu(rng), random_mu(rng), random_mu(rng, 0.8)
         t = rng.uniform(0, 2 * math.pi)
         phase = complex(math.cos(t), math.sin(t))
         f = lambda w: phase * (w - a) / (1 - a.conjugate() * w)
@@ -199,12 +194,12 @@ def test_distance_invariant_under_disc_automorphisms():
 def test_transform_is_distance_isometry():
     rng = random.Random(7)
     for _ in range(1000):
-        mu_f = sample_mu(rng)
+        mu_f = random_mu(rng)
         fz = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(fz) < 0.1:
             continue
         fzbar = mu_f * fz
-        m1, m2 = sample_mu(rng), sample_mu(rng)
+        m1, m2 = random_mu(rng), random_mu(rng)
         d0 = teichmuller_distance(m1, m2)
         d1 = teichmuller_distance(
             transform_mu(m1, mu_f, fz, fzbar), transform_mu(m2, mu_f, fz, fzbar)
@@ -264,7 +259,7 @@ def test_mu_from_acs_examples():
 def test_mu_acs_roundtrip():
     rng = random.Random(9)
     for _ in range(300):
-        mu = sample_mu(rng)
+        mu = random_mu(rng)
         assert mu_from_acs(acs_from_mu(mu)) == pytest.approx(mu, abs=1e-12)
 
 
@@ -379,13 +374,6 @@ def test_sew_rejects_an_unknown_seam():
         sew_sections(a, a, "z")
 
 
-def random_field(rng, x0, x1, y0, y1, nx, ny):
-    vals = np.array(
-        [[sample_mu(rng, 0.9) for _ in range(nx)] for _ in range(ny)]
-    )
-    return DilatationField(x0, x1, y0, y1, vals)
-
-
 @pytest.mark.parametrize("seed", range(100))
 def test_sew_isometry_exact(seed):
     rng = random.Random(seed)
@@ -408,7 +396,7 @@ def test_sew_cell_width_mismatch_rejected():
 def test_field_kernels_match_scalar_ops():
     rng = random.Random(11)
     s = random_field(rng, 0, 1, 0, 1, 3, 3)
-    mu_f = sample_mu(rng)
+    mu_f = random_mu(rng)
     fz = 1.2 - 0.7j
     fzbar = mu_f * fz
     t = transform_field(s, mu_f, fz, fzbar)

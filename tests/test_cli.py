@@ -24,7 +24,7 @@ BUNDLED = corpus.BUNDLED
 
 # Operations that must stay reachable from the command line: every public
 # function, keyed by its home module, and the corpus generators and loader
-# that the commands reach through ``segal.corpus`` and ``segal.acceptance``.
+# that the commands reach through ``segal.corpus``.
 # test_cli_golden.py::test_every_required_operation_is_called checks that
 # some golden case calls each of them.
 REQUIRED_OPS = {
@@ -36,7 +36,7 @@ REQUIRED_OPS = {
     "corpus.random_successor",
     "corpus.enumerate_small_types",
     "corpus.generate_quads",
-    "acceptance.load_corpus",
+    "corpus.load_corpus",
 }
 
 SPEC_SUBCOMMANDS = {
@@ -63,7 +63,7 @@ SPEC_SUBCOMMANDS = {
 
 # The number of parser actions and their digest (see ``argument_surface``);
 # a change to any subcommand's arguments or help text changes the digest.
-SURFACE = (149, "15d0d8149c91bcf4917c6958124eab7a55a9ee347b3958eccf486382a1344e2a")
+SURFACE = (149, "a570fef2e6201cf54e88a1be8b9afca3ab5e620b9344222474c2462b2fdf9e1c")
 
 # The errors that mean the input was unusable; every other one is a failed check.
 EXIT_2_ERRORS = {
@@ -220,6 +220,19 @@ class TestAcrossInvocations:
         assert outs[0] != outs[1]
 
 
+@pytest.mark.parametrize(
+    "parse",
+    [cli.real("x"), cli.real("x", int), cli.parse_complex, cli.parse_indices],
+    ids=["float", "int", "complex", "indices"],
+)
+@pytest.mark.parametrize("text", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-digit"])
+def test_number_text_on_the_command_line_follows_the_file_rule(parse, text):
+    """Python's ``float``, ``int`` and ``complex`` read ``1_0`` and an
+    Arabic-Indic digit; neither a CSV file nor the command line does."""
+    with pytest.raises(errors.DomainError, match="cannot parse|--only takes"):
+        parse(text)
+
+
 # ---------------------------------------------------------------------------
 # the contract sweep: every argument that declares a parser, in every
 # subcommand, fed values at and past the edge of double precision and values
@@ -229,8 +242,7 @@ class TestAcrossInvocations:
 SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "5e-324", "", "x"]
 
 # The options whose values may be NAME:NUMBER, with each NAME: they take;
-# each sweep value also goes after each of them.  ``--glue`` declares no
-# parser, so it is swept only after its prefixes.
+# each sweep value also goes after each of them.
 SWEEP_PREFIXES = {
     "--fn": ("slope:", "exp:"),
     "--glue": ("linear:", "sine:"),
@@ -349,8 +361,8 @@ def test_contract_sweep(tmp_path, capsys):
                     broken.append(f"{argv}: {e}")
             swept += value is not None
     assert not broken, "\n".join(broken)
-    # 36 arguments declare a parser; 4 options take 6 prefixes
-    assert swept == (36 + 6) * len(SWEEP_VALUES)
+    # 37 arguments declare a parser; 4 options take 6 prefixes
+    assert swept == (37 + 6) * len(SWEEP_VALUES)
 
 
 # ---------------------------------------------------------------------------

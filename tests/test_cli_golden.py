@@ -144,6 +144,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     # samples float() reads, as 10 and as 1, but a file's number rule rejects
     (tmp / "underscore.csv").write_text("x,y\n0,0\n1_0,2\n20,30\n", encoding="utf-8")
     (tmp / "arabic_digit.csv").write_text("x,y\n0,0\n\u0661,2\n20,30\n", encoding="utf-8")
+    # a first line float() reads is a sample, not a header
+    (tmp / "underscore_first.csv").write_text("0_5,0\n1,1\n2,3\n3,4\n", encoding="utf-8")
     (tmp / "latin1.csv").write_bytes(b"x,y\n0,0\n\xff,1\n")
     # two samples closer than the 1e-9 * span match tolerance
     (tmp / "close.csv").write_text("x,y\n0,0\n0.5,0.5\n0.5000000001,0.6\n1,1\n", encoding="utf-8")
@@ -179,6 +181,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "bad_csv": str(tmp / "bad.csv"),
         "underscore_csv": str(tmp / "underscore.csv"),
         "arabic_digit_csv": str(tmp / "arabic_digit.csv"),
+        "underscore_first_csv": str(tmp / "underscore_first.csv"),
         "close_csv": str(tmp / "close.csv"),
         "overflow_csv": str(tmp / "overflow.csv"),
         "latin1": str(tmp / "latin1.csv"),

@@ -81,6 +81,17 @@ def test_building_the_parser_runs_no_library_module():
     assert out.strip() == repr(["segal._input", "segal.cli", "segal.errors"])
 
 
+def test_reading_a_corpus_runs_no_acceptance_code():
+    """``module check-qc --corpus`` reads ``quads.json`` through ``corpus``
+    alone: ``acceptance`` stays registered without running its code."""
+    out = run_python(
+        "import importlib.util, sys, segal.cli; "
+        f"code = segal.cli.main(['module', 'check-qc', '--corpus', {str(corpus.BUNDLED)!r}]); "
+        "print(code, isinstance(sys.modules['segal.acceptance'], importlib.util._LazyModule))"
+    )
+    assert out.splitlines()[-1] == "0 True"
+
+
 def test_module_quadrature_loads_neither_numpy_nor_scipy():
     """The AGM oracle runs no other ``segal`` module: ``cobordism`` stays unrun."""
     out = run_python(

@@ -6,7 +6,6 @@ import pytest
 
 from segal import corpus, modulus
 from segal._oracles import module_agm
-from segal.acceptance import load_corpus
 from segal.errors import DegenerateQuad, DomainError
 from segal.modulus import (
     QuadrilateralSpec,
@@ -248,7 +247,7 @@ def test_check_geometric_qc_stretch():
 def test_check_geometric_qc_integrates_each_position_once(monkeypatch):
     """The stretch by 2 leaves each bundled quad's normalized position as it
     is, so the 50 quads take 50 quadratures, not 100, for the same ratios."""
-    quads = [QuadrilateralSpec(*q) for q in load_corpus().quads]
+    quads = [QuadrilateralSpec(*q) for q in corpus.load_corpus().quads]
     expected = tuple(module_of_quad(q.scaled(2.0)) / module_of_quad(q) for q in quads)
     positions = []
     monkeypatch.setattr(modulus, "module_sc", lambda x: positions.append(x) or module_sc(x))

@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,10 +90,21 @@ class TestSampledBuilders:
         with pytest.raises(DomainError, match=f"sample count must be at least 1, got {n}"):
             build(n)
 
-    @pytest.mark.parametrize("t_max", [1000.0, -1000.0, 710.0])
+    @pytest.mark.parametrize("t_max", [1000.0, -1000.0, 710.0, math.inf, 1e308])
     def test_exp_rejects_a_window_that_overflows(self, t_max):
         with pytest.raises(DomainError, match="exp overflows a float"):
             sampled_exp(t_max, 4)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, -math.inf])
+    def test_exp_rejects_a_window_that_is_not_positive(self, t_max):
+        message = re.escape(f"window size must be positive, got {t_max!r}")
+        with pytest.raises(DomainError, match=message):
+            sampled_exp(t_max, 4)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_slope_break_rejects_a_slope_that_is_not_positive_and_finite(self, k):
+        with pytest.raises(NonMonotone, match="slope must be positive"):
+            sampled_slope_break(k, 4)
 
     def test_exp_takes_the_widest_window_that_fits(self):
         h = sampled_exp(709.0, 4)
